@@ -169,7 +169,7 @@ pub fn compare_to_baseline(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::RunStats;
+    use crate::RunStats;
 
     #[test]
     fn bench_measures_every_worker_count() {

@@ -152,7 +152,8 @@ pub fn diff_stores(golden: &ResultsStore, current: &ResultsStore, tol: Tolerance
 mod tests {
     use super::*;
     use crate::spec::RunPoint;
-    use crate::store::{RunRecord, RunStats};
+    use crate::store::RunRecord;
+    use crate::RunStats;
 
     fn store_with(cycles: &[(u64, u64)]) -> ResultsStore {
         // One record per (fifo, cycles) pair; fifo keys the run identity.

@@ -3,14 +3,24 @@
 
 use std::collections::BTreeSet;
 
-use crate::spec::{CampaignSpec, Order, RunPoint, DEFAULT_PLACEMENT};
+use crate::params::{expansion_order, Param, Val};
+use crate::spec::{CampaignSpec, RunPoint};
+
+/// The standard FNV-1a 64-bit offset basis.
+pub const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// FNV-1a 64-bit hash — the basis of deterministic run IDs. Chosen over
 /// `DefaultHasher` because the standard library's hasher is explicitly
 /// not stable across releases, and run IDs must match committed goldens
 /// forever.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a64_from(FNV_OFFSET_BASIS, bytes)
+}
+
+/// FNV-1a 64-bit hash of `bytes` starting from an explicit offset `basis`,
+/// for callers that fold a seed into the hash.
+pub fn fnv1a64_from(basis: u64, bytes: &[u8]) -> u64 {
+    let mut hash = basis;
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
@@ -20,134 +30,52 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// Expand `spec` into its run points.
 ///
-/// The nesting order (kernel → memory → order → alignment → n → stride →
-/// faults → fault seed → tenants → budget → attribution → channels →
-/// devices per channel → placement → chaos → retry budget) is part of the
-/// store format: it fixes the record order of every campaign, independent
-/// of worker count. Five
-/// collapses keep the grid free of synonymous points before dedup even
-/// runs: natural-order points ignore the `fifo` axis (one point per
-/// family, not one per depth), a clean run (`faults == ""`) pins
-/// `fault_seed` to 0 because the seed is inert without a plan, a
-/// single-tenant run (`tenants == ""`) pins `budget_permille` to 0
-/// because the regulator budget is inert without tenants, a multi-tenant
-/// run pins `attribution` to 0 because the serve loop owns the clock
-/// there, a single-channel run (`channels == 1`) pins `placement` to
-/// [`DEFAULT_PLACEMENT`] because placement is inert with one channel,
-/// and a single-tenant run pins `retry_budget` to 0 because there is no
-/// admission queue to reject (and so nothing to retry) without tenants.
-/// Points matching any exclusion clause are dropped, and exact duplicates
-/// (e.g. a repeated axis value) are collapsed to their first occurrence.
+/// The walk nests the axes in [`expansion_order`] (kernel, memory, order,
+/// fifo, then the rest in record order), which is part of the store
+/// format: it fixes the record order of every campaign, independent of
+/// worker count. A parameter whose collapse rule holds for the point built
+/// so far is pinned to its default instead of walking its axis (natural
+/// order ignores `fifo`, a clean run pins `fault_seed` to 0, ...), so the
+/// grid is free of synonymous points before dedup even runs. Points
+/// matching any exclusion clause are dropped, and exact duplicates (e.g. a
+/// repeated axis value) are collapsed to their first occurrence.
 pub fn expand(spec: &CampaignSpec) -> Vec<RunPoint> {
-    let axes = &spec.axes;
-    let default_placement = [DEFAULT_PLACEMENT.to_string()];
+    let axes: Vec<(&Param, Vec<Val<'_>>)> = expansion_order()
+        .map(|param| (param, (param.axis)(&spec.axes)))
+        .collect();
     let mut seen = BTreeSet::new();
     let mut points = Vec::new();
-    for kernel in &axes.kernels {
-        for memory in &axes.memories {
-            for family in &axes.orders {
-                let orders: Vec<Order> = if family == "natural" {
-                    vec![Order::Natural]
-                } else {
-                    axes.fifos.iter().map(|&fifo| Order::Smc { fifo }).collect()
-                };
-                for order in orders {
-                    for alignment in &axes.alignments {
-                        for &n in &axes.lengths {
-                            for &stride in &axes.strides {
-                                for faults in &axes.faults {
-                                    let seeds: &[u64] = if faults.is_empty() {
-                                        &[0]
-                                    } else {
-                                        &axes.fault_seeds
-                                    };
-                                    for &fault_seed in seeds {
-                                        for tenants in &axes.tenant_mixes {
-                                            let budgets: &[u64] = if tenants.is_empty() {
-                                                &[0]
-                                            } else {
-                                                &axes.budgets
-                                            };
-                                            for &budget_permille in budgets {
-                                                let attrs: &[u64] = if tenants.is_empty() {
-                                                    &axes.attributions
-                                                } else {
-                                                    &[0]
-                                                };
-                                                for &attribution in attrs {
-                                                    for &channels in &axes.channel_counts {
-                                                        for &devices_per_channel in
-                                                            &axes.devices_per_channel
-                                                        {
-                                                            let placements: &[String] =
-                                                                if channels <= 1 {
-                                                                    &default_placement
-                                                                } else {
-                                                                    &axes.placements
-                                                                };
-                                                            for placement in placements {
-                                                                for chaos in &axes.chaos_plans {
-                                                                    let rbudgets: &[u64] =
-                                                                        if tenants.is_empty() {
-                                                                            &[0]
-                                                                        } else {
-                                                                            &axes.retry_budgets
-                                                                        };
-                                                                    for &retry_budget in rbudgets {
-                                                                        let point = RunPoint {
-                                                                            kernel: kernel.clone(),
-                                                                            order,
-                                                                            memory: memory.clone(),
-                                                                            alignment: alignment
-                                                                                .clone(),
-                                                                            n,
-                                                                            stride,
-                                                                            faults: faults.clone(),
-                                                                            fault_seed,
-                                                                            tenants: tenants
-                                                                                .clone(),
-                                                                            budget_permille,
-                                                                            attribution,
-                                                                            channels,
-                                                                            devices_per_channel,
-                                                                            placement: placement
-                                                                                .clone(),
-                                                                            chaos: chaos.clone(),
-                                                                            retry_budget,
-                                                                        };
-                                                                        if spec.exclude.iter().any(
-                                                                            |x| x.matches(&point),
-                                                                        ) {
-                                                                            continue;
-                                                                        }
-                                                                        if seen.insert(point.key())
-                                                                        {
-                                                                            points.push(point);
-                                                                        }
-                                                                    }
-                                                                }
-                                                            }
-                                                        }
-                                                    }
-                                                }
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+    walk(&axes, &mut RunPoint::default(), &mut |point| {
+        if !spec.exclude.iter().any(|x| x.matches(point)) && seen.insert(point.key()) {
+            points.push(point.clone());
         }
-    }
+    });
     points
+}
+
+/// Set the first axis of `axes` on `point` to each of its values in turn
+/// (or to its default, when its collapse rule holds) and recurse on the
+/// rest; at the bottom, hand the finished point to `leaf`.
+fn walk(axes: &[(&Param, Vec<Val<'_>>)], point: &mut RunPoint, leaf: &mut dyn FnMut(&RunPoint)) {
+    let Some(((param, values), rest)) = axes.split_first() else {
+        return leaf(point);
+    };
+    let pinned = param.collapse.is_some_and(|c| (c.holds)(point));
+    let values = if pinned {
+        std::slice::from_ref(&param.default)
+    } else {
+        values.as_slice()
+    };
+    for value in values {
+        (param.set)(point, value);
+        walk(rest, point, leaf);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{Axes, Exclude};
+    use crate::spec::{Axes, Exclude, Order};
 
     #[test]
     fn fnv1a64_matches_reference_vectors() {
@@ -174,121 +102,9 @@ mod tests {
         let mut spec = CampaignSpec::named("t");
         spec.axes.fifos = Vec::new();
         assert!(expand(&spec).is_empty(), "smc points need a fifo depth");
-    }
-
-    #[test]
-    fn natural_order_collapses_the_fifo_axis() {
-        let mut spec = CampaignSpec::named("t");
-        spec.axes.orders = vec!["smc".into(), "natural".into()];
-        spec.axes.fifos = vec![8, 16, 32];
-        let points = expand(&spec);
-        // 3 smc depths + 1 natural point.
-        assert_eq!(points.len(), 4);
-        let naturals = points.iter().filter(|p| p.order == Order::Natural).count();
-        assert_eq!(naturals, 1);
-        // And with only natural order, an empty fifo axis is NOT fatal.
-        let mut spec = CampaignSpec::named("t");
+        // Natural-order points pin `fifo`, so they do not.
         spec.axes.orders = vec!["natural".into()];
-        spec.axes.fifos = Vec::new();
         assert_eq!(expand(&spec).len(), 1);
-    }
-
-    #[test]
-    fn clean_runs_collapse_the_seed_axis() {
-        let mut spec = CampaignSpec::named("t");
-        spec.axes.faults = vec![String::new(), "nack:50:4".into()];
-        spec.axes.fault_seeds = vec![1, 2, 3];
-        let points = expand(&spec);
-        // 1 clean point (seed pinned to 0) + 3 seeded faulty points.
-        assert_eq!(points.len(), 4);
-        assert_eq!(points[0].fault_seed, 0);
-        assert!(points[1..].iter().all(|p| p.faults == "nack:50:4"));
-    }
-
-    #[test]
-    fn single_tenant_runs_collapse_the_budget_axis() {
-        let mut spec = CampaignSpec::named("t");
-        spec.axes.tenant_mixes = vec![String::new(), "ls:1:daxpy:64+bh:2:copy:64".into()];
-        spec.axes.budgets = vec![250, 500, 1000];
-        let points = expand(&spec);
-        // 1 single-tenant point (budget pinned to 0) + 3 budgeted mixes.
-        assert_eq!(points.len(), 4);
-        assert_eq!(points[0].tenants, "");
-        assert_eq!(points[0].budget_permille, 0);
-        assert!(points[1..]
-            .iter()
-            .all(|p| p.tenants == "ls:1:daxpy:64+bh:2:copy:64"));
-        assert_eq!(
-            points[1..]
-                .iter()
-                .map(|p| p.budget_permille)
-                .collect::<Vec<_>>(),
-            [250, 500, 1000]
-        );
-    }
-
-    #[test]
-    fn multi_tenant_runs_collapse_the_attribution_axis() {
-        let mut spec = CampaignSpec::named("t");
-        spec.axes.tenant_mixes = vec![String::new(), "ls:1:daxpy:64".into()];
-        spec.axes.attributions = vec![0, 1];
-        let points = expand(&spec);
-        // Single-tenant point with attribution off and on + 1 tenant point
-        // (attribution pinned to 0).
-        assert_eq!(points.len(), 3);
-        assert_eq!(points[0].attribution, 0);
-        assert_eq!(points[1].attribution, 1);
-        assert!(points[1].tenants.is_empty());
-        assert_eq!(points[2].tenants, "ls:1:daxpy:64");
-        assert_eq!(points[2].attribution, 0);
-    }
-
-    #[test]
-    fn single_channel_runs_collapse_the_placement_axis() {
-        let mut spec = CampaignSpec::named("t");
-        spec.axes.channel_counts = vec![1, 2];
-        spec.axes.placements = vec!["interleaved".into(), "sequential".into(), "numa:0".into()];
-        let points = expand(&spec);
-        // 1 single-channel point (placement pinned) + 3 placed 2-channel
-        // points.
-        assert_eq!(points.len(), 4);
-        assert_eq!(points[0].channels, 1);
-        assert_eq!(points[0].placement, "interleaved");
-        assert!(points[1..].iter().all(|p| p.channels == 2));
-        assert_eq!(
-            points[1..]
-                .iter()
-                .map(|p| p.placement.as_str())
-                .collect::<Vec<_>>(),
-            ["interleaved", "sequential", "numa:0"]
-        );
-    }
-
-    #[test]
-    fn single_tenant_runs_collapse_the_retry_axis() {
-        let mut spec = CampaignSpec::named("t");
-        spec.axes.tenant_mixes = vec![String::new(), "bh:2:copy:64".into()];
-        spec.axes.retry_budgets = vec![2, 4];
-        let points = expand(&spec);
-        // 1 single-tenant point (retry pinned to 0) + 2 budgeted mixes.
-        assert_eq!(points.len(), 3);
-        assert_eq!(points[0].retry_budget, 0);
-        assert!(points[0].tenants.is_empty());
-        assert_eq!(
-            points[1..]
-                .iter()
-                .map(|p| p.retry_budget)
-                .collect::<Vec<_>>(),
-            [2, 4]
-        );
-        // The chaos axis applies to every point (single-kernel runs
-        // degrade too).
-        let mut spec = CampaignSpec::named("t");
-        spec.axes.chaos_plans = vec![String::new(), "outage:0:64:128".into()];
-        let points = expand(&spec);
-        assert_eq!(points.len(), 2);
-        assert_eq!(points[0].chaos, "");
-        assert_eq!(points[1].chaos, "outage:0:64:128");
     }
 
     #[test]
@@ -306,8 +122,7 @@ mod tests {
     fn excludes_can_filter_to_zero() {
         let mut spec = CampaignSpec::named("t");
         spec.exclude.push(Exclude {
-            kernel: Some("daxpy".into()),
-            ..Exclude::default()
+            fields: vec![("kernel", Val::Str("daxpy".into()))],
         });
         assert!(expand(&spec).is_empty());
     }

@@ -4,6 +4,13 @@
 //! organizations swept over FIFO depth, vector length, stride, and fault
 //! plans. This crate turns such grids into first-class *campaigns*:
 //!
+//! * [`PARAMS`] and [`STATS`] — one table row per run-point parameter
+//!   (JSON name, run-key form, [`Group`], default, accepted values,
+//!   collapse rule, accessors) and per result counter. The run key, the
+//!   record form, axis and exclude parsing and grid expansion are loops
+//!   over these tables, and one rule covers every feature added after the
+//!   paper's grid: a group is written to the key and the record only when
+//!   one of its parameters is off its default;
 //! * [`CampaignSpec`] — a declarative description of the parameter axes
 //!   (parsed from JSON with the vendored `serde_json`, the same untyped
 //!   [`serde_json::Value`] walk the conformance checker's `TraceFile`
@@ -17,7 +24,8 @@
 //!   collected as structured [`Outcome::Error`]s instead of panics;
 //! * [`ResultsStore`] — a schema-versioned JSONL store, one record per
 //!   run (config fingerprint, cycles, percent-of-peak, recovery counters,
-//!   telemetry summary), byte-stable across runs and worker counts;
+//!   telemetry summary), byte-stable across runs and worker counts; a
+//!   record whose stored run ID is not its point's ID fails to parse;
 //! * [`diff_stores`] — a baseline comparator that gates a campaign
 //!   against a committed golden store and fails on cycle-count or
 //!   bandwidth drift beyond an integer tolerance;
@@ -39,15 +47,17 @@ pub mod bench;
 pub mod diff;
 pub mod executor;
 pub mod grid;
+pub mod params;
 pub mod spec;
 pub mod store;
 
 pub use bench::{bench_campaign, BenchReport, BenchSample};
 pub use diff::{diff_stores, DiffReport, Drift, Tolerance};
 pub use executor::parallel_map;
-pub use grid::{expand, fnv1a64};
+pub use grid::{expand, fnv1a64, fnv1a64_from, FNV_OFFSET_BASIS};
+pub use params::{Domain, Group, Param, RunStats, Stat, Val, PARAMS, STATS};
 pub use spec::{Axes, CampaignSpec, Exclude, Order, RunPoint, SpecError};
-pub use store::{milli_percent, Outcome, ResultsStore, RunRecord, RunStats, StoreError};
+pub use store::{milli_percent, Outcome, ResultsStore, RunRecord, StoreError};
 
 /// Version stamped on campaign specs and result stores; readers reject
 /// anything else, so a format change is an explicit migration.

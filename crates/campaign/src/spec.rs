@@ -4,18 +4,17 @@
 //! Parsing is a hand-written walk over the untyped [`serde_json::Value`]
 //! tree (the vendored `serde` stand-in has no typed deserialization),
 //! mirroring the approach of the conformance checker's `TraceFile`. Every
-//! parse error names the JSON path of the offending element.
+//! parse error names the JSON path of the offending element. Which axes and
+//! exclude fields exist, and which values they accept, comes from
+//! [`PARAMS`].
 
 use std::fmt;
 
 use serde_json::Value;
 
 use crate::grid::fnv1a64;
-
-/// The default cross-channel placement spec. Single-channel points pin
-/// `placement` to this value (where it is inert), and points carrying it
-/// at one channel serialize without any topology fields at all.
-pub const DEFAULT_PLACEMENT: &str = "interleaved";
+use crate::params::{param, written, Key, Val, PARAMS};
+pub use crate::params::{Axes, RunPoint};
 
 /// Access ordering of one run point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -57,109 +56,25 @@ impl Order {
     }
 }
 
-/// One fully-resolved point of a campaign grid: everything needed to
-/// reconstruct the simulated system and reproduce the run.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct RunPoint {
-    /// Kernel name (`copy`, `daxpy`, ... — validated by the runner, not
-    /// here, so the orchestration layer stays simulator-agnostic).
-    pub kernel: String,
-    /// Access ordering (and FIFO depth for SMC points).
-    pub order: Order,
-    /// Memory organization: `cli` or `pi`.
-    pub memory: String,
-    /// Vector placement: `staggered` or `aligned`.
-    pub alignment: String,
-    /// Elements per stream.
-    pub n: u64,
-    /// Stride in 64-bit words.
-    pub stride: u64,
-    /// Fault plan in `--faults` spec syntax; empty runs clean.
-    pub faults: String,
-    /// Seed for the fault injector (forced to 0 when `faults` is empty,
-    /// where it would be inert, so such points deduplicate).
-    pub fault_seed: u64,
-    /// Tenant mix in `tenancy` spec syntax (`ls:1:daxpy:64+bh:2:copy:64`);
-    /// empty means a classic single-tenant run. When empty, this field and
-    /// `budget_permille` are inert: they are omitted from the key and the
-    /// record form, so single-tenant campaigns (and their goldens) are
-    /// byte-identical to builds that predate the tenancy layer.
-    pub tenants: String,
-    /// Bandwidth-hungry budget as permille of the default regulator budget
-    /// (forced to 0 — "use the default" — when `tenants` is empty).
-    pub budget_permille: u64,
-    /// Whether the run collects cycle attribution (0 = off, 1 = on; forced
-    /// to 0 for multi-tenant points, where the serve loop owns the clock
-    /// and attribution does not apply). When 0, the field is omitted from
-    /// the key and the record form, so pre-attribution campaigns and their
-    /// goldens are byte-identical to builds that predate the profiler.
-    pub attribution: u64,
-    /// Independent memory channels (`channels` axis). When 1 — the paper's
-    /// single-channel system — the topology fields are inert: they are
-    /// omitted from the key and the record form, so single-channel
-    /// campaigns (and their goldens) are byte-identical to builds that
-    /// predate the multi-channel memory system.
-    pub channels: u64,
-    /// RDRAM devices ganged on each channel (`devices_per_channel` axis).
-    pub devices_per_channel: u64,
-    /// Cross-channel placement spec (`interleaved[:bytes]`, `sequential`,
-    /// or `numa[:home]` — validated by the runner). Forced to
-    /// [`DEFAULT_PLACEMENT`] when `channels` is 1, where placement is
-    /// inert.
-    pub placement: String,
-    /// Channel-level chaos plan in fault-plan spec syntax
-    /// (`brownout:<ch>:<from>:<len>:<mult>`, `outage:<ch>:<from>:<len>`,
-    /// `devfail:<ch>:<dev>:<from>:<mult>`, `;`-separated — validated by
-    /// the runner); empty runs healthy. When empty *and* `retry_budget`
-    /// is 0, both chaos fields are omitted from the key and the record
-    /// form, so pre-chaos campaigns (and their goldens) are
-    /// byte-identical to builds that predate the fault-tolerance layer.
-    pub chaos: String,
-    /// Closed-loop client retry budget: resubmissions allowed per
-    /// rejected request (forced to 0 — retries disabled — when `tenants`
-    /// is empty, where no admission queue exists to reject anything).
-    pub retry_budget: u64,
-}
-
 impl RunPoint {
     /// The canonical config fingerprint: a `|`-separated key covering
     /// every parameter that can change the simulated outcome. Two points
-    /// with equal keys are the same run. Tenant fields are appended only
-    /// for multi-tenant points so pre-tenancy run IDs never move.
+    /// with equal keys are the same run. A group other than the base grid
+    /// appears only when one of its parameters is off its default, so run
+    /// IDs from before the group existed never move.
     pub fn key(&self) -> String {
-        let mut key = format!(
-            "{}|{}|{}|{}|n={}|stride={}|faults={}|fseed={}",
-            self.kernel,
-            self.order.label(),
-            self.memory,
-            self.alignment,
-            self.n,
-            self.stride,
-            self.faults,
-            self.fault_seed
-        );
-        if !self.tenants.is_empty() {
-            key.push_str(&format!(
-                "|tenants={}|budget={}",
-                self.tenants, self.budget_permille
-            ));
-        }
-        if self.attribution != 0 {
-            key.push_str("|attr=1");
-        }
-        if self.channels > 1 || self.devices_per_channel > 1 {
-            key.push_str(&format!(
-                "|channels={}|devices={}|placement={}",
-                self.channels, self.devices_per_channel, self.placement
-            ));
-        }
-        if !self.chaos.is_empty() || self.retry_budget != 0 {
-            key.push_str(&format!(
-                "|chaos={}|rbudget={}",
-                self.chaos, self.retry_budget
-            ));
-        }
-        key
+        let written = written(self);
+        let segments: Vec<String> = PARAMS
+            .iter()
+            .filter(|p| written[p.group as usize])
+            .filter_map(|param| match param.key {
+                Key::Bare => Some((param.get)(self).to_string()),
+                Key::Label(label) => Some(format!("{label}={}", (param.get)(self))),
+                Key::Custom(render) => Some(render(self)),
+                Key::Omit => None,
+            })
+            .collect();
+        segments.join("|")
     }
 
     /// Deterministic run ID: the FNV-1a 64-bit hash of [`Self::key`],
@@ -175,165 +90,29 @@ impl RunPoint {
         RunPoint {
             kernel: kernel.to_string(),
             order: Order::Smc { fifo },
-            memory: "cli".to_string(),
-            alignment: "staggered".to_string(),
             n: 128,
-            stride: 1,
-            faults: String::new(),
-            fault_seed: 0,
-            tenants: String::new(),
-            budget_permille: 0,
-            attribution: 0,
-            channels: 1,
-            devices_per_channel: 1,
-            placement: DEFAULT_PLACEMENT.to_string(),
-            chaos: String::new(),
-            retry_budget: 0,
+            ..RunPoint::default()
         }
     }
 }
 
-/// The parameter axes of a campaign. Each axis is a list of values; the
-/// grid is their cartesian product. A *missing* axis in the JSON form
-/// takes the single-value default below; an *explicitly empty* axis makes
-/// the whole product empty (zero runs), which is legal.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Axes {
-    /// Kernel names (`kernel` axis). Default: `["daxpy"]`.
-    pub kernels: Vec<String>,
-    /// Ordering families, `smc` / `natural` (`order`). Default: `["smc"]`.
-    pub orders: Vec<String>,
-    /// Memory organizations, `cli` / `pi` (`memory`). Default: `["cli"]`.
-    pub memories: Vec<String>,
-    /// SMC FIFO depths in elements (`fifo`). Default: `[64]`.
-    pub fifos: Vec<u64>,
-    /// Stream lengths in elements (`n`). Default: `[1024]`.
-    pub lengths: Vec<u64>,
-    /// Strides in 64-bit words (`stride`). Default: `[1]`.
-    pub strides: Vec<u64>,
-    /// Vector placements, `staggered` / `aligned` (`alignment`).
-    /// Default: `["staggered"]`.
-    pub alignments: Vec<String>,
-    /// Fault plans in spec syntax; `""` runs clean (`faults`).
-    /// Default: `[""]`.
-    pub faults: Vec<String>,
-    /// Fault-injector seeds (`fault_seed`). Default: `[0]`.
-    pub fault_seeds: Vec<u64>,
-    /// Tenant mixes in `tenancy` spec syntax; `""` runs single-tenant
-    /// (`tenants`). Default: `[""]`.
-    pub tenant_mixes: Vec<String>,
-    /// Bandwidth-hungry budgets in permille of the regulator default, 0
-    /// meaning "the default" (`budget_permille`). Default: `[0]`.
-    pub budgets: Vec<u64>,
-    /// Cycle-attribution switches, each 0 (off) or 1 (on)
-    /// (`attribution`). Default: `[0]`.
-    pub attributions: Vec<u64>,
-    /// Channel counts (`channels`). Default: `[1]`.
-    pub channel_counts: Vec<u64>,
-    /// Devices per channel (`devices_per_channel`). Default: `[1]`.
-    pub devices_per_channel: Vec<u64>,
-    /// Cross-channel placement specs (`placement`). Default:
-    /// `["interleaved"]`.
-    pub placements: Vec<String>,
-    /// Channel-level chaos plans in fault-plan spec syntax; `""` runs
-    /// healthy (`chaos`). Default: `[""]`.
-    pub chaos_plans: Vec<String>,
-    /// Closed-loop retry budgets per rejected request, 0 meaning retries
-    /// disabled (`retry_budget`). Default: `[0]`.
-    pub retry_budgets: Vec<u64>,
-}
-
-impl Default for Axes {
-    fn default() -> Self {
-        Axes {
-            kernels: vec!["daxpy".to_string()],
-            orders: vec!["smc".to_string()],
-            memories: vec!["cli".to_string()],
-            fifos: vec![64],
-            lengths: vec![1024],
-            strides: vec![1],
-            alignments: vec!["staggered".to_string()],
-            faults: vec![String::new()],
-            fault_seeds: vec![0],
-            tenant_mixes: vec![String::new()],
-            budgets: vec![0],
-            attributions: vec![0],
-            channel_counts: vec![1],
-            devices_per_channel: vec![1],
-            placements: vec![DEFAULT_PLACEMENT.to_string()],
-            chaos_plans: vec![String::new()],
-            retry_budgets: vec![0],
-        }
-    }
-}
-
-/// One exclusion clause: a point matching *all* present fields is dropped
-/// from the grid. `fifo` only ever matches SMC points.
+/// One exclusion clause: a point matching *all* of its (parameter, value)
+/// pairs is dropped from the grid. Values are validated like axis values,
+/// so a `fifo` clause (at least 1) never matches a natural-order point,
+/// whose record depth is 0.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Exclude {
-    /// Match on kernel name.
-    pub kernel: Option<String>,
-    /// Match on ordering family (`smc` / `natural`).
-    pub order: Option<String>,
-    /// Match on memory organization.
-    pub memory: Option<String>,
-    /// Match on vector placement.
-    pub alignment: Option<String>,
-    /// Match on SMC FIFO depth.
-    pub fifo: Option<u64>,
-    /// Match on stream length.
-    pub n: Option<u64>,
-    /// Match on stride.
-    pub stride: Option<u64>,
-    /// Match on the fault-plan spec string.
-    pub faults: Option<String>,
-    /// Match on the fault seed.
-    pub fault_seed: Option<u64>,
-    /// Match on the tenant-mix spec string.
-    pub tenants: Option<String>,
-    /// Match on the bandwidth-hungry budget permille.
-    pub budget_permille: Option<u64>,
-    /// Match on the attribution switch (0 or 1).
-    pub attribution: Option<u64>,
-    /// Match on the channel count.
-    pub channels: Option<u64>,
-    /// Match on the devices-per-channel count.
-    pub devices_per_channel: Option<u64>,
-    /// Match on the placement spec string.
-    pub placement: Option<String>,
-    /// Match on the chaos-plan spec string.
-    pub chaos: Option<String>,
-    /// Match on the closed-loop retry budget.
-    pub retry_budget: Option<u64>,
+    /// The [`PARAMS`] names this clause pins, with the values they must
+    /// have.
+    pub fields: Vec<(&'static str, Val<'static>)>,
 }
 
 impl Exclude {
-    /// Whether `point` matches every present field of this clause.
+    /// Whether `point` matches every field of this clause.
     pub fn matches(&self, point: &RunPoint) -> bool {
-        let eq_s = |want: &Option<String>, got: &str| want.as_ref().is_none_or(|w| w == got);
-        let eq_u = |want: &Option<u64>, got: u64| want.is_none_or(|w| w == got);
-        let fifo_ok = match (self.fifo, point.order) {
-            (None, _) => true,
-            (Some(want), Order::Smc { fifo }) => want == fifo,
-            (Some(_), Order::Natural) => false,
-        };
-        eq_s(&self.kernel, &point.kernel)
-            && eq_s(&self.order, point.order.family())
-            && eq_s(&self.memory, &point.memory)
-            && eq_s(&self.alignment, &point.alignment)
-            && fifo_ok
-            && eq_u(&self.n, point.n)
-            && eq_u(&self.stride, point.stride)
-            && eq_s(&self.faults, &point.faults)
-            && eq_u(&self.fault_seed, point.fault_seed)
-            && eq_s(&self.tenants, &point.tenants)
-            && eq_u(&self.budget_permille, point.budget_permille)
-            && eq_u(&self.attribution, point.attribution)
-            && eq_u(&self.channels, point.channels)
-            && eq_u(&self.devices_per_channel, point.devices_per_channel)
-            && eq_s(&self.placement, &point.placement)
-            && eq_s(&self.chaos, &point.chaos)
-            && eq_u(&self.retry_budget, point.retry_budget)
+        self.fields
+            .iter()
+            .all(|(name, want)| param(name).is_some_and(|p| (p.get)(point) == *want))
     }
 }
 
@@ -383,90 +162,34 @@ fn err(path: &str, message: impl Into<String>) -> SpecError {
     }
 }
 
-fn string_list(v: &Value, path: &str, allowed: Option<&[&str]>) -> Result<Vec<String>, SpecError> {
-    let list = v
-        .as_array()
-        .ok_or_else(|| err(path, "expected an array of strings"))?;
-    let mut out = Vec::with_capacity(list.len());
-    for (i, item) in list.iter().enumerate() {
-        let s = item
-            .as_str()
-            .ok_or_else(|| err(&format!("{path}[{i}]"), "expected a string"))?;
-        if let Some(allowed) = allowed {
-            if !allowed.contains(&s) {
-                return Err(err(
-                    &format!("{path}[{i}]"),
-                    format!("expected one of {allowed:?}, got {s:?}"),
-                ));
-            }
-        }
-        out.push(s.to_string());
-    }
-    Ok(out)
-}
-
-fn u64_list(v: &Value, path: &str, min: u64) -> Result<Vec<u64>, SpecError> {
-    let list = v
-        .as_array()
-        .ok_or_else(|| err(path, "expected an array of unsigned integers"))?;
-    let mut out = Vec::with_capacity(list.len());
-    for (i, item) in list.iter().enumerate() {
-        let n = item
-            .as_u64()
-            .ok_or_else(|| err(&format!("{path}[{i}]"), "expected an unsigned integer"))?;
-        if n < min {
-            return Err(err(&format!("{path}[{i}]"), format!("must be >= {min}")));
-        }
-        out.push(n);
-    }
-    Ok(out)
-}
-
 fn parse_axes(v: &Value, path: &str) -> Result<Axes, SpecError> {
     let fields = v
         .as_object()
         .ok_or_else(|| err(path, "expected an object of axes"))?;
     let mut axes = Axes::default();
     for (key, value) in fields {
+        let param = param(key).ok_or_else(|| {
+            let known: Vec<&str> = PARAMS.iter().map(|p| p.name).collect();
+            err(
+                path,
+                format!("unknown axis `{key}` (known: {})", known.join(", ")),
+            )
+        })?;
         let p = format!("{path}.{key}");
-        match key.as_str() {
-            "kernel" => axes.kernels = string_list(value, &p, None)?,
-            "order" => axes.orders = string_list(value, &p, Some(&["smc", "natural"]))?,
-            "memory" => axes.memories = string_list(value, &p, Some(&["cli", "pi"]))?,
-            "alignment" => {
-                axes.alignments = string_list(value, &p, Some(&["staggered", "aligned"]))?;
-            }
-            "fifo" => axes.fifos = u64_list(value, &p, 1)?,
-            "n" => axes.lengths = u64_list(value, &p, 1)?,
-            "stride" => axes.strides = u64_list(value, &p, 1)?,
-            "faults" => axes.faults = string_list(value, &p, None)?,
-            "fault_seed" => axes.fault_seeds = u64_list(value, &p, 0)?,
-            "tenants" => axes.tenant_mixes = string_list(value, &p, None)?,
-            "budget_permille" => axes.budgets = u64_list(value, &p, 0)?,
-            "attribution" => {
-                let switches = u64_list(value, &p, 0)?;
-                if let Some(i) = switches.iter().position(|&s| s > 1) {
-                    return Err(err(&format!("{p}[{i}]"), "must be 0 or 1"));
-                }
-                axes.attributions = switches;
-            }
-            "channels" => axes.channel_counts = u64_list(value, &p, 1)?,
-            "devices_per_channel" => axes.devices_per_channel = u64_list(value, &p, 1)?,
-            "placement" => axes.placements = string_list(value, &p, None)?,
-            "chaos" => axes.chaos_plans = string_list(value, &p, None)?,
-            "retry_budget" => axes.retry_budgets = u64_list(value, &p, 0)?,
-            other => {
-                return Err(err(
-                    path,
-                    format!(
-                        "unknown axis `{other}` (known: kernel, order, memory, fifo, n, \
-                         stride, alignment, faults, fault_seed, tenants, budget_permille, \
-                         attribution, channels, devices_per_channel, placement, chaos, \
-                         retry_budget)"
-                    ),
-                ));
-            }
-        }
+        let list = value
+            .as_array()
+            .ok_or_else(|| err(&p, "expected an array"))?;
+        let values = list
+            .iter()
+            .enumerate()
+            .map(|(i, item)| {
+                param
+                    .domain
+                    .parse(item)
+                    .map_err(|m| err(&format!("{p}[{i}]"), m))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        (param.set_axis)(&mut axes, &values);
     }
     Ok(axes)
 }
@@ -477,38 +200,13 @@ fn parse_exclude(v: &Value, path: &str) -> Result<Exclude, SpecError> {
         .ok_or_else(|| err(path, "expected an object"))?;
     let mut clause = Exclude::default();
     for (key, value) in fields {
-        let p = format!("{path}.{key}");
-        let want_str = |value: &Value, p: &str| {
-            value
-                .as_str()
-                .map(str::to_string)
-                .ok_or_else(|| err(p, "expected a string"))
-        };
-        let want_u64 = |value: &Value, p: &str| {
-            value
-                .as_u64()
-                .ok_or_else(|| err(p, "expected an unsigned integer"))
-        };
-        match key.as_str() {
-            "kernel" => clause.kernel = Some(want_str(value, &p)?),
-            "order" => clause.order = Some(want_str(value, &p)?),
-            "memory" => clause.memory = Some(want_str(value, &p)?),
-            "alignment" => clause.alignment = Some(want_str(value, &p)?),
-            "faults" => clause.faults = Some(want_str(value, &p)?),
-            "tenants" => clause.tenants = Some(want_str(value, &p)?),
-            "fifo" => clause.fifo = Some(want_u64(value, &p)?),
-            "n" => clause.n = Some(want_u64(value, &p)?),
-            "stride" => clause.stride = Some(want_u64(value, &p)?),
-            "fault_seed" => clause.fault_seed = Some(want_u64(value, &p)?),
-            "budget_permille" => clause.budget_permille = Some(want_u64(value, &p)?),
-            "attribution" => clause.attribution = Some(want_u64(value, &p)?),
-            "channels" => clause.channels = Some(want_u64(value, &p)?),
-            "devices_per_channel" => clause.devices_per_channel = Some(want_u64(value, &p)?),
-            "placement" => clause.placement = Some(want_str(value, &p)?),
-            "chaos" => clause.chaos = Some(want_str(value, &p)?),
-            "retry_budget" => clause.retry_budget = Some(want_u64(value, &p)?),
-            other => return Err(err(path, format!("unknown exclude field `{other}`"))),
-        }
+        let param =
+            param(key).ok_or_else(|| err(path, format!("unknown exclude field `{key}`")))?;
+        let want = param
+            .domain
+            .parse(value)
+            .map_err(|m| err(&format!("{path}.{key}"), m))?;
+        clause.fields.push((param.name, want));
     }
     Ok(clause)
 }
@@ -631,8 +329,14 @@ mod tests {
         assert_eq!(spec.axes.kernels, ["copy", "daxpy"]);
         assert_eq!(spec.axes.fifos, [16, 64]);
         assert_eq!(spec.exclude.len(), 2);
-        assert_eq!(spec.exclude[0].kernel.as_deref(), Some("copy"));
-        assert_eq!(spec.exclude[1].fifo, Some(16));
+        assert_eq!(spec.exclude[1].fields[0], ("fifo", Val::U64(16)));
+        let hit = RunPoint {
+            memory: "pi".into(),
+            ..RunPoint::smoke("copy", 64)
+        };
+        assert!(spec.exclude[0].matches(&hit));
+        // Every field of a clause must match.
+        assert!(!spec.exclude[0].matches(&RunPoint::smoke("copy", 64)));
     }
 
     #[test]
@@ -643,16 +347,6 @@ mod tests {
         assert!(e.message.contains("schema"), "{e}");
         let e = CampaignSpec::from_json(r#"{"schema": 2, "name": "t"}"#).unwrap_err();
         assert_eq!(e.path, "$.schema");
-        let e = CampaignSpec::from_json(r#"{"schema": 1, "name": "t", "axes": {"warp": [1]}}"#)
-            .unwrap_err();
-        assert!(e.message.contains("warp"), "{e}");
-        let e =
-            CampaignSpec::from_json(r#"{"schema": 1, "name": "t", "axes": {"memory": ["tape"]}}"#)
-                .unwrap_err();
-        assert_eq!(e.path, "$.axes.memory[0]");
-        let e = CampaignSpec::from_json(r#"{"schema": 1, "name": "t", "axes": {"fifo": [0]}}"#)
-            .unwrap_err();
-        assert!(e.message.contains(">= 1"), "{e}");
         let e = CampaignSpec::from_json("not json").unwrap_err();
         assert_eq!(e.path, "$");
     }
@@ -682,199 +376,9 @@ mod tests {
         assert_ne!(a.run_id(), b.run_id());
         // ...and the ID is deterministic run-to-run.
         assert_eq!(a.run_id(), a.run_id());
-    }
-
-    #[test]
-    fn tenant_fields_extend_the_key_only_when_present() {
-        let single = RunPoint::smoke("copy", 64);
-        // Single-tenant keys are byte-identical to the pre-tenancy format.
-        assert!(!single.key().contains("tenants"));
-        let multi = RunPoint {
-            tenants: "ls:1:daxpy:64+bh:2:copy:64".into(),
-            budget_permille: 250,
-            ..single.clone()
-        };
-        assert_eq!(
-            multi.key(),
-            format!(
-                "{}|tenants=ls:1:daxpy:64+bh:2:copy:64|budget=250",
-                single.key()
-            )
-        );
-        assert_ne!(multi.run_id(), single.run_id());
-        // The budget only matters for tenant points.
-        let budget_only = RunPoint {
-            budget_permille: 250,
-            ..single.clone()
-        };
-        assert_eq!(budget_only.key(), single.key());
-    }
-
-    #[test]
-    fn tenant_axes_parse_and_exclude() {
-        let text = concat!(
-            r#"{"schema": 1, "name": "mt", "#,
-            r#""axes": {"tenants": ["", "ls:1:daxpy:64"], "budget_permille": [0, 500]}, "#,
-            r#""exclude": [{"tenants": "ls:1:daxpy:64", "budget_permille": 500}]}"#
-        );
-        let spec = CampaignSpec::from_json(text).unwrap();
-        assert_eq!(spec.axes.tenant_mixes, ["", "ls:1:daxpy:64"]);
-        assert_eq!(spec.axes.budgets, [0, 500]);
-        let clause = &spec.exclude[0];
-        let hit = RunPoint {
-            tenants: "ls:1:daxpy:64".into(),
-            budget_permille: 500,
-            ..RunPoint::smoke("daxpy", 64)
-        };
-        assert!(clause.matches(&hit));
-        assert!(!clause.matches(&RunPoint::smoke("daxpy", 64)));
-    }
-
-    #[test]
-    fn topology_extends_the_key_only_when_non_default() {
-        let single = RunPoint::smoke("copy", 64);
-        // Single-channel single-device keys are byte-identical to the
-        // pre-memsys format.
-        assert!(!single.key().contains("channels"));
-        assert!(!single.key().contains("placement"));
-        let multi = RunPoint {
-            channels: 2,
-            placement: "numa:0".into(),
-            ..single.clone()
-        };
-        assert_eq!(
-            multi.key(),
-            format!("{}|channels=2|devices=1|placement=numa:0", single.key())
-        );
-        assert_ne!(multi.run_id(), single.run_id());
-        // Extra devices on one channel also move the key.
-        let fat = RunPoint {
-            devices_per_channel: 4,
-            ..single.clone()
-        };
-        assert_eq!(
-            fat.key(),
-            format!(
-                "{}|channels=1|devices=4|placement=interleaved",
-                single.key()
-            )
-        );
-    }
-
-    #[test]
-    fn topology_axes_parse_and_exclude() {
-        let text = concat!(
-            r#"{"schema": 1, "name": "mc", "#,
-            r#""axes": {"channels": [1, 2], "devices_per_channel": [1, 2], "#,
-            r#""placement": ["interleaved", "numa:0"]}, "#,
-            r#""exclude": [{"channels": 2, "placement": "numa:0"}]}"#
-        );
-        let spec = CampaignSpec::from_json(text).unwrap();
-        assert_eq!(spec.axes.channel_counts, [1, 2]);
-        assert_eq!(spec.axes.devices_per_channel, [1, 2]);
-        assert_eq!(spec.axes.placements, ["interleaved", "numa:0"]);
-        let clause = &spec.exclude[0];
-        let hit = RunPoint {
-            channels: 2,
-            placement: "numa:0".into(),
-            ..RunPoint::smoke("daxpy", 64)
-        };
-        assert!(clause.matches(&hit));
-        assert!(!clause.matches(&RunPoint::smoke("daxpy", 64)));
-        // Zero channels or devices are rejected at parse time.
-        let e = CampaignSpec::from_json(r#"{"schema": 1, "name": "t", "axes": {"channels": [0]}}"#)
-            .unwrap_err();
-        assert!(e.message.contains(">= 1"), "{e}");
-    }
-
-    #[test]
-    fn chaos_fields_extend_the_key_only_when_non_default() {
-        let healthy = RunPoint::smoke("copy", 64);
-        // Healthy, retry-less keys are byte-identical to the pre-chaos
-        // format.
-        assert!(!healthy.key().contains("chaos"));
-        assert!(!healthy.key().contains("rbudget"));
-        let chaotic = RunPoint {
-            chaos: "brownout:0:100:500:4".into(),
-            ..healthy.clone()
-        };
-        assert_eq!(
-            chaotic.key(),
-            format!("{}|chaos=brownout:0:100:500:4|rbudget=0", healthy.key())
-        );
-        assert_ne!(chaotic.run_id(), healthy.run_id());
-        // A retry budget alone also moves the key (closed-loop clients
-        // reshape the arrival process even without injected chaos).
-        let retrying = RunPoint {
-            retry_budget: 3,
-            ..healthy.clone()
-        };
-        assert_eq!(
-            retrying.key(),
-            format!("{}|chaos=|rbudget=3", healthy.key())
-        );
-        assert_ne!(retrying.run_id(), healthy.run_id());
-    }
-
-    #[test]
-    fn chaos_axes_parse_and_exclude() {
-        let text = concat!(
-            r#"{"schema": 1, "name": "chaos", "#,
-            r#""axes": {"chaos": ["", "outage:0:100:200"], "retry_budget": [0, 3], "#,
-            r#""tenants": ["bh:2:copy:64"]}, "#,
-            r#""exclude": [{"chaos": "outage:0:100:200", "retry_budget": 3}]}"#
-        );
-        let spec = CampaignSpec::from_json(text).unwrap();
-        assert_eq!(spec.axes.chaos_plans, ["", "outage:0:100:200"]);
-        assert_eq!(spec.axes.retry_budgets, [0, 3]);
-        let clause = &spec.exclude[0];
-        let hit = RunPoint {
-            chaos: "outage:0:100:200".into(),
-            retry_budget: 3,
-            ..RunPoint::smoke("daxpy", 64)
-        };
-        assert!(clause.matches(&hit));
-        assert!(!clause.matches(&RunPoint::smoke("daxpy", 64)));
-        // Unknown-axis errors now name the chaos axes.
-        let e = CampaignSpec::from_json(r#"{"schema": 1, "name": "t", "axes": {"warp": [1]}}"#)
-            .unwrap_err();
-        assert!(e.message.contains("chaos, "), "{e}");
-        assert!(e.message.contains("retry_budget"), "{e}");
-    }
-
-    #[test]
-    fn attribution_extends_the_key_only_when_on() {
-        let off = RunPoint::smoke("copy", 64);
-        // Attribution-off keys are byte-identical to the pre-profiler format.
-        assert!(!off.key().contains("attr"));
-        let on = RunPoint {
-            attribution: 1,
-            ..off.clone()
-        };
-        assert_eq!(on.key(), format!("{}|attr=1", off.key()));
-        assert_ne!(on.run_id(), off.run_id());
-    }
-
-    #[test]
-    fn attribution_axis_parses_and_rejects_non_switch_values() {
-        let spec = CampaignSpec::from_json(
-            r#"{"schema": 1, "name": "t", "axes": {"attribution": [0, 1]}}"#,
-        )
-        .unwrap();
-        assert_eq!(spec.axes.attributions, [0, 1]);
-        let e =
-            CampaignSpec::from_json(r#"{"schema": 1, "name": "t", "axes": {"attribution": [2]}}"#)
-                .unwrap_err();
-        assert_eq!(e.path, "$.axes.attribution[0]");
-        let spec = CampaignSpec::from_json(
-            r#"{"schema": 1, "name": "t", "exclude": [{"attribution": 1}]}"#,
-        )
-        .unwrap();
-        assert!(spec.exclude[0].matches(&RunPoint {
-            attribution: 1,
-            ..RunPoint::smoke("copy", 64)
-        }));
-        assert!(!spec.exclude[0].matches(&RunPoint::smoke("copy", 64)));
+        // An empty kernel name still yields a well-formed key.
+        let blank = RunPoint::smoke("", 64);
+        assert!(blank.key().starts_with("|smc:64|"), "{}", blank.key());
     }
 
     #[test]
@@ -884,23 +388,15 @@ mod tests {
             order: Order::Natural,
             ..smc.clone()
         };
-        let by_fifo = Exclude {
-            fifo: Some(64),
-            ..Exclude::default()
+        let clause = |json: &str| {
+            let text = format!(r#"{{"schema": 1, "name": "t", "exclude": [{json}]}}"#);
+            CampaignSpec::from_json(&text).unwrap().exclude.remove(0)
         };
+        let by_fifo = clause(r#"{"fifo": 64}"#);
         assert!(by_fifo.matches(&smc));
         assert!(!by_fifo.matches(&nat), "fifo never matches natural order");
-        let by_family = Exclude {
-            order: Some("natural".into()),
-            ..Exclude::default()
-        };
+        let by_family = clause(r#"{"order": "natural"}"#);
         assert!(by_family.matches(&nat));
         assert!(!by_family.matches(&smc));
-        let narrow = Exclude {
-            kernel: Some("copy".into()),
-            n: Some(999),
-            ..Exclude::default()
-        };
-        assert!(!narrow.matches(&smc), "all present fields must match");
     }
 }

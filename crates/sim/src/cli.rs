@@ -752,22 +752,13 @@ pub fn run_serve_cmd(args: &[String]) -> Result<String, String> {
     if retry_budget != 0 {
         cfg.retry = tenancy::RetryPolicy::with_budget(retry_budget, chaos_seed);
     }
-    // Tracing is opt-in: the untraced path stays byte-identical to what it
-    // produced before the trace surfaces existed. Chaos and closed-loop
-    // retries route through the chaos runner so the degraded-mode totals
-    // come back; a plain serve never touches that path, so its output is
-    // byte-identical to builds without the chaos layer.
-    let tracing = trace_out.is_some() || perfetto_out.is_some();
-    let chaotic = base.chaos_active() || retry_budget != 0;
-    let (report, trace, chaos_total) = if chaotic {
-        let (report, trace, total) = crate::serve::run_serve_chaos(&mix, &cfg, &base)?;
-        (report, tracing.then_some(trace), Some(total))
-    } else if tracing {
-        let (report, trace) = crate::serve::run_serve_traced(&mix, &cfg, &base)?;
-        (report, Some(trace), None)
-    } else {
-        (crate::serve::run_serve(&mix, &cfg, &base)?, None, None)
-    };
+    // Tracing never perturbs the report, so every serve records a trace;
+    // it is written out only on request, and the chaos/recovery totals are
+    // reported only when chaos or closed-loop retries are armed, so a plain
+    // serve prints what it printed before those layers existed.
+    let (report, trace, total) = crate::serve::run_serve_chaos(&mix, &cfg, &base)?;
+    let trace = (trace_out.is_some() || perfetto_out.is_some()).then_some(trace);
+    let chaos_total = (base.chaos_active() || retry_budget != 0).then_some(total);
     if let Some(trace) = &trace {
         if let Some(path) = &trace_out {
             std::fs::write(path, crate::observe::trace_jsonl(trace))

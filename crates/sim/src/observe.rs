@@ -407,7 +407,7 @@ mod tests {
         let base = SystemConfig::smc(MemorySystem::CacheLineInterleaved, 32);
         let cfg =
             crate::serve::serve_config_for(base.device.total_banks(), 0, base.device.timing.t_pack);
-        let (_, trace) = crate::serve::run_serve_traced(&mix, &cfg, &base).expect("serve runs");
+        let (_, trace, _) = crate::serve::run_serve_chaos(&mix, &cfg, &base).expect("serve runs");
         trace
     }
 

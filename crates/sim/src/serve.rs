@@ -17,23 +17,11 @@ use std::collections::BTreeMap;
 use kernels::Kernel;
 use rdram::Command;
 use tenancy::{
-    serve, serve_traced, Request, ServeConfig, ServeReport, ServeTrace, ServiceReport, TenantMix,
+    serve_traced, Request, ServeConfig, ServeReport, ServeTrace, ServiceReport, TenantMix,
     TenantSpec,
 };
 
 use crate::SystemConfig;
-
-/// FNV-1a over `bytes`, folded onto `seed` — the same family of hash the
-/// campaign layer uses for run ids; local copy to keep the dependency
-/// edges one-way.
-fn fnv1a64(seed: u64, bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64 ^ seed.rotate_left(17);
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// Per-bank DATA-packet counts from a recorded command stream: every COL
 /// command carries exactly one DATA packet, so counting COLs per bank
@@ -69,7 +57,7 @@ pub fn bank_data_cycles_of(result: &crate::RunResult) -> Vec<(usize, u64)> {
         .collect()
 }
 
-/// The simulator-backed executor handed to [`tenancy::serve`].
+/// The simulator-backed executor handed to [`tenancy::serve_traced`].
 ///
 /// Each request runs the tenant's kernel through [`crate::run_kernel`]
 /// with commands recorded (for per-bank accounting). Clean configurations
@@ -109,8 +97,11 @@ impl SimExecutor {
             .ok_or_else(|| format!("unknown kernel `{}`", tenant.kernel))?;
         let mut config = self.base.clone();
         if config.faults.is_some() {
-            let seed = fnv1a64(
-                self.base.fault_seed ^ req.seq.wrapping_mul(0x9e37_79b9_7f4a_7c15),
+            // FNV-1a of the tenant name, with the request's seed folded
+            // into the offset basis.
+            let seed = self.base.fault_seed ^ req.seq.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let seed = campaign::fnv1a64_from(
+                campaign::FNV_OFFSET_BASIS ^ seed.rotate_left(17),
                 tenant.name.as_bytes(),
             );
             config.fault_seed = seed;
@@ -197,39 +188,13 @@ pub fn validate_mix(mix: &TenantMix) -> Result<(), String> {
     Ok(())
 }
 
-/// Run a multi-tenant serve: parse nothing, just bind `mix` + `cfg` to the
-/// simulator executor over `base` and run the tenancy loop.
-pub fn run_serve(
-    mix: &TenantMix,
-    cfg: &ServeConfig,
-    base: &SystemConfig,
-) -> Result<ServeReport, String> {
-    validate_mix(mix)?;
-    let exec = SimExecutor::new(base.clone());
-    serve(mix, cfg, &exec).map_err(|e| e.to_string())
-}
-
-/// [`run_serve`] with request-lifecycle tracing: returns the report plus
-/// the recorded [`ServeTrace`] (one span per request, incidents for
-/// starvation trips and absorbed executor failures). The report is
-/// identical to the untraced run.
-pub fn run_serve_traced(
-    mix: &TenantMix,
-    cfg: &ServeConfig,
-    base: &SystemConfig,
-) -> Result<(ServeReport, ServeTrace), String> {
-    validate_mix(mix)?;
-    let exec = SimExecutor::new(base.clone());
-    let mut trace = ServeTrace::new();
-    let report = serve_traced(mix, cfg, &exec, Some(&mut trace)).map_err(|e| e.to_string())?;
-    Ok((report, trace))
-}
-
-/// [`run_serve_traced`] for degraded-mode runs: additionally returns the
-/// executor's accumulated per-channel fault accounting summed over every
-/// request (all-zero when `base` carries no active chaos plan), so the
-/// CLI and the chaos experiment can report losses and MTTR alongside the
-/// serve outcome.
+/// Run a multi-tenant serve: bind `mix` + `cfg` to the simulator executor
+/// over `base` and run the tenancy loop with request-lifecycle tracing.
+/// Returns the report, the recorded [`ServeTrace`] (one span per request,
+/// incidents for starvation trips and absorbed executor failures), and the
+/// executor's per-channel fault accounting summed over every request
+/// (all-zero when `base` carries no active chaos plan). Tracing never
+/// perturbs the report.
 pub fn run_serve_chaos(
     mix: &TenantMix,
     cfg: &ServeConfig,
@@ -374,7 +339,7 @@ mod tests {
         let mut cfg = serve_config_for(banks, 500, base.device.timing.t_pack);
         cfg.policy = "regulated".to_string();
         let mix = TenantMix::parse("ls:2:daxpy:128+bh:4:copy:256").unwrap();
-        let report = run_serve(&mix, &cfg, &base).unwrap();
+        let (report, ..) = run_serve_chaos(&mix, &cfg, &base).unwrap();
         assert_eq!(report.budget_violations, 0, "no dispatch granted in debt");
         report.check_conservation().unwrap();
         let (_s, completed, failed, ..) = report.totals();
@@ -451,7 +416,7 @@ mod tests {
     #[test]
     fn serve_runs_end_to_end_on_the_real_simulator() {
         let mix = TenantMix::parse("ls:1:daxpy:64+bh:2:copy:64").unwrap();
-        let report = run_serve(&mix, &serve_cfg(), &base()).unwrap();
+        let (report, ..) = run_serve_chaos(&mix, &serve_cfg(), &base()).unwrap();
         let (submitted, completed, failed, shed, rejected, _m, words) = report.totals();
         assert_eq!(submitted, mix.total_requests());
         assert_eq!(completed + failed + shed + rejected, submitted);
@@ -465,8 +430,9 @@ mod tests {
     #[test]
     fn traced_serve_matches_untraced_and_feeds_histograms() {
         let mix = TenantMix::parse("ls:1:daxpy:64+bh:2:copy:64").unwrap();
-        let untraced = run_serve(&mix, &serve_cfg(), &base()).unwrap();
-        let (report, trace) = run_serve_traced(&mix, &serve_cfg(), &base()).unwrap();
+        let exec = SimExecutor::new(base());
+        let untraced = serve_traced(&mix, &serve_cfg(), &exec, None).unwrap();
+        let (report, trace, _) = run_serve_chaos(&mix, &serve_cfg(), &base()).unwrap();
         assert_eq!(report, untraced, "tracing must not perturb the report");
         let (submitted, completed, failed, shed, rejected, _m, _w) = report.totals();
         assert_eq!(trace.spans().len() as u64, submitted);
@@ -532,7 +498,7 @@ mod tests {
         cfg.ladder.critical_fill_permille = 1002;
         cfg.retry = tenancy::RetryPolicy::with_budget(4, 9);
         let mix = TenantMix::parse("bh:4:copy:64").unwrap();
-        let report = run_serve(&mix, &cfg, &base()).unwrap();
+        let (report, ..) = run_serve_chaos(&mix, &cfg, &base()).unwrap();
         report.check_conservation().unwrap();
         let retries: u64 = report.tenants.iter().map(|t| t.retries).sum();
         assert!(retries > 0, "tiny queue must trigger resubmissions");
@@ -545,14 +511,14 @@ mod tests {
     #[test]
     fn mix_validation_catches_unknown_kernels_up_front() {
         let mix = TenantMix::parse("ls:1:warp:64").unwrap();
-        let err = run_serve(&mix, &serve_cfg(), &base()).unwrap_err();
+        let err = run_serve_chaos(&mix, &serve_cfg(), &base()).unwrap_err();
         assert!(err.contains("warp"), "{err}");
     }
 
     #[test]
     fn serve_metrics_land_in_the_registry() {
         let mix = TenantMix::parse("bh:2:copy:64").unwrap();
-        let report = run_serve(&mix, &serve_cfg(), &base()).unwrap();
+        let (report, ..) = run_serve_chaos(&mix, &serve_cfg(), &base()).unwrap();
         let mut registry = telemetry::Registry::new();
         record_serve_metrics(&report, &mut registry);
         use telemetry::MetricId;

@@ -8,7 +8,7 @@
 //! lives, so the CLI, the figure experiments, and the fault suite all
 //! drive simulations through the same code path.
 
-use campaign::{CampaignSpec, Order, Outcome, Progress, ResultsStore, RunPoint, RunStats};
+use campaign::{CampaignSpec, Group, Order, Outcome, Progress, ResultsStore, RunPoint, RunStats};
 use kernels::Kernel;
 
 use crate::{Alignment, MemorySystem, SystemConfig};
@@ -76,8 +76,8 @@ pub fn job_for(point: &RunPoint) -> Result<(Kernel, SystemConfig), String> {
 /// Config errors and simulation failures both come back as structured
 /// [`Outcome::Error`]s; nothing panics. Points with a non-empty tenant
 /// mix route through the multi-tenant serving layer instead of a single
-/// kernel run; everything else takes the classic path, bit-identical to
-/// builds without the tenancy layer.
+/// kernel run. Counters of a group the point does not write (see
+/// [`Group::active`]) stay zero.
 pub fn run_point(point: &RunPoint) -> Outcome {
     if !point.tenants.is_empty() {
         return run_tenant_point(point);
@@ -105,7 +105,7 @@ pub fn run_point(point: &RunPoint) -> Outcome {
                     stats.attr_idle_cycles = g.idle;
                 }
             }
-            if !result.chaos_stats.is_empty() {
+            if Group::Chaos.active(point) {
                 fold_chaos(&mut stats, &result.chaos_total());
             }
             Outcome::Ok(stats)
@@ -115,8 +115,7 @@ pub fn run_point(point: &RunPoint) -> Outcome {
 }
 
 /// Fold the device-level degraded-mode accounting into the campaign
-/// counters. Only chaotic points call this, so fault-free records never
-/// carry (or serialize) these fields.
+/// counters.
 fn fold_chaos(stats: &mut RunStats, total: &memsys::ChannelFaultStats) {
     stats.chaos_degraded_commands = total.degraded_commands;
     stats.chaos_deferred_commands = total.deferred_commands;
@@ -147,25 +146,19 @@ fn run_tenant_point(point: &RunPoint) -> Outcome {
     let banks = config.device.total_banks() * config.channels.max(1);
     let mut cfg =
         crate::serve::serve_config_for(banks, point.budget_permille, config.device.timing.t_pack);
-    let chaotic = !point.chaos.is_empty() || point.retry_budget != 0;
     if point.retry_budget != 0 {
         let budget = u32::try_from(point.retry_budget).unwrap_or(u32::MAX);
         cfg.retry = tenancy::RetryPolicy::with_budget(budget, point.fault_seed);
     }
-    if !chaotic {
-        // Fault-free, retry-free points take the classic path, bit-identical
-        // to builds without the chaos layer.
-        return match crate::serve::run_serve(&mix, &cfg, &config) {
-            Ok(report) => Outcome::Ok(stats_of_serve(&report)),
-            Err(message) => Outcome::Error(message),
-        };
-    }
     match crate::serve::run_serve_chaos(&mix, &cfg, &config) {
         Ok((report, _trace, chaos_total)) => {
             let mut stats = stats_of_serve(&report);
-            stats.serve_retries = report.tenants.iter().map(|t| t.retries).sum();
-            stats.serve_retry_exhausted = report.tenants.iter().map(|t| t.retry_exhausted).sum();
-            fold_chaos(&mut stats, &chaos_total);
+            if Group::Chaos.active(point) {
+                stats.serve_retries = report.tenants.iter().map(|t| t.retries).sum();
+                stats.serve_retry_exhausted =
+                    report.tenants.iter().map(|t| t.retry_exhausted).sum();
+                fold_chaos(&mut stats, &chaos_total);
+            }
             Outcome::Ok(stats)
         }
         Err(message) => Outcome::Error(message),
@@ -363,19 +356,6 @@ mod tests {
     }
 
     #[test]
-    fn explicit_single_channel_axes_reproduce_the_paper_matrix_bit_exactly() {
-        // Pinning the topology axes to their defaults must not move a
-        // single byte of the store: 1×1 interleaved IS the paper's system.
-        let implicit = run_spec(&paper_matrix(), 2, None).to_jsonl();
-        let mut spec = paper_matrix();
-        spec.axes.channel_counts = vec![1];
-        spec.axes.devices_per_channel = vec![1];
-        spec.axes.placements = vec!["interleaved".into()];
-        let explicit = run_spec(&spec, 2, None).to_jsonl();
-        assert_eq!(explicit, implicit);
-    }
-
-    #[test]
     fn multi_channel_points_run_clean_and_move_the_run_id() {
         let single = RunPoint::smoke("daxpy", 64);
         let multi = RunPoint {
@@ -404,18 +384,6 @@ mod tests {
             panic!("bad placement must error");
         };
         assert!(e.contains("placement"), "{e}");
-    }
-
-    #[test]
-    fn chaos_axes_at_defaults_leave_the_store_byte_identical() {
-        // Pinning the chaos axes to their defaults must not move a single
-        // byte of the store: empty plan + zero budget IS the healthy system.
-        let implicit = run_spec(&paper_matrix(), 2, None).to_jsonl();
-        let mut spec = paper_matrix();
-        spec.axes.chaos_plans = vec![String::new()];
-        spec.axes.retry_budgets = vec![0];
-        let explicit = run_spec(&spec, 2, None).to_jsonl();
-        assert_eq!(explicit, implicit);
     }
 
     #[test]

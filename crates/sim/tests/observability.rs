@@ -114,8 +114,9 @@ fn traced_serve_is_inert_and_its_totals_cross_check() {
     let base = SystemConfig::smc(CLI, 32);
     let cfg =
         sim::serve::serve_config_for(base.device.total_banks(), 250, base.device.timing.t_pack);
-    let plain = sim::serve::run_serve(&mix, &cfg, &base).expect("serve runs");
-    let (traced, trace) = sim::serve::run_serve_traced(&mix, &cfg, &base).expect("serve runs");
+    let exec = sim::serve::SimExecutor::new(base.clone());
+    let plain = tenancy::serve_traced(&mix, &cfg, &exec, None).expect("serve runs");
+    let (traced, trace, _) = sim::serve::run_serve_chaos(&mix, &cfg, &base).expect("serve runs");
     assert_eq!(plain, traced, "tracing must not perturb the serve outcome");
 
     let (submitted, completed, failed, shed, rejected, _, _) = traced.totals();

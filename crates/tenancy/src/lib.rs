@@ -56,8 +56,8 @@ pub use queue::{Admission, Request};
 pub use regulator::{BucketConfig, RegulatorConfig};
 pub use retry::{RetryAudit, RetryPolicy};
 pub use server::{
-    serve, serve_traced, Executor, ServeConfig, ServeError, ServeReport, ServiceReport,
-    StarvationReport, TenantServeStats,
+    serve_traced, Executor, ServeConfig, ServeError, ServeReport, ServiceReport, StarvationReport,
+    TenantServeStats,
 };
 pub use tenant::{Cycle, TenantClass, TenantMix, TenantSpec};
 pub use trace::{

@@ -1,6 +1,6 @@
 //! The serving loop: multiplex many tenants onto the serially-owned SMC.
 //!
-//! [`serve`] runs a virtual-time event loop. Requests arrive on each
+//! [`serve_traced`] runs a virtual-time event loop. Requests arrive on each
 //! tenant's deterministic cadence, pass admission (degradation-ladder
 //! shedding, then bounded-queue backpressure), wait for the arbitration
 //! policy and the bandwidth regulator to grant a dispatch, and are then
@@ -373,19 +373,10 @@ fn on_rejection(
 }
 
 /// Run the serving loop for `mix` under `cfg`, executing requests with
-/// `exec`. Deterministic: identical inputs produce identical reports.
-pub fn serve(
-    mix: &TenantMix,
-    cfg: &ServeConfig,
-    exec: &dyn Executor,
-) -> Result<ServeReport, ServeError> {
-    serve_traced(mix, cfg, exec, None)
-}
-
-/// [`serve`], optionally recording every request lifecycle and incident
-/// into `trace`. Passing `None` does zero tracing work and is exactly
-/// `serve` — the report is identical either way, so tracing can never
-/// perturb an existing golden.
+/// `exec`, optionally recording every request lifecycle and incident into
+/// `trace`. Deterministic: identical inputs produce identical reports.
+/// Passing `None` does zero tracing work, and the report is identical
+/// either way, so tracing can never perturb an existing golden.
 pub fn serve_traced(
     mix: &TenantMix,
     cfg: &ServeConfig,
@@ -821,7 +812,7 @@ mod tests {
             cycles: 300,
             words: 128,
         };
-        let report = serve(&m, &cfg(), &exec).unwrap();
+        let report = serve_traced(&m, &cfg(), &exec, None).unwrap();
         let (submitted, completed, failed, shed, rejected, _miss, words) = report.totals();
         assert_eq!(submitted, m.total_requests());
         assert_eq!(completed + failed + shed + rejected, submitted);
@@ -842,8 +833,8 @@ mod tests {
             cycles: 777,
             words: 64,
         };
-        let a = serve(&m, &cfg(), &exec).unwrap();
-        let b = serve(&m, &cfg(), &exec).unwrap();
+        let a = serve_traced(&m, &cfg(), &exec, None).unwrap();
+        let b = serve_traced(&m, &cfg(), &exec, None).unwrap();
         assert_eq!(a, b);
     }
 
@@ -855,7 +846,7 @@ mod tests {
             cycles: 60_000,
             words: 16,
         };
-        let report = serve(&m, &cfg(), &exec).unwrap();
+        let report = serve_traced(&m, &cfg(), &exec, None).unwrap();
         let (_s, completed, _f, _shed, _r, misses, _w) = report.totals();
         assert!(misses > 0, "overloaded run must record deadline misses");
         assert!(completed > 0);
@@ -877,7 +868,7 @@ mod tests {
                 })
             }
         };
-        let report = serve(&m, &cfg(), &exec).unwrap();
+        let report = serve_traced(&m, &cfg(), &exec, None).unwrap();
         let (_s, completed, failed, _shed, _r, _m2, _w) = report.totals();
         assert!(failed > 0);
         assert!(completed > 0);
@@ -891,16 +882,22 @@ mod tests {
             words: 1,
         };
         assert!(matches!(
-            serve(&TenantMix::default(), &cfg(), &exec),
+            serve_traced(&TenantMix::default(), &cfg(), &exec, None),
             Err(ServeError::Config(_))
         ));
         let m = mix("ls:1:copy:64");
         let mut c = cfg();
         c.policy = "lifo".to_string();
-        assert!(matches!(serve(&m, &c, &exec), Err(ServeError::Config(_))));
+        assert!(matches!(
+            serve_traced(&m, &c, &exec, None),
+            Err(ServeError::Config(_))
+        ));
         let mut c = cfg();
         c.regulator.window = 0;
-        assert!(matches!(serve(&m, &c, &exec), Err(ServeError::Config(_))));
+        assert!(matches!(
+            serve_traced(&m, &c, &exec, None),
+            Err(ServeError::Config(_))
+        ));
     }
 
     #[test]
@@ -913,7 +910,7 @@ mod tests {
             words: 1,
         };
         assert!(matches!(
-            serve(&m, &c, &exec),
+            serve_traced(&m, &c, &exec, None),
             Err(ServeError::Budget { .. })
         ));
     }
@@ -925,7 +922,7 @@ mod tests {
             cycles: 100,
             words: 64,
         };
-        let report = serve(&m, &cfg(), &exec).unwrap();
+        let report = serve_traced(&m, &cfg(), &exec, None).unwrap();
         assert_eq!(report.fairness_milli(), 1000);
     }
 
@@ -948,7 +945,7 @@ mod tests {
         for policy in ["fcfs", "rr", "bank-aware", "regulated"] {
             let mut c = cfg();
             c.policy = policy.to_string();
-            let report = serve(&m, &c, &exec).unwrap();
+            let report = serve_traced(&m, &c, &exec, None).unwrap();
             let (submitted, completed, failed, shed, rejected, _m2, _w) = report.totals();
             assert_eq!(completed + failed + shed + rejected, submitted, "{policy}");
             assert_eq!(report.budget_violations, 0, "{policy}");
@@ -963,7 +960,7 @@ mod tests {
             cycles: 700,
             words: 64,
         };
-        let untraced = serve(&m, &cfg(), &exec).unwrap();
+        let untraced = serve_traced(&m, &cfg(), &exec, None).unwrap();
         let mut trace = ServeTrace::new();
         let traced = serve_traced(&m, &cfg(), &exec, Some(&mut trace)).unwrap();
         assert_eq!(traced, untraced, "tracing must be observationally inert");
@@ -1060,7 +1057,7 @@ mod tests {
             cycles: 2_000,
             words: 16,
         };
-        let report = serve(&m, &c, &exec).unwrap();
+        let report = serve_traced(&m, &c, &exec, None).unwrap();
         report.check_conservation().unwrap();
         let retries: u64 = report.tenants.iter().map(|t| t.retries).sum();
         assert!(
@@ -1085,7 +1082,7 @@ mod tests {
         );
         assert!(submitted > original, "resubmissions count as submissions");
         // Bit-identical replay.
-        assert_eq!(serve(&m, &c, &exec).unwrap(), report);
+        assert_eq!(serve_traced(&m, &c, &exec, None).unwrap(), report);
     }
 
     #[test]
@@ -1097,7 +1094,7 @@ mod tests {
             cycles: 2_000,
             words: 16,
         };
-        let report = serve(&m, &c, &exec).unwrap();
+        let report = serve_traced(&m, &c, &exec, None).unwrap();
         let (submitted, _c2, _f, _s, rejected, _m2, _w) = report.totals();
         assert!(rejected > 0, "this workload must overflow its queues");
         assert_eq!(submitted, m.total_requests(), "no resubmissions");
@@ -1119,7 +1116,7 @@ mod tests {
             cycles: 30_000,
             words: 8,
         };
-        let report = serve(&m, &c, &exec).unwrap();
+        let report = serve_traced(&m, &c, &exec, None).unwrap();
         report.check_conservation().unwrap();
         let exhausted: u64 = report.tenants.iter().map(|t| t.retry_exhausted).sum();
         assert!(exhausted > 0, "slow service must exhaust some retry loops");
@@ -1142,7 +1139,7 @@ mod tests {
             cycles: 2_000,
             words: 16,
         };
-        let untraced = serve(&m, &c, &exec).unwrap();
+        let untraced = serve_traced(&m, &c, &exec, None).unwrap();
         let mut trace = ServeTrace::new();
         let traced = serve_traced(&m, &c, &exec, Some(&mut trace)).unwrap();
         assert_eq!(
@@ -1177,7 +1174,7 @@ mod tests {
             cycles: 5_000,
             words: 8,
         };
-        let report = serve(&m, &c, &exec).unwrap();
+        let report = serve_traced(&m, &c, &exec, None).unwrap();
         assert!(
             !report.starvation.is_empty(),
             "tight progress deadline must produce starvation reports"

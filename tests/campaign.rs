@@ -1,8 +1,7 @@
 //! End-to-end campaign-engine checks against the committed artifacts:
-//! the smoke campaign in `campaigns/smoke.json` must reproduce its golden
-//! store (`campaigns/smoke.golden.jsonl`) bit-for-bit at any worker
-//! count, in any build profile — the same gate CI runs through
-//! `smcsim campaign diff`.
+//! every campaign in `campaigns/` with a `.golden.jsonl` sibling must
+//! reproduce that golden store bit-for-bit at any worker count, in any
+//! build profile — the same gate CI runs through `smcsim campaign diff`.
 
 use campaign::{diff_stores, expand, CampaignSpec, ResultsStore, Tolerance};
 
@@ -11,19 +10,33 @@ fn repo_file(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"))
 }
 
-fn smoke_spec() -> CampaignSpec {
-    CampaignSpec::from_json(&repo_file("smoke.json")).expect("committed spec parses")
+fn spec(name: &str) -> CampaignSpec {
+    CampaignSpec::from_json(&repo_file(&format!("{name}.json"))).expect("committed spec parses")
 }
 
-fn golden() -> ResultsStore {
-    ResultsStore::from_jsonl(&repo_file("smoke.golden.jsonl")).expect("committed golden parses")
+fn golden(name: &str) -> ResultsStore {
+    ResultsStore::from_jsonl(&repo_file(&format!("{name}.golden.jsonl")))
+        .unwrap_or_else(|e| panic!("committed {name} golden parses: {e}"))
+}
+
+/// Run the `name` campaign on 2 workers (CI's count), check it passes the
+/// zero-tolerance gate and is byte-identical to its golden, and return the
+/// golden.
+fn fresh_run_matches(name: &str) -> ResultsStore {
+    let golden = golden(name);
+    let store = sim::sweep::run_spec(&spec(name), 2, None);
+    let report = diff_stores(&golden, &store, Tolerance::default());
+    assert!(report.is_clean(), "{}", report.render());
+    assert_eq!(report.compared, golden.records.len());
+    assert_eq!(store.to_jsonl(), golden.to_jsonl(), "{name}");
+    assert_eq!(golden.errored(), 0, "the {name} campaign runs clean");
+    golden
 }
 
 /// The committed golden describes exactly the committed spec's grid.
 #[test]
 fn golden_covers_the_smoke_grid() {
-    let spec = smoke_spec();
-    let golden = golden();
+    let (spec, golden) = (spec("smoke"), golden("smoke"));
     let points = expand(&spec);
     assert_eq!(golden.campaign, spec.name);
     assert_eq!(golden.records.len(), points.len());
@@ -37,16 +50,7 @@ fn golden_covers_the_smoke_grid() {
 /// same zero-tolerance gate CI applies.
 #[test]
 fn fresh_smoke_run_matches_the_committed_golden() {
-    let store = sim::sweep::run_spec(&smoke_spec(), 2, None);
-    let golden = golden();
-    let report = diff_stores(&golden, &store, Tolerance::default());
-    assert!(report.is_clean(), "{}", report.render());
-    assert_eq!(report.compared, golden.records.len());
-    assert_eq!(
-        store.to_jsonl(),
-        golden.to_jsonl(),
-        "regenerated store is byte-identical to the committed golden"
-    );
+    fresh_run_matches("smoke");
 }
 
 /// Running the same campaign twice — at different worker counts — yields
@@ -54,7 +58,7 @@ fn fresh_smoke_run_matches_the_committed_golden() {
 /// experiment figures rely on.
 #[test]
 fn repeated_runs_are_byte_stable_across_worker_counts() {
-    let spec = smoke_spec();
+    let spec = spec("smoke");
     let first = sim::sweep::run_spec(&spec, 1, None).to_jsonl();
     let second = sim::sweep::run_spec(&spec, 1, None).to_jsonl();
     assert_eq!(first, second, "same worker count, same bytes");
@@ -64,22 +68,12 @@ fn repeated_runs_are_byte_stable_across_worker_counts() {
     }
 }
 
-fn tenancy_spec() -> CampaignSpec {
-    CampaignSpec::from_json(&repo_file("tenancy-smoke.json")).expect("committed spec parses")
-}
-
-fn tenancy_golden() -> ResultsStore {
-    ResultsStore::from_jsonl(&repo_file("tenancy-smoke.golden.jsonl"))
-        .expect("committed tenancy golden parses")
-}
-
 /// The committed multi-tenant golden describes exactly the committed
 /// spec's grid, runs clean, and carries the serving-layer counters the
 /// fairness gate rides on.
 #[test]
 fn tenancy_golden_covers_its_grid_with_serve_counters() {
-    let spec = tenancy_spec();
-    let golden = tenancy_golden();
+    let (spec, golden) = (spec("tenancy-smoke"), golden("tenancy-smoke"));
     let points = expand(&spec);
     assert_eq!(golden.campaign, spec.name);
     assert_eq!(golden.records.len(), points.len());
@@ -100,61 +94,7 @@ fn tenancy_golden_covers_its_grid_with_serve_counters() {
 /// are regression-gated, not advisory.
 #[test]
 fn fresh_tenancy_run_matches_the_committed_golden() {
-    let golden = tenancy_golden();
-    let store = sim::sweep::run_spec(&tenancy_spec(), 2, None);
-    let report = diff_stores(&golden, &store, Tolerance::default());
-    assert!(report.is_clean(), "{}", report.render());
-    assert_eq!(
-        store.to_jsonl(),
-        golden.to_jsonl(),
-        "regenerated tenancy store is byte-identical to the committed golden"
-    );
-}
-
-/// With tenancy disabled (an empty `tenants` field) the campaign path is
-/// inert: keys, run IDs, and record bytes never mention the tenancy layer,
-/// so every pre-tenancy golden in the repository still matches.
-#[test]
-fn single_tenant_path_is_inert() {
-    let spec = smoke_spec();
-    let store = sim::sweep::run_spec(&spec, 2, None);
-    for record in &store.records {
-        assert!(record.point.tenants.is_empty());
-        assert_eq!(record.point.budget_permille, 0);
-        let line = record.to_json_line();
-        assert!(!line.contains("tenants"), "{line}");
-        assert!(!line.contains("serve_"), "{line}");
-        assert!(!record.point.key().contains("tenants"), "keys unchanged");
-    }
-    // And the committed single-tenant golden never mentions tenancy.
-    let golden_text = repo_file("smoke.golden.jsonl");
-    assert!(!golden_text.contains("tenants"));
-    assert!(!golden_text.contains("serve_"));
-}
-
-/// With one channel and one device per channel the topology axes are
-/// inert: keys, run IDs, and record bytes never mention the memory-system
-/// topology, so every pre-memsys golden in the repository still matches
-/// bit-for-bit.
-#[test]
-fn single_channel_path_is_inert() {
-    let spec = smoke_spec();
-    let store = sim::sweep::run_spec(&spec, 2, None);
-    for record in &store.records {
-        assert_eq!(record.point.channels, 1);
-        assert_eq!(record.point.devices_per_channel, 1);
-        assert_eq!(record.point.placement, "interleaved");
-        let line = record.to_json_line();
-        assert!(!line.contains("channels"), "{line}");
-        assert!(!line.contains("placement"), "{line}");
-        assert!(!record.point.key().contains("channels"), "keys unchanged");
-    }
-    // And neither committed golden mentions the topology at all.
-    for name in ["smoke.golden.jsonl", "tenancy-smoke.golden.jsonl"] {
-        let text = repo_file(name);
-        assert!(!text.contains("channels"), "{name}");
-        assert!(!text.contains("placement"), "{name}");
-    }
+    fresh_run_matches("tenancy-smoke");
 }
 
 /// The multi-channel smoke campaign reproduces its committed golden
@@ -162,19 +102,7 @@ fn single_channel_path_is_inert() {
 /// carry the topology fields.
 #[test]
 fn fresh_multichannel_run_matches_the_committed_golden() {
-    let spec = CampaignSpec::from_json(&repo_file("multichannel-smoke.json"))
-        .expect("committed spec parses");
-    let golden = ResultsStore::from_jsonl(&repo_file("multichannel-smoke.golden.jsonl"))
-        .expect("committed multichannel golden parses");
-    let store = sim::sweep::run_spec(&spec, 2, None);
-    let report = diff_stores(&golden, &store, Tolerance::default());
-    assert!(report.is_clean(), "{}", report.render());
-    assert_eq!(
-        store.to_jsonl(),
-        golden.to_jsonl(),
-        "regenerated multichannel store is byte-identical to the committed golden"
-    );
-    assert_eq!(golden.errored(), 0, "the multichannel campaign runs clean");
+    let golden = fresh_run_matches("multichannel-smoke");
     assert!(
         golden
             .records
@@ -184,58 +112,13 @@ fn fresh_multichannel_run_matches_the_committed_golden() {
     );
 }
 
-/// With an empty chaos plan and a zero retry budget the chaos axes are
-/// inert: keys, run IDs, and record bytes never mention the fault layer,
-/// so every pre-chaos golden in the repository still matches bit-for-bit.
-#[test]
-fn chaos_free_path_is_inert() {
-    for spec_name in [
-        "smoke.json",
-        "tenancy-smoke.json",
-        "multichannel-smoke.json",
-    ] {
-        let spec = CampaignSpec::from_json(&repo_file(spec_name)).expect("committed spec parses");
-        let store = sim::sweep::run_spec(&spec, 2, None);
-        for record in &store.records {
-            assert!(record.point.chaos.is_empty(), "{spec_name}");
-            assert_eq!(record.point.retry_budget, 0, "{spec_name}");
-            let line = record.to_json_line();
-            assert!(!line.contains("chaos"), "{spec_name}: {line}");
-            assert!(!line.contains("retry_budget"), "{spec_name}: {line}");
-            assert!(!record.point.key().contains("chaos"), "keys unchanged");
-        }
-    }
-    // And no committed pre-chaos golden mentions the fault layer at all.
-    for name in [
-        "smoke.golden.jsonl",
-        "tenancy-smoke.golden.jsonl",
-        "multichannel-smoke.golden.jsonl",
-    ] {
-        let text = repo_file(name);
-        assert!(!text.contains("chaos"), "{name}");
-        assert!(!text.contains("retry_budget"), "{name}");
-    }
-}
-
 /// The chaos smoke campaign reproduces its committed golden bit-for-bit
 /// at the CI worker count; chaotic records carry the degraded-mode
 /// accounting and the measured MTTR reconciles exactly against the
 /// injected 600-cycle outage window.
 #[test]
 fn fresh_chaos_run_matches_the_committed_golden() {
-    let spec =
-        CampaignSpec::from_json(&repo_file("chaos-smoke.json")).expect("committed spec parses");
-    let golden = ResultsStore::from_jsonl(&repo_file("chaos-smoke.golden.jsonl"))
-        .expect("committed chaos golden parses");
-    let store = sim::sweep::run_spec(&spec, 2, None);
-    let report = diff_stores(&golden, &store, Tolerance::default());
-    assert!(report.is_clean(), "{}", report.render());
-    assert_eq!(
-        store.to_jsonl(),
-        golden.to_jsonl(),
-        "regenerated chaos store is byte-identical to the committed golden"
-    );
-    assert_eq!(golden.errored(), 0, "the chaos campaign runs clean");
+    let golden = fresh_run_matches("chaos-smoke");
     let mut chaotic = 0;
     for record in &golden.records {
         let campaign::Outcome::Ok(stats) = &record.outcome else {
@@ -262,10 +145,35 @@ fn fresh_chaos_run_matches_the_committed_golden() {
     assert!(chaotic > 0, "the spec exercises chaotic points");
 }
 
+/// Every committed golden parses, and each record's stored run ID is
+/// checked against its point: editing any parameter of one golden line
+/// makes the parse fail on exactly that line, so drift in the key format
+/// cannot silently un-match goldens in `diff_stores`.
+#[test]
+fn goldens_parse_and_reject_an_edited_point() {
+    for name in [
+        "smoke",
+        "tenancy-smoke",
+        "multichannel-smoke",
+        "chaos-smoke",
+    ] {
+        golden(name);
+    }
+    let text = repo_file("smoke.golden.jsonl");
+    let edited = text.replacen("\"n\":128", "\"n\":129", 1);
+    let line = 1 + edited
+        .lines()
+        .position(|l| l.contains("\"n\":129"))
+        .unwrap();
+    let e = ResultsStore::from_jsonl(&edited).unwrap_err();
+    assert_eq!(e.line, line, "{e}");
+    assert!(e.message.contains("run_id"), "{e}");
+}
+
 /// The diff gate actually fires on a cycle regression in this store.
 #[test]
 fn gate_catches_an_injected_regression() {
-    let golden = golden();
+    let golden = golden("smoke");
     let mut drifted = golden.clone();
     if let campaign::Outcome::Ok(stats) = &mut drifted.records[0].outcome {
         stats.cycles += 10;

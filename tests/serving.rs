@@ -21,8 +21,8 @@
 use faults::FaultPlan;
 use sim::{MemorySystem, SystemConfig};
 use tenancy::{
-    serve, DegradeLevel, Executor, Request, RetryPolicy, ServeReport, ServiceReport, TenantMix,
-    TenantSpec,
+    serve_traced, DegradeLevel, Executor, Request, RetryPolicy, ServeReport, ServiceReport,
+    TenantMix, TenantSpec,
 };
 
 /// splitmix64: the repo-standard cheap deterministic hash for tests.
@@ -152,7 +152,7 @@ fn seeded_mixes_and_storms_hold_the_serving_invariants() {
         // watchdog (the production default of 1M cycles is sized for real
         // kernel runs, not these compressed scenarios).
         cfg.progress_deadline = 8_192;
-        let report = serve(&mix, &cfg, &exec)
+        let report = serve_traced(&mix, &cfg, &exec, None)
             .unwrap_or_else(|e| panic!("seed {seed} failed to terminate: {e}"));
         check_invariants(seed, &report);
         let (submitted, ..) = report.totals();
@@ -187,8 +187,8 @@ fn serving_runs_are_deterministic() {
         };
         let mut cfg = sim::serve::serve_config_for(16, 500, 1);
         cfg.policy = "regulated".to_string();
-        let a = serve(&mix, &cfg, &exec).expect("terminates");
-        let b = serve(&mix, &cfg, &exec).expect("terminates");
+        let a = serve_traced(&mix, &cfg, &exec, None).expect("terminates");
+        let b = serve_traced(&mix, &cfg, &exec, None).expect("terminates");
         assert_eq!(a, b, "seed {seed}");
     }
 }
@@ -208,8 +208,8 @@ fn all_policies_hold_the_invariants_under_storm() {
             };
             let mut cfg = sim::serve::serve_config_for(16, 400, 1);
             cfg.policy = policy.to_string();
-            let report =
-                serve(&mix, &cfg, &exec).unwrap_or_else(|e| panic!("{policy}/seed {seed}: {e}"));
+            let report = serve_traced(&mix, &cfg, &exec, None)
+                .unwrap_or_else(|e| panic!("{policy}/seed {seed}: {e}"));
             check_invariants(seed, &report);
         }
     }
@@ -249,7 +249,7 @@ fn no_client_resubmits_before_its_retry_after_hint() {
             banks,
         };
         let cfg = closed_loop_cfg(banks, 3, seed);
-        let report = serve(&mix, &cfg, &exec)
+        let report = serve_traced(&mix, &cfg, &exec, None)
             .unwrap_or_else(|e| panic!("seed {seed} failed to terminate: {e}"));
         check_invariants(seed, &report);
         let retries: u64 = report.tenants.iter().map(|t| t.retries).sum();
@@ -304,8 +304,8 @@ fn closed_loop_soak_is_livelock_free_with_bounded_amplification() {
         };
         let mut cfg = closed_loop_cfg(banks, budget, seed);
         cfg.progress_deadline = 8_192;
-        let report =
-            serve(&mix, &cfg, &exec).unwrap_or_else(|e| panic!("seed {seed} livelocked: {e}"));
+        let report = serve_traced(&mix, &cfg, &exec, None)
+            .unwrap_or_else(|e| panic!("seed {seed} livelocked: {e}"));
         check_invariants(seed, &report);
         // Retry amplification is bounded by the budget: every original
         // request resubmits at most `budget` times.
@@ -328,7 +328,7 @@ fn closed_loop_soak_is_livelock_free_with_bounded_amplification() {
         // Same seed, same bytes: the closed loop adds no nondeterminism.
         if seed % 32 == 0 {
             assert_eq!(
-                serve(&mix, &cfg, &exec).expect("replays"),
+                serve_traced(&mix, &cfg, &exec, None).expect("replays"),
                 report,
                 "seed {seed}"
             );
@@ -358,7 +358,7 @@ fn sixty_four_tenant_soak_survives_a_fault_storm() {
     let banks = 16;
     let mut cfg = sim::serve::serve_config_for(banks, 400, base.device.timing.t_pack);
     cfg.policy = "regulated".to_string();
-    let report = sim::serve::run_serve(&mix, &cfg, &base).expect("soak terminates");
+    let (report, ..) = sim::serve::run_serve_chaos(&mix, &cfg, &base).expect("soak terminates");
     check_invariants(11, &report);
     let (submitted, completed, ..) = report.totals();
     assert!(submitted >= 64, "every tenant submits at least once");
