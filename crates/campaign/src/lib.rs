@@ -28,10 +28,7 @@
 //!   record whose stored run ID is not its point's ID fails to parse;
 //! * [`diff_stores`] — a baseline comparator that gates a campaign
 //!   against a committed golden store and fails on cycle-count or
-//!   bandwidth drift beyond an integer tolerance;
-//! * [`bench_campaign`] — wall-clock runs-per-second measurement at a
-//!   ladder of worker counts, so executor speedups are measured rather
-//!   than claimed.
+//!   bandwidth drift beyond an integer tolerance.
 //!
 //! The crate is deliberately simulator-agnostic: a campaign runs through
 //! any `Fn(&RunPoint) -> Outcome` callback, so the binding to the actual
@@ -43,7 +40,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod bench;
 pub mod diff;
 pub mod executor;
 pub mod grid;
@@ -51,7 +47,6 @@ pub mod params;
 pub mod spec;
 pub mod store;
 
-pub use bench::{bench_campaign, BenchReport, BenchSample};
 pub use diff::{diff_stores, DiffReport, Drift, Tolerance};
 pub use executor::parallel_map;
 pub use grid::{expand, fnv1a64, fnv1a64_from, FNV_OFFSET_BASIS};

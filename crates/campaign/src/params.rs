@@ -166,6 +166,35 @@ impl Domain {
             _ => Ok(val.into_owned()),
         }
     }
+
+    /// Read and validate one command-line value.
+    ///
+    /// # Errors
+    ///
+    /// What is wrong with the value.
+    pub fn parse_arg(self, arg: &str) -> Result<Val<'static>, String> {
+        let v = if self.is_text() {
+            Value::String(arg.to_string())
+        } else {
+            Value::UInt(
+                arg.parse()
+                    .map_err(|e| format!("expected an unsigned integer, got {arg:?} ({e})"))?,
+            )
+        };
+        self.parse(&v)
+    }
+}
+
+impl fmt::Display for Domain {
+    /// The accepted values, as `--help` shows them.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Domain::Text => f.write_str("TEXT"),
+            Domain::OneOf(allowed) => f.write_str(&allowed.join("|")),
+            Domain::AtLeast(min) => write!(f, "N>={min}"),
+            Domain::Switch => f.write_str("0|1"),
+        }
+    }
 }
 
 /// How a parameter appears in the run key.

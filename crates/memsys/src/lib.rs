@@ -10,7 +10,7 @@
 //! * [`SystemMap`] — an address-placement layer over
 //!   [`rdram::AddressMap`] with three placements: channel-interleaved at
 //!   block granularity, device-sequential, and asymmetric/NUMA (all
-//!   traffic homed on one channel). Decoded [`Location`]s carry a
+//!   traffic homed on one channel). Decoded [`rdram::Location`]s carry a
 //!   *global* bank index (`channel × banks_per_channel + local bank`);
 //! * [`MemorySystem`] — owns one [`rdram::Rdram`] instance (bank array +
 //!   ROW/COL/DATA buses) per channel and routes globally-banked commands

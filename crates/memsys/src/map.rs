@@ -322,7 +322,7 @@ mod tests {
     fn single_channel_is_a_passthrough() {
         let cfg = DeviceConfig::default();
         let inner = AddressMap::new(Interleave::Page, &cfg).unwrap();
-        let sys = SystemMap::single(inner.clone());
+        let sys = SystemMap::single(inner);
         for addr in [0u64, 1024, 4096, 65_536, 1_000_448] {
             assert_eq!(sys.decode(addr), inner.decode(addr), "addr {addr}");
             assert_eq!(sys.encode(sys.decode(addr)), addr);

@@ -29,8 +29,10 @@ struct Shape {
 
 impl Shape {
     fn build(&self) -> (SystemMap, DeviceConfig) {
-        let mut cfg = DeviceConfig::default();
-        cfg.devices = self.devices;
+        let cfg = DeviceConfig {
+            devices: self.devices,
+            ..DeviceConfig::default()
+        };
         let interleave = if self.page_interleave {
             Interleave::Page
         } else {

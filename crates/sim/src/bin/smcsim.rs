@@ -6,91 +6,52 @@
 use std::env;
 use std::process::ExitCode;
 
+use sim::cli;
+
+/// A subcommand: its arguments in, its output or error out.
+type Command = fn(&[String]) -> Result<String, String>;
+
+/// The subcommands, by their first argument. Anything else is a run.
+const COMMANDS: &[(&str, Command)] = &[
+    ("check", |args| {
+        let path = args.first().ok_or("check needs a trace file")?;
+        cli::run_check(path).map(|report| report + "\n")
+    }),
+    ("report", cli::run_report),
+    ("campaign", cli::run_campaign_cmd),
+    ("serve", cli::run_serve_cmd),
+];
+
+fn fail(message: &str, code: u8) -> ExitCode {
+    eprintln!("smcsim: {message}");
+    ExitCode::from(code)
+}
+
+/// Exit codes: 0 ok, 1 a failed run or gate, 2 bad arguments.
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{}", sim::cli::USAGE);
+        println!("{}", cli::usage());
         return ExitCode::SUCCESS;
     }
-    if args.first().map(String::as_str) == Some("check") {
-        let Some(path) = args.get(1) else {
-            eprintln!("smcsim: check needs a trace file\n{}", sim::cli::USAGE);
-            return ExitCode::from(2);
-        };
-        return match sim::cli::run_check(path) {
-            Ok(report) => {
-                println!("{report}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("smcsim: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.first().map(String::as_str) == Some("report") {
-        return match sim::cli::run_report(&args[1..]) {
-            Ok(out) => {
-                print!("{out}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("smcsim: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.first().map(String::as_str) == Some("campaign") {
-        return match sim::cli::run_campaign_cmd(&args[1..]) {
-            Ok(out) => {
-                print!("{out}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("smcsim: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.first().map(String::as_str) == Some("serve") {
-        return match sim::cli::run_serve_cmd(&args[1..]) {
-            Ok(out) => {
-                print!("{out}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("smcsim: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if args.first().map(String::as_str) == Some("bench") {
-        return match sim::cli::run_bench(&args[1..]) {
-            Ok(out) => {
-                print!("{out}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("smcsim: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    let job = match sim::cli::parse(&args) {
-        Ok(job) => job,
-        Err(e) => {
-            eprintln!("smcsim: {e}");
-            return ExitCode::from(2);
+    let command = COMMANDS
+        .iter()
+        .find(|(name, _)| args.first().is_some_and(|a| a == name));
+    let outcome = match command {
+        Some(("check", _)) if args.len() == 1 => {
+            return fail(&format!("check needs a trace file\n{}", cli::usage()), 2);
         }
+        Some((_, run)) => run(&args[1..]),
+        None => match cli::parse(&args) {
+            Ok(job) => cli::execute(&job),
+            Err(e) => return fail(&e, 2),
+        },
     };
-    match sim::cli::execute(&job) {
+    match outcome {
         Ok(out) => {
             print!("{out}");
             ExitCode::SUCCESS
         }
-        Err(e) => {
-            eprintln!("smcsim: {e}");
-            ExitCode::FAILURE
-        }
+        Err(e) => fail(&e, 1),
     }
 }

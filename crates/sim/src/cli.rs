@@ -1,5 +1,12 @@
 //! Argument parsing and execution for the `smcsim` command-line tool.
 //!
+//! A command line is a [`RunPoint`]. Every row of [`PARAMS`] is a flag
+//! `--<name>` (with `_` written as `-`) whose value is checked against the
+//! row's [`Domain`](campaign::Domain), and the point is configured by
+//! [`sweep::job_for`], the binding campaigns use. The CLI-only flags of
+//! `EXTRAS` then adjust what a point does not describe. A point with a
+//! tenant mix is served, exactly as [`sweep::run_point`] serves it.
+//!
 //! ```text
 //! smcsim --kernel daxpy --n 1024 --memory cli --order smc --fifo 64
 //! smcsim --kernel vaxpy --stride 4 --memory pi --order natural --json
@@ -7,23 +14,23 @@
 //! smcsim check copy.trace.json
 //! ```
 
+use campaign::{Param, RunPoint, Val, PARAMS};
 use checker::TraceFile;
 use kernels::Kernel;
-use telemetry::Profiler;
 
-use crate::{metrics, run_kernel, AccessOrder, Alignment, MemorySystem, RunResult, SystemConfig};
+use crate::{metrics, run_kernel, sweep, AccessOrder, RunResult, SystemConfig};
 
-/// A fully parsed simulation job.
+/// A fully parsed `smcsim` command line.
 #[derive(Debug, Clone)]
 pub struct Job {
-    /// Kernel to run.
+    /// The run point the parameter flags describe.
+    pub point: RunPoint,
+    /// The point's kernel.
     pub kernel: Kernel,
-    /// Elements per stream.
-    pub n: u64,
-    /// Stride in 64-bit words.
-    pub stride: u64,
-    /// System configuration.
+    /// The point's system configuration, adjusted by the CLI-only flags.
     pub config: SystemConfig,
+    /// The serving-layer configuration, for a point with a tenant mix.
+    pub serve: Option<tenancy::ServeConfig>,
     /// Emit JSON instead of a text summary.
     pub json: bool,
     /// Print the analytic bound derivation alongside the measurement.
@@ -31,282 +38,371 @@ pub struct Job {
     /// Write the recorded command stream to this path as a
     /// [`TraceFile`] for later `smcsim check` runs.
     pub record_trace: Option<String>,
-    /// Write the run's metrics registry to this path as JSON Lines
-    /// (implies telemetry collection). On a failed run the livelock /
-    /// failure registry is written instead.
+    /// Write the run's metrics registry to this path as JSON Lines. On a
+    /// failed run the livelock / failure registry is written instead.
     pub metrics_out: Option<String>,
     /// Write a Chrome trace-event / Perfetto JSON timeline to this path
-    /// (implies telemetry collection). Load it at `ui.perfetto.dev`.
+    /// (for a serve, the request-lifecycle timeline). Load it at
+    /// `ui.perfetto.dev`.
     pub perfetto_out: Option<String>,
-    /// Write the run's exclusive cycle attribution to this path as JSON
-    /// (implies telemetry collection); render it with
-    /// `smcsim report --attribution`.
+    /// Write the run's exclusive cycle attribution to this path as JSON;
+    /// render it with `smcsim report --attribution`.
     pub attribution_out: Option<String>,
     /// Write the run's metric registry to this path as Prometheus-style
-    /// text exposition (implies telemetry collection).
+    /// text exposition.
     pub prom_out: Option<String>,
+    /// Write a serve's request-lifecycle trace stream to this path as
+    /// JSONL; render it with `smcsim report --percentiles`.
+    pub trace_out: Option<String>,
 }
 
-impl Default for Job {
-    fn default() -> Self {
-        Job {
-            kernel: Kernel::Daxpy,
-            n: 1024,
-            stride: 1,
-            config: SystemConfig::smc(MemorySystem::CacheLineInterleaved, 64),
-            json: false,
-            explain: false,
-            record_trace: None,
-            metrics_out: None,
-            perfetto_out: None,
-            attribution_out: None,
-            prom_out: None,
-        }
+/// Where a CLI-only flag applies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    /// A single kernel run (no tenant mix).
+    Run,
+    /// A served point (one with a tenant mix).
+    Serve,
+    /// Both.
+    Both,
+}
+
+/// A CLI-only flag: one that adjusts what a [`RunPoint`] does not describe.
+struct Extra {
+    flag: &'static str,
+    /// Its value placeholder, or `""` for a switch.
+    arg: &'static str,
+    mode: Mode,
+    help: &'static str,
+    apply: fn(&mut Job, &str) -> Result<(), String>,
+}
+
+fn number<T: std::str::FromStr>(v: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    v.parse().map_err(|e| format!("{e}"))
+}
+
+/// The value of the flag at `args[*i]`, moving `i` onto it.
+fn value_of<'a>(args: &'a [String], i: &mut usize) -> Result<&'a str, String> {
+    *i += 1;
+    args.get(*i)
+        .map(String::as_str)
+        .ok_or_else(|| format!("{} needs a value", args[*i - 1]))
+}
+
+/// The numeric value of the flag at `args[*i]`, moving `i` onto it.
+fn number_of<T: std::str::FromStr>(args: &[String], i: &mut usize) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    let flag = &args[*i];
+    number(value_of(args, i)?).map_err(|e| format!("{flag}: {e}"))
+}
+
+/// A plain run collects telemetry to write its metric files; a serve builds
+/// them from its report.
+fn collect_telemetry(job: &mut Job) {
+    job.config.telemetry |= job.serve.is_none();
+}
+
+const fn extra(
+    flag: &'static str,
+    arg: &'static str,
+    mode: Mode,
+    help: &'static str,
+    apply: fn(&mut Job, &str) -> Result<(), String>,
+) -> Extra {
+    Extra {
+        flag,
+        arg,
+        mode,
+        help,
+        apply,
     }
 }
 
-/// Usage text for `--help`.
-pub const USAGE: &str = "\
-usage: smcsim [OPTIONS]
-       smcsim check TRACE.json   replay a recorded trace through the
-                                 timing-conformance checker
+/// The CLI-only flags.
+#[rustfmt::skip]
+const EXTRAS: &[Extra] = &[
+    extra("--remote-penalty", "L", Mode::Both, "per-channel ROW penalties, e.g. 0,40", |job, v| {
+        let penalties = v.split(',').map(|s| number(s.trim()));
+        job.config.remote_penalty = penalties.collect::<Result<_, _>>()?;
+        Ok(())
+    }),
+    extra("--metrics-out", "F", Mode::Both, "write the metric registry as JSONL", |job, v| {
+        collect_telemetry(job);
+        job.metrics_out = Some(v.to_string());
+        Ok(())
+    }),
+    extra("--perfetto-out", "F", Mode::Both, "write a Perfetto timeline", |job, v| {
+        collect_telemetry(job);
+        job.perfetto_out = Some(v.to_string());
+        Ok(())
+    }),
+    extra("--json", "", Mode::Both, "JSON output", |job, _| {
+        job.json = true;
+        Ok(())
+    }),
+    extra("--policy", "P", Mode::Run, "MSU policy: rr|bank-aware [rr]", |job, v| {
+        job.config.policy = match v {
+            "rr" | "round-robin" => smc::Policy::RoundRobin,
+            "bank-aware" | "ba" => smc::Policy::BankAware,
+            other => return Err(format!("unknown policy {other:?}")),
+        };
+        Ok(())
+    }),
+    extra("--cpu-cycles", "C", Mode::Run, "CPU cycles per stream access [2]", |job, v| {
+        job.config.cpu_access_cycles = number(v)?;
+        Ok(())
+    }),
+    extra("--spec", "", Mode::Run, "speculative page activation", |job, _| {
+        job.config.speculative = true;
+        Ok(())
+    }),
+    extra("--refresh", "", Mode::Run, "honour DRAM refresh", |job, _| {
+        job.config.refresh = true;
+        Ok(())
+    }),
+    extra("--write-allocate", "", Mode::Run, "charge write-allocate traffic", |job, _| {
+        job.config.write_allocate = true;
+        Ok(())
+    }),
+    extra("--cache", "", Mode::Run, "model a real 16 KB 4-way cache", |job, _| {
+        job.config.cache = Some(baseline::cache::CacheConfig::i860xp());
+        Ok(())
+    }),
+    extra("--record-trace", "F", Mode::Run, "write the command stream for `check`", |job, v| {
+        job.config.record_commands = true;
+        job.record_trace = Some(v.to_string());
+        Ok(())
+    }),
+    extra("--attribution-out", "F", Mode::Run, "write the cycle attribution", |job, v| {
+        collect_telemetry(job);
+        job.attribution_out = Some(v.to_string());
+        Ok(())
+    }),
+    extra("--prom-out", "F", Mode::Run, "write the metrics as Prometheus text", |job, v| {
+        collect_telemetry(job);
+        job.prom_out = Some(v.to_string());
+        Ok(())
+    }),
+    extra("--explain", "", Mode::Run, "print the analytic bound derivation", |job, _| {
+        job.explain = true;
+        Ok(())
+    }),
+    extra("--arb", "POLICY", Mode::Serve, "fcfs|rr|bank-aware|regulated [fcfs]", |job, v| {
+        if let Some(cfg) = &mut job.serve {
+            cfg.policy = v.to_string();
+        }
+        Ok(())
+    }),
+    extra("--queue-cap", "N", Mode::Serve, "admission-queue capacity [8]", |job, v| {
+        if let Some(cfg) = &mut job.serve {
+            cfg.queue_capacity = number(v)?;
+        }
+        Ok(())
+    }),
+    extra("--trace-out", "F", Mode::Serve, "write the request trace as JSONL", |job, v| {
+        job.trace_out = Some(v.to_string());
+        Ok(())
+    }),
+];
+
+/// The command-line flag of a [`PARAMS`] row: `--<name>`, with `_`
+/// written as `-`.
+fn flag(param: &Param) -> String {
+    format!("--{}", param.name.replace('_', "-"))
+}
+
+/// Usage text for `--help`. The run-parameter block is rendered from
+/// [`PARAMS`] and the option blocks from `EXTRAS`.
+pub fn usage() -> String {
+    let mut out = String::from(
+        "\
+usage: smcsim [OPTIONS]           run one point; a point with a tenant mix is
+                                  served through the multi-tenant layer
+       smcsim serve [OPTIONS]     the same, with a tenant mix required
+       smcsim check TRACE.json    replay a recorded trace through the
+                                  timing-conformance checker
        smcsim report [--metrics METRICS.jsonl] [--perfetto TRACE.json]
                      [--attribution ATTR.json] [--percentiles TRACE.jsonl]
                      [--prom METRICS.prom]
-                                 render a metrics dump as a table, a cycle
-                                 attribution as category/bank tables, a
-                                 serve trace stream as exact per-tenant
-                                 latency/slack percentiles; validate a
-                                 Perfetto trace or a Prometheus exposition
-       smcsim bench [--n N] [--out FILE] [--baseline FILE]
-                                 [--floor-permille P]
-                                 profile simulated-cycles-per-second for
-                                 the paper suite  [BENCH_telemetry.json];
-                                 with --baseline, fail if any kernel's rate
-                                 drops below P/1000 of the committed profile
-       smcsim serve --tenants MIX [--arb POLICY] [--memory ORG] [--fifo D]
-                                 [--channels C] [--placement P]
-                                 [--remote-penalty L]
-                                 [--queue-cap N] [--budget-permille P]
-                                 [--faults SPEC] [--fault-seed S]
-                                 [--chaos PLAN] [--chaos-seed S]
-                                 [--retry-budget N]
-                                 [--metrics-out F] [--trace-out F]
-                                 [--perfetto-out F] [--json]
-                                 multiplex a multi-tenant mix onto the SMC:
-                                 MIX is '+'-separated class:count:kernel:n[:stride]
-                                 groups (class ls|bh), e.g.
-                                 ls:2:daxpy:256+bh:6:copy:1024; POLICY is
-                                 fcfs|rr|bank-aware|regulated [fcfs]; PLAN is
-                                 ';'-separated channel-fault clauses from:
-                                   brownout:<ch>:<from>:<len>:<mult>
-                                   outage:<ch>:<from>:<len>
-                                   devfail:<ch>:<dev>:<from>:<mult>
-                                 windows slide to each request's submission;
-                                 --retry-budget N grants each rejected
-                                 request N seeded backoff resubmissions
-       smcsim campaign run SPEC.json [--workers N] [--out FILE.jsonl]
-                                 [--bench-out FILE.json] [--bench-baseline FILE]
-                                 [--bench-floor-permille P] [--quiet]
-                                 expand a campaign spec and run its grid on
-                                 N worker threads (default: all cores),
-                                 writing a schema-versioned JSONL store
+                                  render a metrics dump as a table, a cycle
+                                  attribution as category/bank tables, a
+                                  serve trace stream as exact per-tenant
+                                  latency/slack percentiles; validate a
+                                  Perfetto trace or a Prometheus exposition
+       smcsim campaign run SPEC.json [--workers N] [--out FILE.jsonl] [--quiet]
+                                  expand a campaign spec and run its grid on
+                                  N worker threads (default: all cores),
+                                  writing a schema-versioned JSONL store
        smcsim campaign list SPEC.json
-                                 print the expanded grid (run ID + config
-                                 fingerprint per line) without running it
+                                  print the expanded grid (run ID + config
+                                  fingerprint per line) without running it
        smcsim campaign diff GOLDEN.jsonl CURRENT.jsonl
-                                 [--cycles-tol-permille P] [--peak-tol-milli M]
-                                 gate a results store against a committed
-                                 golden; exits nonzero on regression
-  --kernel NAME     copy|daxpy|hydro|vaxpy|fill|scale|triad|swap  [daxpy]
-  --n N             elements per stream                           [1024]
-  --stride S        stride in 64-bit words                        [1]
-  --memory ORG      cli|pi                                        [cli]
-  --order KIND      smc|natural                                   [smc]
-  --fifo DEPTH      SMC FIFO depth in elements                    [64]
-  --policy P        rr|bank-aware                                 [rr]
-  --devices D       RDRAM devices on the channel                  [1]
-  --channels C      independent memory channels                   [1]
-  --placement P     cross-channel address placement:
-                      interleaved[:bytes] | sequential | numa[:home]
-                                                                  [interleaved]
-  --remote-penalty L  comma-separated per-channel ROW-delivery
-                    penalties in cycles (NUMA asymmetry), e.g. 0,40
-  --cpu-cycles C    CPU cycles per stream access                  [2]
-  --aligned         place all vectors in the same bank
-  --spec            speculative page activation
-  --refresh         honour DRAM refresh
-  --write-allocate  charge write-allocate fetches + writebacks (natural order)
-  --cache           model a real 16 KB 4-way cache with conflicts (natural order)
-  --faults SPEC     inject faults; ';'-separated clauses from:
-                      busy:<bank|*>:<period>:<len>  nack:<permille>:<retries>
-                      storm:<period>:<len>          stall:<period>:<len>
-  --fault-seed S    seed for the fault injector's random draws         [0]
-  --record-trace F  write the issued command stream to F (JSON) for `check`
-  --metrics-out F   write the run's metric registry to F as JSON Lines
-  --perfetto-out F  write a Perfetto/Chrome trace-event timeline to F;
-                    for serve, the request-lifecycle timeline (one track
-                    per tenant)
-  --attribution-out F  write the run's exclusive cycle attribution to F
-                    (render with `smcsim report --attribution F`)
-  --prom-out F      write the run's metrics as Prometheus text exposition
-  --trace-out F     (serve) write the request-lifecycle trace stream to F
-                    as JSONL (render with `smcsim report --percentiles F`)
-  --json            JSON output
-  --explain         print the analytic bound derivation (Eqs. 5.15-5.18)
-  --help";
+                                  [--cycles-tol-permille P] [--peak-tol-milli M]
+                                  gate a results store against a committed
+                                  golden; exits nonzero on regression
+
+run parameters (one per campaign axis, same names and values):
+",
+    );
+    for param in PARAMS {
+        let default = match &param.default {
+            Val::Str(s) if s.is_empty() => "none".to_string(),
+            v => v.to_string(),
+        };
+        let head = format!("  {} {}", flag(param), param.domain);
+        out.push_str(&format!("{head:<40}[{default}]\n"));
+    }
+    for (mode, title) in [
+        (Mode::Both, "options"),
+        (Mode::Run, "kernel-run options"),
+        (Mode::Serve, "serve options"),
+    ] {
+        out.push_str(&format!("\n{title}:\n"));
+        for extra in EXTRAS.iter().filter(|e| e.mode == mode) {
+            let head = format!("  {} {}", extra.flag, extra.arg);
+            out.push_str(&format!("{head:<22}{}\n", extra.help));
+        }
+    }
+    let kernels: Vec<&str> = Kernel::ALL.iter().map(Kernel::name).collect();
+    out.push_str(&format!(
+        "\nvalue syntax:
+  kernel      {}
+  faults      ';'-separated clauses from busy:<bank|*>:<period>:<len>,
+              nack:<permille>:<retries>, storm:<period>:<len> and
+              stall:<period>:<len>
+  fault_seed  seeds the fault injector, the chaos injector and the
+              closed-loop client retries
+  tenants     '+'-separated class:count:kernel:n[:stride] groups (class
+              ls|bh), e.g. ls:2:daxpy:256+bh:6:copy:1024; a served point
+              runs the mix's kernels, not its own
+  placement   interleaved[:bytes] | sequential | numa[:home]
+  chaos       ';'-separated channel-fault clauses from
+              brownout:<ch>:<from>:<len>:<mult>, outage:<ch>:<from>:<len>
+              and devfail:<ch>:<dev>:<from>:<mult>; in a serve the windows
+              slide to each request's submission",
+        kernels.join("|")
+    ));
+    out
+}
+
+/// Whether the grid pins `param` for every point of `point`'s mode: its
+/// collapse rule holds on the defaults with `point`'s tenant mix but not
+/// with the other mode's. Such a flag does not apply to the command line.
+fn pinned_by_mode(param: &Param, point: &RunPoint) -> bool {
+    let Some(rule) = param.collapse else {
+        return false;
+    };
+    let mode = RunPoint {
+        tenants: point.tenants.clone(),
+        ..RunPoint::default()
+    };
+    let other = RunPoint {
+        tenants: if point.tenants.is_empty() { "-" } else { "" }.to_string(),
+        ..RunPoint::default()
+    };
+    (rule.holds)(&mode) && !(rule.holds)(&other)
+}
 
 /// Parse command-line arguments (without the program name).
 ///
+/// The [`PARAMS`] flags may come in any order (the last of a repeated flag
+/// wins); the point they describe is configured by [`sweep::job_for`], then
+/// the CLI-only flags apply in command-line order.
+///
 /// # Errors
 ///
-/// Returns a human-readable message for unknown flags, missing values, or
-/// invalid parameter combinations.
+/// A human-readable message for an unknown flag, a missing or invalid
+/// value (naming the flag), a flag that does not apply to the point's mode,
+/// or a point [`sweep::job_for`] rejects.
 pub fn parse(args: &[String]) -> Result<Job, String> {
-    let mut job = Job::default();
-    let mut fifo = 64usize;
-    let mut order = "smc".to_string();
+    let mut values: Vec<Option<Val<'static>>> = vec![None; PARAMS.len()];
+    let mut extras: Vec<(&Extra, &str)> = Vec::new();
     let mut i = 0;
-    let value = |args: &[String], i: &mut usize, flag: &str| -> Result<String, String> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
     while i < args.len() {
-        match args[i].as_str() {
-            "--kernel" => {
-                let v = value(args, &mut i, "--kernel")?;
-                job.kernel = Kernel::ALL
-                    .into_iter()
-                    .find(|k| k.name() == v)
-                    .ok_or_else(|| format!("unknown kernel {v:?}"))?;
-            }
-            "--n" => {
-                job.n = value(args, &mut i, "--n")?
-                    .parse()
-                    .map_err(|e| format!("--n: {e}"))?;
-            }
-            "--stride" => {
-                job.stride = value(args, &mut i, "--stride")?
-                    .parse()
-                    .map_err(|e| format!("--stride: {e}"))?;
-            }
-            "--memory" => {
-                job.config.memory = match value(args, &mut i, "--memory")?.as_str() {
-                    "cli" => MemorySystem::CacheLineInterleaved,
-                    "pi" => MemorySystem::PageInterleaved,
-                    other => return Err(format!("--memory must be cli or pi, got {other:?}")),
-                };
-            }
-            "--order" => order = value(args, &mut i, "--order")?,
-            "--fifo" => {
-                fifo = value(args, &mut i, "--fifo")?
-                    .parse()
-                    .map_err(|e| format!("--fifo: {e}"))?;
-            }
-            "--policy" => {
-                job.config.policy = match value(args, &mut i, "--policy")?.as_str() {
-                    "rr" | "round-robin" => smc::Policy::RoundRobin,
-                    "bank-aware" | "ba" => smc::Policy::BankAware,
-                    other => return Err(format!("unknown policy {other:?}")),
-                };
-            }
-            "--devices" => {
-                job.config.device.devices = value(args, &mut i, "--devices")?
-                    .parse()
-                    .map_err(|e| format!("--devices: {e}"))?;
-            }
-            "--channels" => {
-                job.config.channels = value(args, &mut i, "--channels")?
-                    .parse()
-                    .map_err(|e| format!("--channels: {e}"))?;
-            }
-            "--placement" => {
-                let spec = value(args, &mut i, "--placement")?;
-                job.config.placement =
-                    memsys::Placement::parse(&spec).map_err(|e| format!("--placement: {e}"))?;
-            }
-            "--remote-penalty" => {
-                let spec = value(args, &mut i, "--remote-penalty")?;
-                job.config.remote_penalty = spec
-                    .split(',')
-                    .map(|s| {
-                        s.trim()
-                            .parse()
-                            .map_err(|e| format!("--remote-penalty: {e}"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-            }
-            "--cpu-cycles" => {
-                job.config.cpu_access_cycles = value(args, &mut i, "--cpu-cycles")?
-                    .parse()
-                    .map_err(|e| format!("--cpu-cycles: {e}"))?;
-            }
-            "--aligned" => job.config.alignment = Alignment::Aligned,
-            "--spec" => job.config.speculative = true,
-            "--refresh" => job.config.refresh = true,
-            "--write-allocate" => job.config.write_allocate = true,
-            "--cache" => {
-                job.config.cache = Some(baseline::cache::CacheConfig::i860xp());
-            }
-            "--faults" => {
-                let spec = value(args, &mut i, "--faults")?;
-                job.config.faults =
-                    Some(faults::FaultPlan::parse(&spec).map_err(|e| e.to_string())?);
-            }
-            "--fault-seed" => {
-                job.config.fault_seed = value(args, &mut i, "--fault-seed")?
-                    .parse()
-                    .map_err(|e| format!("--fault-seed: {e}"))?;
-            }
-            "--record-trace" => {
-                let path = value(args, &mut i, "--record-trace")?;
-                job.config.record_commands = true;
-                job.record_trace = Some(path);
-            }
-            "--metrics-out" => {
-                job.config.telemetry = true;
-                job.metrics_out = Some(value(args, &mut i, "--metrics-out")?);
-            }
-            "--perfetto-out" => {
-                job.config.telemetry = true;
-                job.perfetto_out = Some(value(args, &mut i, "--perfetto-out")?);
-            }
-            "--attribution-out" => {
-                job.config.telemetry = true;
-                job.attribution_out = Some(value(args, &mut i, "--attribution-out")?);
-            }
-            "--prom-out" => {
-                job.config.telemetry = true;
-                job.prom_out = Some(value(args, &mut i, "--prom-out")?);
-            }
-            "--json" => job.json = true,
-            "--explain" => job.explain = true,
-            other => return Err(format!("unknown option {other:?}\n{USAGE}")),
+        let arg = args[i].as_str();
+        if let Some(at) = PARAMS.iter().position(|p| flag(p) == arg) {
+            let parsed = PARAMS[at].domain.parse_arg(value_of(args, &mut i)?);
+            values[at] = Some(parsed.map_err(|e| format!("{arg}: {e}"))?);
+        } else if let Some(extra) = EXTRAS.iter().find(|e| e.flag == arg) {
+            let v = if extra.arg.is_empty() {
+                ""
+            } else {
+                value_of(args, &mut i)?
+            };
+            extras.push((extra, v));
+        } else {
+            return Err(format!("unknown option {arg:?}\n{}", usage()));
         }
         i += 1;
     }
-    job.config.ordering = match order.as_str() {
-        "smc" => AccessOrder::Smc { fifo_depth: fifo },
-        "natural" => AccessOrder::NaturalOrder,
-        other => return Err(format!("--order must be smc or natural, got {other:?}")),
+    let mut point = RunPoint::default();
+    for (param, value) in PARAMS.iter().zip(&values) {
+        if let Some(v) = value {
+            (param.set)(&mut point, v);
+        }
+    }
+    for (param, value) in PARAMS.iter().zip(&values) {
+        if let (Some(_), Some(rule)) = (value, param.collapse) {
+            if pinned_by_mode(param, &point) {
+                return Err(format!("{} does not apply when {}", flag(param), rule.when));
+            }
+        }
+    }
+    let (kernel, config) = sweep::job_for(&point)?;
+    let serve = (!point.tenants.is_empty()).then(|| sweep::serve_config_of(&point, &config));
+    let mode = if serve.is_some() {
+        Mode::Serve
+    } else {
+        Mode::Run
     };
-    if job.n == 0 || job.stride == 0 {
-        return Err("--n and --stride must be positive".into());
+    let mut job = Job {
+        point,
+        kernel,
+        config,
+        serve,
+        json: false,
+        explain: false,
+        record_trace: None,
+        metrics_out: None,
+        perfetto_out: None,
+        attribution_out: None,
+        prom_out: None,
+        trace_out: None,
+    };
+    for (extra, v) in extras {
+        if extra.mode != Mode::Both && extra.mode != mode {
+            return Err(match mode {
+                Mode::Serve => format!("{} does not apply to a served point", extra.flag),
+                Mode::Run | Mode::Both => {
+                    format!("{} applies only to a point with a tenant mix", extra.flag)
+                }
+            });
+        }
+        (extra.apply)(&mut job, v).map_err(|e| format!("{}: {e}", extra.flag))?;
     }
     Ok(job)
 }
 
-/// Run the job and format its result.
+/// Run the job and format its result: a kernel run, or a serve for a
+/// point with a tenant mix.
 ///
 /// # Errors
 ///
 /// A human-readable message when the run fails — an invalid configuration,
-/// or a structured fault-injection failure (livelock, exhausted retries,
-/// blown cycle budget).
+/// a malformed tenant mix, a structured fault-injection failure (livelock,
+/// exhausted retries, blown cycle budget) — or an output file cannot be
+/// written.
 pub fn execute(job: &Job) -> Result<String, String> {
-    let result = match run_kernel(job.kernel, job.n, job.stride, &job.config) {
+    if let Some(cfg) = &job.serve {
+        return serve(job, cfg);
+    }
+    let (n, stride) = (job.point.n, job.point.stride);
+    let result = match run_kernel(job.kernel, n, stride, &job.config) {
         Ok(r) => r,
         Err(e) => {
             // Even a failed run leaves evidence: the livelock report and
@@ -362,20 +458,14 @@ pub fn execute(job: &Job) -> Result<String, String> {
         let org = job.config.memory.organization();
         out.push_str(&format!(
             "{}\n\n",
-            analytic::explain::explain_cache(
-                &sys,
-                org,
-                job.kernel.total_streams(),
-                job.n,
-                job.stride
-            )
+            analytic::explain::explain_cache(&sys, org, job.kernel.total_streams(), n, stride)
         ));
         if let AccessOrder::Smc { fifo_depth } = job.config.ordering {
             let w = analytic::smc::Workload {
                 reads: job.kernel.reads(),
                 writes: job.kernel.writes(),
-                length: job.n,
-                stride: job.stride,
+                length: n,
+                stride,
             };
             out.push_str(&format!(
                 "{}\n\n",
@@ -385,6 +475,48 @@ pub fn execute(job: &Job) -> Result<String, String> {
     }
     out.push_str(&summarize(&result));
     Ok(out)
+}
+
+/// Serve the job's tenant mix through the `tenancy` layer (see
+/// [`crate::serve`]) and render the report.
+fn serve(job: &Job, cfg: &tenancy::ServeConfig) -> Result<String, String> {
+    let mix = tenancy::TenantMix::parse(&job.point.tenants).map_err(|e| e.to_string())?;
+    if mix.is_empty() {
+        return Err("serve needs a non-empty tenant mix".to_string());
+    }
+    // Tracing never perturbs the report, so every serve records a trace;
+    // it is written out only on request, and the chaos/recovery totals are
+    // reported only when chaos or closed-loop retries are armed, so a plain
+    // serve prints what it printed before those layers existed.
+    let (report, trace, total) = crate::serve::run_serve_chaos(&mix, cfg, &job.config)?;
+    let trace = (job.trace_out.is_some() || job.perfetto_out.is_some()).then_some(trace);
+    let chaos_total = (job.config.chaos_active() || job.point.retry_budget != 0).then_some(total);
+    if let Some(trace) = &trace {
+        if let Some(path) = &job.trace_out {
+            std::fs::write(path, crate::observe::trace_jsonl(trace))
+                .map_err(|e| format!("cannot write trace stream to {path}: {e}"))?;
+        }
+        if let Some(path) = &job.perfetto_out {
+            std::fs::write(path, crate::observe::serve_perfetto(trace))
+                .map_err(|e| format!("cannot write Perfetto trace to {path}: {e}"))?;
+        }
+    }
+    if let Some(path) = &job.metrics_out {
+        let mut registry = telemetry::Registry::new();
+        crate::serve::record_serve_metrics(&report, &mut registry);
+        if let Some(trace) = &trace {
+            crate::serve::record_trace_metrics(trace, &mut registry);
+        }
+        if let Some(total) = &chaos_total {
+            crate::serve::record_chaos_metrics(total, &mut registry);
+        }
+        std::fs::write(path, registry.to_jsonl())
+            .map_err(|e| format!("cannot write metrics to {path}: {e}"))?;
+    }
+    if job.json {
+        return Ok(serve_report_json(&report, chaos_total.as_ref()));
+    }
+    Ok(render_serve_report(&report, chaos_total.as_ref()))
 }
 
 /// Replay a recorded trace file through the timing-conformance checker.
@@ -420,26 +552,20 @@ pub fn run_check(path: &str) -> Result<String, String> {
 /// A human-readable message when a file cannot be read, the metrics dump is
 /// malformed, or the Perfetto trace fails schema validation.
 pub fn run_report(args: &[String]) -> Result<String, String> {
-    let mut metrics_path: Option<String> = None;
-    let mut perfetto_path: Option<String> = None;
-    let mut attribution_path: Option<String> = None;
-    let mut percentiles_path: Option<String> = None;
-    let mut prom_path: Option<String> = None;
+    let mut metrics_path = None;
+    let mut perfetto_path = None;
+    let mut attribution_path = None;
+    let mut percentiles_path = None;
+    let mut prom_path = None;
     let mut i = 0;
-    let value = |args: &[String], i: &mut usize, flag: &str| -> Result<String, String> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
     while i < args.len() {
         match args[i].as_str() {
-            "--metrics" => metrics_path = Some(value(args, &mut i, "--metrics")?),
-            "--perfetto" => perfetto_path = Some(value(args, &mut i, "--perfetto")?),
-            "--attribution" => attribution_path = Some(value(args, &mut i, "--attribution")?),
-            "--percentiles" => percentiles_path = Some(value(args, &mut i, "--percentiles")?),
-            "--prom" => prom_path = Some(value(args, &mut i, "--prom")?),
-            other => return Err(format!("report: unknown option {other:?}\n{USAGE}")),
+            "--metrics" => metrics_path = Some(value_of(args, &mut i)?),
+            "--perfetto" => perfetto_path = Some(value_of(args, &mut i)?),
+            "--attribution" => attribution_path = Some(value_of(args, &mut i)?),
+            "--percentiles" => percentiles_path = Some(value_of(args, &mut i)?),
+            "--prom" => prom_path = Some(value_of(args, &mut i)?),
+            other => return Err(format!("report: unknown option {other:?}\n{}", usage())),
         }
         i += 1;
     }
@@ -511,280 +637,26 @@ pub fn run_report(args: &[String]) -> Result<String, String> {
     if out.is_empty() {
         return Err(format!(
             "report needs --metrics, --attribution, --percentiles, --prom, \
-             and/or --perfetto\n{USAGE}"
+             and/or --perfetto\n{}",
+            usage()
         ));
     }
     Ok(out)
 }
 
-/// `smcsim bench`: run the paper's four kernels under both orderings,
-/// recording simulated-cycles-per-wall-second for each, and write the
-/// profile as JSON (default `BENCH_telemetry.json`).
+/// `smcsim serve`: the default command line with a tenant mix required.
 ///
 /// # Errors
 ///
-/// A human-readable message for bad arguments, a failed run, or an
-/// unwritable output file.
-pub fn run_bench(args: &[String]) -> Result<String, String> {
-    let mut n: u64 = 1024;
-    let mut out_path = "BENCH_telemetry.json".to_string();
-    let mut baseline: Option<String> = None;
-    let mut floor_permille: u64 = 50;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--n" => {
-                i += 1;
-                n = args
-                    .get(i)
-                    .ok_or_else(|| "--n needs a value".to_string())?
-                    .parse()
-                    .map_err(|e| format!("--n: {e}"))?;
-            }
-            "--out" => {
-                i += 1;
-                out_path = args
-                    .get(i)
-                    .cloned()
-                    .ok_or_else(|| "--out needs a value".to_string())?;
-            }
-            "--baseline" => {
-                i += 1;
-                baseline = Some(
-                    args.get(i)
-                        .cloned()
-                        .ok_or_else(|| "--baseline needs a value".to_string())?,
-                );
-            }
-            "--floor-permille" => {
-                i += 1;
-                floor_permille = args
-                    .get(i)
-                    .ok_or_else(|| "--floor-permille needs a value".to_string())?
-                    .parse()
-                    .map_err(|e| format!("--floor-permille: {e}"))?;
-            }
-            other => return Err(format!("bench: unknown option {other:?}\n{USAGE}")),
-        }
-        i += 1;
-    }
-    if n == 0 {
-        return Err("--n must be positive".into());
-    }
-    let mut profiler = Profiler::new();
-    let mut out = String::from("kernel  ordering  cycles  sim-cycles/s\n");
-    for kernel in Kernel::PAPER_SUITE {
-        for (cfg, ordering) in [
-            (
-                SystemConfig::smc(MemorySystem::CacheLineInterleaved, 64),
-                "smc",
-            ),
-            (
-                SystemConfig::natural_order(MemorySystem::CacheLineInterleaved),
-                "natural",
-            ),
-        ] {
-            let start = std::time::Instant::now();
-            let r = run_kernel(kernel, n, 1, &cfg)
-                .map_err(|e| format!("bench {} ({ordering}): {e}", kernel.name()))?;
-            let percent_peak_milli = crate::sweep::stats_of(&r).percent_peak_milli;
-            profiler.record(
-                kernel.name(),
-                ordering,
-                r.cycles,
-                percent_peak_milli,
-                start.elapsed(),
-            );
-            let rec = profiler
-                .records()
-                .last()
-                .ok_or_else(|| "profiler recorded nothing".to_string())?;
-            out.push_str(&format!(
-                "{}  {}  {}  {}\n",
-                rec.kernel, rec.ordering, rec.cycles, rec.cycles_per_sec
-            ));
-        }
-    }
-    std::fs::write(&out_path, profiler.to_json())
-        .map_err(|e| format!("cannot write profile to {out_path}: {e}"))?;
-    out.push_str(&format!("profile written to {out_path}\n"));
-    if let Some(baseline_path) = baseline {
-        let text = std::fs::read_to_string(&baseline_path)
-            .map_err(|e| format!("cannot read bench baseline {baseline_path}: {e}"))?;
-        let verdict = telemetry::bench::compare_to_baseline(&text, &profiler, floor_permille)
-            .map_err(|e| format!("{baseline_path}: {e}"))?;
-        out.push_str(&verdict);
-        out.push('\n');
-    }
-    Ok(out)
-}
-
-/// `smcsim serve`: multiplex a multi-tenant mix onto the SMC through the
-/// `tenancy` serving layer (see [`crate::serve`]).
-///
-/// # Errors
-///
-/// A human-readable message for bad flags, a malformed tenant mix, an
-/// invalid serve configuration, or a serve run that blew its cycle budget.
+/// A human-readable message for bad flags, a missing or malformed tenant
+/// mix, an invalid serve configuration, or a serve run that blew its cycle
+/// budget.
 pub fn run_serve_cmd(args: &[String]) -> Result<String, String> {
-    let mut mix_spec: Option<String> = None;
-    let mut memory = MemorySystem::CacheLineInterleaved;
-    let mut fifo = 64usize;
-    let mut channels = 1usize;
-    let mut placement = memsys::Placement::default();
-    let mut remote_penalty: Vec<u64> = Vec::new();
-    let mut arb = "fcfs".to_string();
-    let mut queue_cap: Option<usize> = None;
-    let mut budget_permille: u64 = 0;
-    let mut faults_spec: Option<String> = None;
-    let mut fault_seed: u64 = 0;
-    let mut chaos_spec: Option<String> = None;
-    let mut chaos_seed: u64 = 0;
-    let mut retry_budget: u32 = 0;
-    let mut metrics_out: Option<String> = None;
-    let mut trace_out: Option<String> = None;
-    let mut perfetto_out: Option<String> = None;
-    let mut json = false;
-    let mut i = 0;
-    let value = |args: &[String], i: &mut usize, flag: &str| -> Result<String, String> {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .ok_or_else(|| format!("{flag} needs a value"))
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--tenants" => mix_spec = Some(value(args, &mut i, "--tenants")?),
-            "--memory" => {
-                memory = match value(args, &mut i, "--memory")?.as_str() {
-                    "cli" => MemorySystem::CacheLineInterleaved,
-                    "pi" => MemorySystem::PageInterleaved,
-                    other => return Err(format!("--memory must be cli or pi, got {other:?}")),
-                };
-            }
-            "--fifo" => {
-                fifo = value(args, &mut i, "--fifo")?
-                    .parse()
-                    .map_err(|e| format!("--fifo: {e}"))?;
-            }
-            "--channels" => {
-                channels = value(args, &mut i, "--channels")?
-                    .parse()
-                    .map_err(|e| format!("--channels: {e}"))?;
-            }
-            "--placement" => {
-                let spec = value(args, &mut i, "--placement")?;
-                placement =
-                    memsys::Placement::parse(&spec).map_err(|e| format!("--placement: {e}"))?;
-            }
-            "--remote-penalty" => {
-                let spec = value(args, &mut i, "--remote-penalty")?;
-                remote_penalty = spec
-                    .split(',')
-                    .map(|part| {
-                        part.trim()
-                            .parse()
-                            .map_err(|e| format!("--remote-penalty: {e}"))
-                    })
-                    .collect::<Result<_, _>>()?;
-            }
-            "--arb" => arb = value(args, &mut i, "--arb")?,
-            "--queue-cap" => {
-                queue_cap = Some(
-                    value(args, &mut i, "--queue-cap")?
-                        .parse()
-                        .map_err(|e| format!("--queue-cap: {e}"))?,
-                );
-            }
-            "--budget-permille" => {
-                budget_permille = value(args, &mut i, "--budget-permille")?
-                    .parse()
-                    .map_err(|e| format!("--budget-permille: {e}"))?;
-            }
-            "--faults" => faults_spec = Some(value(args, &mut i, "--faults")?),
-            "--fault-seed" => {
-                fault_seed = value(args, &mut i, "--fault-seed")?
-                    .parse()
-                    .map_err(|e| format!("--fault-seed: {e}"))?;
-            }
-            "--chaos" => chaos_spec = Some(value(args, &mut i, "--chaos")?),
-            "--chaos-seed" => {
-                chaos_seed = value(args, &mut i, "--chaos-seed")?
-                    .parse()
-                    .map_err(|e| format!("--chaos-seed: {e}"))?;
-            }
-            "--retry-budget" => {
-                retry_budget = value(args, &mut i, "--retry-budget")?
-                    .parse()
-                    .map_err(|e| format!("--retry-budget: {e}"))?;
-            }
-            "--metrics-out" => metrics_out = Some(value(args, &mut i, "--metrics-out")?),
-            "--trace-out" => trace_out = Some(value(args, &mut i, "--trace-out")?),
-            "--perfetto-out" => perfetto_out = Some(value(args, &mut i, "--perfetto-out")?),
-            "--json" => json = true,
-            other => return Err(format!("serve: unknown option {other:?}\n{USAGE}")),
-        }
-        i += 1;
+    let job = parse(args)?;
+    if job.serve.is_none() {
+        return Err(format!("serve needs a tenant mix\n{}", usage()));
     }
-    let mix_spec = mix_spec.ok_or_else(|| format!("serve needs --tenants MIX\n{USAGE}"))?;
-    let mix = tenancy::TenantMix::parse(&mix_spec).map_err(|e| e.to_string())?;
-    if mix.is_empty() {
-        return Err("serve needs a non-empty tenant mix".to_string());
-    }
-    let mut base = SystemConfig::smc(memory, fifo);
-    base.channels = channels;
-    base.placement = placement;
-    base.remote_penalty = remote_penalty;
-    if let Some(spec) = faults_spec {
-        let plan = faults::FaultPlan::parse(&spec).map_err(|e| e.to_string())?;
-        base = base.with_faults(plan, fault_seed);
-    }
-    if let Some(spec) = chaos_spec {
-        let plan = faults::FaultPlan::parse(&spec).map_err(|e| format!("--chaos: {e}"))?;
-        base = base.with_chaos(plan, chaos_seed);
-    }
-    let banks = base.device.total_banks() * base.channels.max(1);
-    let mut cfg = crate::serve::serve_config_for(banks, budget_permille, base.device.timing.t_pack);
-    cfg.policy = arb;
-    if let Some(cap) = queue_cap {
-        cfg.queue_capacity = cap;
-    }
-    if retry_budget != 0 {
-        cfg.retry = tenancy::RetryPolicy::with_budget(retry_budget, chaos_seed);
-    }
-    // Tracing never perturbs the report, so every serve records a trace;
-    // it is written out only on request, and the chaos/recovery totals are
-    // reported only when chaos or closed-loop retries are armed, so a plain
-    // serve prints what it printed before those layers existed.
-    let (report, trace, total) = crate::serve::run_serve_chaos(&mix, &cfg, &base)?;
-    let trace = (trace_out.is_some() || perfetto_out.is_some()).then_some(trace);
-    let chaos_total = (base.chaos_active() || retry_budget != 0).then_some(total);
-    if let Some(trace) = &trace {
-        if let Some(path) = &trace_out {
-            std::fs::write(path, crate::observe::trace_jsonl(trace))
-                .map_err(|e| format!("cannot write trace stream to {path}: {e}"))?;
-        }
-        if let Some(path) = &perfetto_out {
-            std::fs::write(path, crate::observe::serve_perfetto(trace))
-                .map_err(|e| format!("cannot write Perfetto trace to {path}: {e}"))?;
-        }
-    }
-    if let Some(path) = &metrics_out {
-        let mut registry = telemetry::Registry::new();
-        crate::serve::record_serve_metrics(&report, &mut registry);
-        if let Some(trace) = &trace {
-            crate::serve::record_trace_metrics(trace, &mut registry);
-        }
-        if let Some(total) = &chaos_total {
-            crate::serve::record_chaos_metrics(total, &mut registry);
-        }
-        std::fs::write(path, registry.to_jsonl())
-            .map_err(|e| format!("cannot write metrics to {path}: {e}"))?;
-    }
-    if json {
-        return Ok(serve_report_json(&report, chaos_total.as_ref()));
-    }
-    Ok(render_serve_report(&report, chaos_total.as_ref()))
+    execute(&job)
 }
 
 /// Render a serve report as the CLI's text summary. The chaos block only
@@ -940,8 +812,11 @@ pub fn run_campaign_cmd(args: &[String]) -> Result<String, String> {
         Some("run") => campaign_run(&args[1..]),
         Some("list") => campaign_list(&args[1..]),
         Some("diff") => campaign_diff(&args[1..]),
-        Some(other) => Err(format!("campaign: unknown subcommand {other:?}\n{USAGE}")),
-        None => Err(format!("campaign needs run, list, or diff\n{USAGE}")),
+        Some(other) => Err(format!(
+            "campaign: unknown subcommand {other:?}\n{}",
+            usage()
+        )),
+        None => Err(format!("campaign needs run, list, or diff\n{}", usage())),
     }
 }
 
@@ -959,65 +834,32 @@ fn campaign_run(args: &[String]) -> Result<String, String> {
     let mut spec_path: Option<String> = None;
     let mut workers = default_workers();
     let mut out_path: Option<String> = None;
-    let mut bench_out: Option<String> = None;
-    let mut bench_baseline: Option<String> = None;
-    let mut bench_floor_permille: u64 = 50;
     let mut quiet = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--workers" => {
-                i += 1;
-                workers = args
-                    .get(i)
-                    .ok_or_else(|| "--workers needs a value".to_string())?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?;
+                workers = number_of(args, &mut i)?;
                 if workers == 0 {
                     return Err("--workers must be positive".into());
                 }
             }
-            "--out" => {
-                i += 1;
-                out_path = Some(
-                    args.get(i)
-                        .cloned()
-                        .ok_or_else(|| "--out needs a value".to_string())?,
-                );
-            }
-            "--bench-out" => {
-                i += 1;
-                bench_out = Some(
-                    args.get(i)
-                        .cloned()
-                        .ok_or_else(|| "--bench-out needs a value".to_string())?,
-                );
-            }
-            "--bench-baseline" => {
-                i += 1;
-                bench_baseline = Some(
-                    args.get(i)
-                        .cloned()
-                        .ok_or_else(|| "--bench-baseline needs a value".to_string())?,
-                );
-            }
-            "--bench-floor-permille" => {
-                i += 1;
-                bench_floor_permille = args
-                    .get(i)
-                    .ok_or_else(|| "--bench-floor-permille needs a value".to_string())?
-                    .parse()
-                    .map_err(|e| format!("--bench-floor-permille: {e}"))?;
-            }
+            "--out" => out_path = Some(value_of(args, &mut i)?.to_string()),
             "--quiet" => quiet = true,
             other if !other.starts_with("--") && spec_path.is_none() => {
                 spec_path = Some(other.to_string());
             }
-            other => return Err(format!("campaign run: unknown option {other:?}\n{USAGE}")),
+            other => {
+                return Err(format!(
+                    "campaign run: unknown option {other:?}\n{}",
+                    usage()
+                ))
+            }
         }
         i += 1;
     }
-    let spec_path = spec_path.ok_or_else(|| format!("campaign run needs a spec file\n{USAGE}"))?;
+    let spec_path =
+        spec_path.ok_or_else(|| format!("campaign run needs a spec file\n{}", usage()))?;
     let spec = load_spec(&spec_path)?;
     let points = campaign::expand(&spec);
     let progress = |done: usize, total: usize| {
@@ -1051,45 +893,14 @@ fn campaign_run(args: &[String]) -> Result<String, String> {
             ));
         }
     }
-    if let Some(bench_path) = bench_out {
-        // Measure runs/second at a 1 .. N/2 .. N worker ladder so the
-        // executor speedup is a recorded artifact.
-        let mut ladder = vec![1usize];
-        for w in [workers.div_ceil(2), workers] {
-            if !ladder.contains(&w) {
-                ladder.push(w);
-            }
-        }
-        let report = campaign::bench_campaign(&spec, &ladder, &crate::sweep::run_point);
-        std::fs::write(&bench_path, report.to_json())
-            .map_err(|e| format!("cannot write bench profile to {bench_path}: {e}"))?;
-        for sample in &report.samples {
-            out.push_str(&format!(
-                "bench: {} workers -> {} runs/s\n",
-                sample.workers,
-                campaign::milli_percent(sample.runs_per_sec_milli)
-            ));
-        }
-        out.push_str(&format!("bench profile written to {bench_path}\n"));
-        if let Some(baseline_path) = bench_baseline {
-            let text = std::fs::read_to_string(&baseline_path)
-                .map_err(|e| format!("cannot read bench baseline {baseline_path}: {e}"))?;
-            let verdict =
-                campaign::bench::compare_to_baseline(&text, &report, bench_floor_permille)
-                    .map_err(|e| format!("{baseline_path}: {e}"))?;
-            out.push_str(&verdict);
-            out.push('\n');
-        }
-    } else if bench_baseline.is_some() {
-        return Err("--bench-baseline needs --bench-out (a fresh benchmark to compare)".into());
-    }
     Ok(out)
 }
 
 fn campaign_list(args: &[String]) -> Result<String, String> {
     let [spec_path] = args else {
         return Err(format!(
-            "campaign list needs exactly one spec file\n{USAGE}"
+            "campaign list needs exactly one spec file\n{}",
+            usage()
         ));
     };
     let spec = load_spec(spec_path)?;
@@ -1113,30 +924,22 @@ fn campaign_diff(args: &[String]) -> Result<String, String> {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--cycles-tol-permille" => {
-                i += 1;
-                tol.cycles_permille = args
-                    .get(i)
-                    .ok_or_else(|| "--cycles-tol-permille needs a value".to_string())?
-                    .parse()
-                    .map_err(|e| format!("--cycles-tol-permille: {e}"))?;
-            }
-            "--peak-tol-milli" => {
-                i += 1;
-                tol.peak_milli = args
-                    .get(i)
-                    .ok_or_else(|| "--peak-tol-milli needs a value".to_string())?
-                    .parse()
-                    .map_err(|e| format!("--peak-tol-milli: {e}"))?;
-            }
+            "--cycles-tol-permille" => tol.cycles_permille = number_of(args, &mut i)?,
+            "--peak-tol-milli" => tol.peak_milli = number_of(args, &mut i)?,
             other if !other.starts_with("--") => paths.push(other.to_string()),
-            other => return Err(format!("campaign diff: unknown option {other:?}\n{USAGE}")),
+            other => {
+                return Err(format!(
+                    "campaign diff: unknown option {other:?}\n{}",
+                    usage()
+                ))
+            }
         }
         i += 1;
     }
     let [golden_path, current_path] = paths.as_slice() else {
         return Err(format!(
-            "campaign diff needs GOLDEN.jsonl and CURRENT.jsonl\n{USAGE}"
+            "campaign diff needs GOLDEN.jsonl and CURRENT.jsonl\n{}",
+            usage()
         ));
     };
     let golden = load_store(golden_path)?;
@@ -1199,62 +1002,19 @@ fn summarize(r: &RunResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use campaign::Domain;
 
     fn args(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
     }
 
     #[test]
-    fn topology_flags_parse() {
-        let job = parse(&args(
-            "--channels 2 --placement numa:1 --remote-penalty 0,40",
-        ))
-        .unwrap();
-        assert_eq!(job.config.channels, 2);
-        assert_eq!(job.config.placement, memsys::Placement::Numa { home: 1 });
-        assert_eq!(job.config.remote_penalty, vec![0, 40]);
-        let job = parse(&args("--channels 4 --placement interleaved:1024")).unwrap();
-        assert_eq!(
-            job.config.placement,
-            memsys::Placement::ChannelInterleaved { block_bytes: 1024 }
-        );
-        assert!(parse(&args("--placement warp")).is_err());
-        assert!(parse(&args("--remote-penalty 0,x")).is_err());
-    }
-
-    #[test]
     fn defaults_parse() {
         let job = parse(&[]).unwrap();
+        assert_eq!(job.point, RunPoint::default());
         assert_eq!(job.kernel, Kernel::Daxpy);
-        assert_eq!(job.n, 1024);
         assert_eq!(job.config.ordering, AccessOrder::Smc { fifo_depth: 64 });
-    }
-
-    #[test]
-    fn full_flag_set_parses() {
-        let job = parse(&args(
-            "--kernel vaxpy --n 256 --stride 4 --memory pi --order smc --fifo 32 \
-             --policy bank-aware --devices 2 --cpu-cycles 1 --aligned --spec \
-             --refresh --write-allocate --json",
-        ))
-        .unwrap();
-        assert_eq!(job.kernel, Kernel::Vaxpy);
-        assert_eq!(job.n, 256);
-        assert_eq!(job.stride, 4);
-        assert_eq!(job.config.memory, MemorySystem::PageInterleaved);
-        assert_eq!(job.config.ordering, AccessOrder::Smc { fifo_depth: 32 });
-        assert_eq!(job.config.policy, smc::Policy::BankAware);
-        assert_eq!(job.config.device.devices, 2);
-        assert_eq!(job.config.cpu_access_cycles, 1);
-        assert_eq!(job.config.alignment, Alignment::Aligned);
-        assert!(job.config.speculative && job.config.refresh && job.json);
-        assert!(job.config.write_allocate);
-    }
-
-    #[test]
-    fn natural_order_parses() {
-        let job = parse(&args("--order natural --memory cli")).unwrap();
-        assert_eq!(job.config.ordering, AccessOrder::NaturalOrder);
+        assert!(job.serve.is_none());
     }
 
     #[test]
@@ -1265,14 +1025,9 @@ mod tests {
         assert!(parse(&args("--frobnicate"))
             .unwrap_err()
             .contains("unknown option"));
-        assert!(parse(&args("--n")).unwrap_err().contains("needs a value"));
-        assert!(parse(&args("--n 0")).unwrap_err().contains("positive"));
-        assert!(parse(&args("--memory tape"))
+        assert!(parse(&args("--faults bogus:1:2"))
             .unwrap_err()
-            .contains("cli or pi"));
-        assert!(parse(&args("--order chaos"))
-            .unwrap_err()
-            .contains("smc or natural"));
+            .contains("bad fault clause"));
     }
 
     #[test]
@@ -1385,25 +1140,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_profiles_the_paper_suite() {
-        let dir = std::env::temp_dir().join("smcsim-cli-bench-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let out = dir.join("bench.json").to_str().unwrap().to_string();
-        let text = run_bench(&args(&format!("--n 64 --out {out}"))).unwrap();
-        assert!(text.contains("sim-cycles/s"), "{text}");
-        let json = std::fs::read_to_string(&out).unwrap();
-        let v: serde_json::Value = serde_json::from_str(&json).unwrap();
-        let benches = v["benchmarks"].as_array().unwrap();
-        assert_eq!(benches.len(), 2 * Kernel::PAPER_SUITE.len());
-        for b in benches {
-            assert!(b["simulated_cycles_per_sec"].as_u64().unwrap() > 0);
-        }
-        assert!(run_bench(&args("--n 0")).unwrap_err().contains("positive"));
-        assert!(run_bench(&args("--what")).unwrap_err().contains("unknown"));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn campaign_run_list_and_diff_round_trip() {
         let dir = std::env::temp_dir().join("smcsim-cli-campaign-test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -1458,38 +1194,6 @@ mod tests {
         )))
         .unwrap();
         assert!(ok.contains("CLEAN"), "{ok}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn campaign_bench_writes_the_profile() {
-        let dir = std::env::temp_dir().join("smcsim-cli-campaign-bench-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let spec_path = dir.join("spec.json").to_str().unwrap().to_string();
-        std::fs::write(
-            &spec_path,
-            "{\"schema\": 1, \"name\": \"bench-test\", \"axes\": {\"n\": [32, 64]}}",
-        )
-        .unwrap();
-        let out = dir.join("r.jsonl").to_str().unwrap().to_string();
-        let bench = dir
-            .join("BENCH_campaign.json")
-            .to_str()
-            .unwrap()
-            .to_string();
-        let text = run_campaign_cmd(&args(&format!(
-            "run {spec_path} --workers 4 --out {out} --bench-out {bench} --quiet"
-        )))
-        .unwrap();
-        assert!(text.contains("bench profile written"), "{text}");
-        let v: serde_json::Value =
-            serde_json::from_str(&std::fs::read_to_string(&bench).unwrap()).unwrap();
-        assert_eq!(v["kind"], "campaign-bench");
-        let samples = v["samples"].as_array().unwrap();
-        // Ladder at 4 workers: 1, 2, 4.
-        assert_eq!(samples.len(), 3);
-        assert_eq!(samples[0]["workers"], 1u64);
-        assert_eq!(samples[2]["workers"], 4u64);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1555,7 +1259,7 @@ mod tests {
         assert!(text.contains("serve.fairness_milli"), "{text}");
         std::fs::remove_dir_all(&dir).ok();
 
-        assert!(run_serve_cmd(&[]).unwrap_err().contains("--tenants"));
+        assert!(run_serve_cmd(&[]).unwrap_err().contains("tenant mix"));
         assert!(run_serve_cmd(&args("--tenants xx:1:copy:64"))
             .unwrap_err()
             .contains("unknown tenant class"));
@@ -1588,11 +1292,11 @@ mod tests {
             .sum();
         assert!(completed > 0, "{json}");
 
-        assert!(
-            run_serve_cmd(&args("--tenants ls:1:copy:64 --placement warp"))
-                .unwrap_err()
-                .contains("--placement")
-        );
+        assert!(run_serve_cmd(&args(
+            "--tenants ls:1:copy:64 --channels 2 --placement warp"
+        ))
+        .unwrap_err()
+        .contains("placement `warp`"));
         assert!(
             run_serve_cmd(&args("--tenants ls:1:copy:64 --remote-penalty 0,x"))
                 .unwrap_err()
@@ -1620,7 +1324,7 @@ mod tests {
         // A channel brownout shows up in the JSON chaos block and in the
         // fault/recovery metrics, deterministically.
         let cmd = "--tenants ls:1:daxpy:64+bh:1:copy:64 --fifo 16 --channels 2 \
-                   --chaos brownout:0:0:4000:4;outage:1:500:900 --chaos-seed 3 --json";
+                   --chaos brownout:0:0:4000:4;outage:1:500:900 --fault-seed 3 --json";
         let chaotic = run_serve_cmd(&args(cmd)).unwrap();
         let v: serde_json::Value = serde_json::from_str(&chaotic).unwrap();
         assert!(
@@ -1646,47 +1350,13 @@ mod tests {
         assert!(
             run_serve_cmd(&args("--tenants ls:1:copy:64 --chaos gremlins:9"))
                 .unwrap_err()
-                .contains("--chaos")
+                .contains("chaos spec")
         );
         let text = run_serve_cmd(&args(
             "--tenants bh:1:copy:64 --fifo 16 --channels 2 --chaos outage:0:100:300",
         ))
         .unwrap();
         assert!(text.contains("recovery:"), "{text}");
-    }
-
-    #[test]
-    fn bench_baseline_gate_works_end_to_end() {
-        let dir = std::env::temp_dir().join("smcsim-cli-bench-gate-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let out = dir.join("bench.json").to_str().unwrap().to_string();
-        run_bench(&args(&format!("--n 64 --out {out}"))).unwrap();
-        // Re-profile against the just-written baseline at a 1-permille
-        // floor: the same machine cannot be 1000x slower.
-        let out2 = dir.join("bench2.json").to_str().unwrap().to_string();
-        let text = run_bench(&args(&format!(
-            "--n 64 --out {out2} --baseline {out} --floor-permille 1"
-        )))
-        .unwrap();
-        assert!(text.contains("bench gate: CLEAN"), "{text}");
-        // An impossible floor fails the gate.
-        let err = run_bench(&args(&format!(
-            "--n 64 --out {out2} --baseline {out} --floor-permille 1000000000"
-        )))
-        .unwrap_err();
-        assert!(err.contains("REGRESSION"), "{err}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn fault_flags_parse_and_reject_bad_specs() {
-        let job = parse(&args("--faults busy:0:128:16;nack:50:4 --fault-seed 9")).unwrap();
-        let plan = job.config.faults.expect("plan parsed");
-        assert_eq!(plan.clauses.len(), 2);
-        assert_eq!(job.config.fault_seed, 9);
-        assert!(parse(&args("--faults bogus:1:2"))
-            .unwrap_err()
-            .contains("bad fault clause"));
     }
 
     #[test]
@@ -1709,5 +1379,135 @@ mod tests {
             "{err}"
         );
         assert!(err.contains("busy:*:1:1"), "error names the plan: {err}");
+    }
+
+    /// The flags that reproduce `point`: every row the grid does not pin.
+    fn flags_of(point: &RunPoint) -> Vec<[String; 2]> {
+        PARAMS
+            .iter()
+            .filter(|p| !p.collapse.is_some_and(|c| (c.holds)(point)))
+            .map(|p| [flag(p), (p.get)(point).to_string()])
+            .collect()
+    }
+
+    #[test]
+    fn flags_reproduce_every_committed_golden_point() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../campaigns");
+        for name in [
+            "smoke",
+            "multichannel-smoke",
+            "tenancy-smoke",
+            "chaos-smoke",
+        ] {
+            let text = std::fs::read_to_string(format!("{dir}/{name}.golden.jsonl")).unwrap();
+            let store = campaign::ResultsStore::from_jsonl(&text).unwrap();
+            for record in &store.records {
+                let mut pairs = flags_of(&record.point);
+                let forward: Vec<String> = pairs.concat();
+                pairs.reverse();
+                let backward: Vec<String> = pairs.concat();
+                for cli in [&forward, &backward] {
+                    let job = parse(cli).unwrap_or_else(|e| panic!("{cli:?}: {e}"));
+                    assert_eq!(job.point, record.point, "{cli:?}");
+                    assert_eq!(job.serve.is_some(), !record.point.tenants.is_empty());
+                }
+                if name == "smoke" {
+                    let mut job = parse(&forward).unwrap();
+                    job.json = true;
+                    let v: serde_json::Value =
+                        serde_json::from_str(&execute(&job).unwrap()).unwrap();
+                    let campaign::Outcome::Ok(stats) = &record.outcome else {
+                        panic!("smoke golden runs clean");
+                    };
+                    assert_eq!(v["cycles"].as_u64(), Some(stats.cycles), "{forward:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_param_is_a_checked_flag_in_the_help() {
+        let help = usage();
+        for param in PARAMS {
+            let name = flag(param);
+            assert!(
+                help.contains(&format!("  {name} {}", param.domain)),
+                "{name}"
+            );
+            let e = parse(std::slice::from_ref(&name)).unwrap_err();
+            assert_eq!(e, format!("{name} needs a value"));
+            let invalid = match param.domain {
+                Domain::Text => None,
+                Domain::OneOf(_) => Some("bogus".to_string()),
+                Domain::AtLeast(0) | Domain::Switch => Some("x".to_string()),
+                Domain::AtLeast(min) => Some((min - 1).to_string()),
+            };
+            for bad in invalid
+                .into_iter()
+                .chain((!param.domain.is_text()).then(|| "-1".into()))
+            {
+                let e = parse(&[name.clone(), bad.clone()]).unwrap_err();
+                assert!(e.starts_with(&format!("{name}: ")), "{name} {bad}: {e}");
+            }
+        }
+        for extra in EXTRAS {
+            assert!(help.contains(&format!("  {} {}", extra.flag, extra.arg)));
+        }
+    }
+
+    #[test]
+    fn flags_outside_the_points_mode_are_rejected() {
+        let serve = "--tenants ls:1:copy:64";
+        for (cli, wanted) in [
+            ("--budget-permille 500".to_string(), "`tenants` is empty"),
+            ("--retry-budget 2".to_string(), "`tenants` is empty"),
+            (format!("{serve} --attribution 1"), "`tenants` is not empty"),
+            ("--arb regulated".to_string(), "tenant mix"),
+            ("--queue-cap 4".to_string(), "tenant mix"),
+            (format!("{serve} --explain"), "served point"),
+            (format!("{serve} --record-trace t.json"), "served point"),
+        ] {
+            let e = parse(&args(&cli)).unwrap_err();
+            assert!(e.contains(wanted), "{cli}: {e}");
+        }
+        // A seed with chaos but no fault plan is the chaos and retry seed.
+        let job = parse(&args(&format!(
+            "{serve} --channels 2 --chaos outage:0:0:100 --fault-seed 7 --retry-budget 2"
+        )))
+        .unwrap();
+        assert_eq!(job.config.chaos_seed, 7);
+        assert_eq!(
+            job.serve.unwrap(),
+            sweep::serve_config_of(&job.point, &job.config)
+        );
+    }
+
+    #[test]
+    fn cli_only_flags_adjust_the_points_config() {
+        let job = parse(&args(
+            "--kernel vaxpy --memory pi --fifo 32 --alignment aligned --devices-per-channel 2 \
+             --channels 2 --placement numa:1 --policy bank-aware --cpu-cycles 1 --spec \
+             --refresh --write-allocate --cache --remote-penalty 0,40 --json",
+        ))
+        .unwrap();
+        let (kernel, mut config) = sweep::job_for(&job.point).unwrap();
+        assert_eq!(kernel, Kernel::Vaxpy);
+        assert_eq!(config.device.devices, 2);
+        assert_eq!(config.placement, memsys::Placement::Numa { home: 1 });
+        config.policy = smc::Policy::BankAware;
+        config.cpu_access_cycles = 1;
+        config.speculative = true;
+        config.refresh = true;
+        config.write_allocate = true;
+        config.cache = Some(baseline::cache::CacheConfig::i860xp());
+        config.remote_penalty = vec![0, 40];
+        assert_eq!(job.config, config);
+        assert!(job.json);
+        assert!(parse(&args("--remote-penalty 0,x"))
+            .unwrap_err()
+            .starts_with("--remote-penalty: "));
+        assert!(parse(&args("--policy lifo"))
+            .unwrap_err()
+            .contains("unknown policy"));
     }
 }

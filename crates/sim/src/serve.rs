@@ -5,7 +5,7 @@
 //! packets, fault events).
 //!
 //! `tenancy` is simulator-agnostic — its serve loop drives an
-//! [`Executor`] callback — and this module is the one place the real
+//! [`tenancy::Executor`] callback — and this module is the one place the real
 //! binding lives, mirroring how [`crate::sweep`] binds the campaign layer.
 //! Per-request fault seeds are derived by hashing the base seed with the
 //! tenant name and request sequence number, so a fault storm hits each

@@ -14,7 +14,8 @@ use kernels::Kernel;
 use crate::{Alignment, MemorySystem, SystemConfig};
 
 /// Resolve a run point into the kernel and system configuration it
-/// describes.
+/// describes. An attribution point collects telemetry, which carries the
+/// attribution; the run itself is cycle-identical with or without it.
 ///
 /// # Errors
 ///
@@ -69,7 +70,26 @@ pub fn job_for(point: &RunPoint) -> Result<(Kernel, SystemConfig), String> {
             .map_err(|e| format!("bad placement `{}`: {e}", point.placement))?;
         config = config.with_channels(channels).with_placement(placement);
     }
+    if point.attribution != 0 {
+        config = config.with_telemetry();
+    }
     Ok((kernel, config))
+}
+
+/// The serving-layer configuration of a tenant point on `config`: one
+/// regulator bucket per *global* bank (every bank of every channel),
+/// denominated in measured DATA-bus cycles (the device's packet time sets
+/// the exchange rate), the point's bandwidth-hungry budget, and a
+/// closed-loop retry budget seeded from the point's fault seed.
+pub fn serve_config_of(point: &RunPoint, config: &SystemConfig) -> tenancy::ServeConfig {
+    let banks = config.device.total_banks() * config.channels.max(1);
+    let mut cfg =
+        crate::serve::serve_config_for(banks, point.budget_permille, config.device.timing.t_pack);
+    if point.retry_budget != 0 {
+        let budget = u32::try_from(point.retry_budget).unwrap_or(u32::MAX);
+        cfg.retry = tenancy::RetryPolicy::with_budget(budget, point.fault_seed);
+    }
+    cfg
 }
 
 /// Execute one run point and fold the result into campaign statistics.
@@ -82,15 +102,10 @@ pub fn run_point(point: &RunPoint) -> Outcome {
     if !point.tenants.is_empty() {
         return run_tenant_point(point);
     }
-    let (kernel, mut config) = match job_for(point) {
+    let (kernel, config) = match job_for(point) {
         Ok(job) => job,
         Err(message) => return Outcome::Error(message),
     };
-    if point.attribution != 0 {
-        // Attribution rides on the telemetry channel; the run itself is
-        // cycle-identical with or without it.
-        config = config.with_telemetry();
-    }
     match crate::run_kernel(kernel, point.n, point.stride, &config) {
         Ok(result) => {
             let mut stats = stats_of(&result);
@@ -126,11 +141,10 @@ fn fold_chaos(stats: &mut RunStats, total: &memsys::ChannelFaultStats) {
     stats.chaos_mttr_cycles = total.mttr_cycles;
 }
 
-/// Execute a multi-tenant run point: parse the mix, size the serve
-/// configuration for the point's memory organization and budget, and fold
-/// the serve report into campaign statistics. The point's own
-/// kernel/n/stride describe the base grid slot; the tenants spec carries
-/// each tenant's actual workload.
+/// Execute a multi-tenant run point: parse the mix, configure the serve
+/// with [`serve_config_of`], and fold the serve report into campaign
+/// statistics. The point's own kernel/n/stride describe the base grid
+/// slot; the tenants spec carries each tenant's actual workload.
 fn run_tenant_point(point: &RunPoint) -> Outcome {
     let (_, config) = match job_for(point) {
         Ok(job) => job,
@@ -140,16 +154,7 @@ fn run_tenant_point(point: &RunPoint) -> Outcome {
         Ok(mix) => mix,
         Err(e) => return Outcome::Error(format!("bad tenant mix `{}`: {e}", point.tenants)),
     };
-    // The regulator budgets every *global* bank, so a multi-channel point
-    // gets one bucket per bank on every channel, denominated in measured
-    // DATA-bus cycles (the device's packet time sets the exchange rate).
-    let banks = config.device.total_banks() * config.channels.max(1);
-    let mut cfg =
-        crate::serve::serve_config_for(banks, point.budget_permille, config.device.timing.t_pack);
-    if point.retry_budget != 0 {
-        let budget = u32::try_from(point.retry_budget).unwrap_or(u32::MAX);
-        cfg.retry = tenancy::RetryPolicy::with_budget(budget, point.fault_seed);
-    }
+    let cfg = serve_config_of(point, &config);
     match crate::serve::run_serve_chaos(&mix, &cfg, &config) {
         Ok((report, _trace, chaos_total)) => {
             let mut stats = stats_of_serve(&report);

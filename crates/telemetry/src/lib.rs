@@ -12,17 +12,17 @@
 //!
 //! * [`catalog`] — the static metric-id catalog: every metric the registry
 //!   can hold, with kind, unit, and a help string.
-//! * [`registry`] — an integer-only metrics [`Registry`](registry::Registry)
+//! * [`registry`] — an integer-only metrics [`Registry`]
 //!   (counters, gauges, log2-bucketed histograms), consistent with the
 //!   repository's integer-cycle lint. Serializes to JSONL.
 //! * [`event`] — controller-side events (FIFO depth samples, scheduling
 //!   decisions, fault-recovery and watchdog incidents) behind a cloneable,
-//!   poison-tolerant [`SharedTelemetry`](event::SharedTelemetry) handle.
+//!   poison-tolerant [`SharedTelemetry`] handle.
 //! * [`timeline`] — replays a recorded command stream against the device's
 //!   timing to reconstruct per-bank state residency
 //!   (idle/activating/open/precharging) and ROW/COL/DATA bus occupancy
-//!   windows, yielding [`DerivedCounts`](timeline::DerivedCounts) that must
-//!   [`reconcile`](timeline::reconcile) with the device's own
+//!   windows, yielding [`DerivedCounts`] that must
+//!   [`reconcile`] with the device's own
 //!   [`rdram::DeviceStats`] — an end-to-end audit of the accounting.
 //! * [`perfetto`] — exports a timeline as Chrome trace-event JSON loadable
 //!   in `ui.perfetto.dev`, one track per bank, bus, and FIFO, plus a
@@ -33,14 +33,11 @@
 //!   a [`DeviceStats`](rdram::DeviceStats) cross-check.
 //! * [`exposition`] — Prometheus text-format rendering of the registry,
 //!   with a structural [`parse`](exposition::parse) validator for CI.
-//! * [`bench`] — host-side profiling: simulated-cycles-per-wall-second per
-//!   kernel, for the `BENCH_telemetry.json` perf-trajectory record.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod attribution;
-pub mod bench;
 pub mod catalog;
 pub mod event;
 pub mod exposition;
@@ -49,7 +46,6 @@ pub mod registry;
 pub mod timeline;
 
 pub use attribution::{CategoryTotals, CycleAttribution, CycleCategory};
-pub use bench::{BenchRecord, Profiler};
 pub use catalog::{MetricDef, MetricId, MetricKind, CATALOG};
 pub use event::{Event, EventLog, SharedTelemetry};
 pub use registry::{Log2Histogram, Registry};

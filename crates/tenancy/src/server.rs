@@ -857,7 +857,7 @@ mod tests {
     fn executor_failures_are_absorbed_not_propagated() {
         let m = mix("bh:2:copy:64");
         let exec = |_t: &TenantSpec, req: &Request| -> Result<ServiceReport, String> {
-            if req.seq % 2 == 0 {
+            if req.seq.is_multiple_of(2) {
                 Err("injected livelock".to_string())
             } else {
                 Ok(ServiceReport {
@@ -979,7 +979,7 @@ mod tests {
                     cycles: 9_000,
                     useful_words: 16,
                     bank_data_cycles: Vec::new(),
-                    fault_events: u64::from(req.seq % 5 == 0),
+                    fault_events: u64::from(req.seq.is_multiple_of(5)),
                 })
             }
         };
