@@ -159,11 +159,6 @@ impl Rdram {
         self.faults = Some(faults);
     }
 
-    /// Detach any injected-fault model.
-    pub fn clear_faults(&mut self) {
-        self.faults = None;
-    }
-
     /// The device's timing parameters.
     pub fn timing(&self) -> &Timing {
         &self.cfg.timing

@@ -11,15 +11,15 @@ use sim::cli;
 /// A subcommand: its arguments in, its output or error out.
 type Command = fn(&[String]) -> Result<String, String>;
 
-/// The subcommands, by their first argument. Anything else is a run.
-const COMMANDS: &[(&str, Command)] = &[
-    ("check", |args| {
-        let path = args.first().ok_or("check needs a trace file")?;
-        cli::run_check(path).map(|report| report + "\n")
+/// The subcommands, by their first argument: each with the argument it
+/// cannot do without, if any, and its body. Anything else is a run.
+const COMMANDS: &[(&str, Option<&str>, Command)] = &[
+    ("check", Some("a trace file"), |args| {
+        cli::run_check(&args[0]).map(|report| report + "\n")
     }),
-    ("report", cli::run_report),
-    ("campaign", cli::run_campaign_cmd),
-    ("serve", cli::run_serve_cmd),
+    ("report", None, cli::run_report),
+    ("campaign", None, cli::run_campaign_cmd),
+    ("serve", None, cli::run_serve_cmd),
 ];
 
 fn fail(message: &str, code: u8) -> ExitCode {
@@ -36,12 +36,12 @@ fn main() -> ExitCode {
     }
     let command = COMMANDS
         .iter()
-        .find(|(name, _)| args.first().is_some_and(|a| a == name));
+        .find(|(name, _, _)| args.first().is_some_and(|a| a == name));
     let outcome = match command {
-        Some(("check", _)) if args.len() == 1 => {
-            return fail(&format!("check needs a trace file\n{}", cli::usage()), 2);
+        Some((name, Some(needs), _)) if args.len() == 1 => {
+            return fail(&format!("{name} needs {needs}\n{}", cli::usage()), 2);
         }
-        Some((_, run)) => run(&args[1..]),
+        Some((_, _, run)) => run(&args[1..]),
         None => match cli::parse(&args) {
             Ok(job) => cli::execute(&job),
             Err(e) => return fail(&e, 2),

@@ -2,7 +2,7 @@
 //!
 //! A command line is a [`RunPoint`]. Every row of [`PARAMS`] is a flag
 //! `--<name>` (with `_` written as `-`) whose value is checked against the
-//! row's [`Domain`](campaign::Domain), and the point is configured by
+//! row's [`Domain`], and the point is configured by
 //! [`sweep::job_for`], the binding campaigns use. The CLI-only flags of
 //! `EXTRAS` then adjust what a point does not describe. A point with a
 //! tenant mix is served, exactly as [`sweep::run_point`] serves it.
@@ -14,7 +14,7 @@
 //! smcsim check copy.trace.json
 //! ```
 
-use campaign::{Param, RunPoint, Val, PARAMS};
+use campaign::{Domain, Param, RunPoint, Val, PARAMS};
 use checker::TraceFile;
 use kernels::Kernel;
 
@@ -179,7 +179,6 @@ const EXTRAS: &[Extra] = &[
         Ok(())
     }),
     extra("--attribution-out", "F", Mode::Run, "write the cycle attribution", |job, v| {
-        collect_telemetry(job);
         job.attribution_out = Some(v.to_string());
         Ok(())
     }),
@@ -279,7 +278,8 @@ run parameters (one per campaign axis, same names and values):
               closed-loop client retries
   tenants     '+'-separated class:count:kernel:n[:stride] groups (class
               ls|bh), e.g. ls:2:daxpy:256+bh:6:copy:1024; a served point
-              runs the mix's kernels, not its own
+              runs the mix's kernels, so its own kernel, n and stride stay
+              at their defaults
   placement   interleaved[:bytes] | sequential | numa[:home]
   chaos       ';'-separated channel-fault clauses from
               brownout:<ch>:<from>:<len>:<mult>, outage:<ch>:<from>:<len>
@@ -346,11 +346,34 @@ pub fn parse(args: &[String]) -> Result<Job, String> {
             (param.set)(&mut point, v);
         }
     }
+    // Writing a run's attribution is what makes its point collect it.
+    if extras
+        .iter()
+        .any(|(extra, _)| extra.flag == "--attribution-out")
+    {
+        point.attribution = 1;
+    }
+    let served = !point.tenants.is_empty();
     for (param, value) in PARAMS.iter().zip(&values) {
-        if let (Some(_), Some(rule)) = (value, param.collapse) {
-            if pinned_by_mode(param, &point) {
-                return Err(format!("{} does not apply when {}", flag(param), rule.when));
-            }
+        let Some(v) = value else {
+            continue;
+        };
+        if let Some(rule) = param.collapse.filter(|_| pinned_by_mode(param, &point)) {
+            return Err(format!("{} does not apply when {}", flag(param), rule.when));
+        }
+        if served && sweep::SERVE_IGNORES.contains(&param.name) && *v != param.default {
+            return Err(format!(
+                "{} does not apply to a served point: each tenant group names its own \
+                 kernel, n and stride",
+                flag(param)
+            ));
+        }
+        // A value the runner validates is checked on an otherwise default
+        // point, so the error names its flag; those checks are context-free.
+        if param.domain == Domain::Text {
+            let mut probe = RunPoint::default();
+            (param.set)(&mut probe, v);
+            sweep::job_for(&probe).map_err(|e| format!("{}: {e}", flag(param)))?;
         }
     }
     let (kernel, config) = sweep::job_for(&point)?;
@@ -384,6 +407,9 @@ pub fn parse(args: &[String]) -> Result<Job, String> {
             });
         }
         (extra.apply)(&mut job, v).map_err(|e| format!("{}: {e}", extra.flag))?;
+    }
+    if job.point.attribution != 0 && job.attribution_out.is_none() {
+        return Err("a run collects attribution only to write it to --attribution-out F".into());
     }
     Ok(job)
 }
@@ -544,104 +570,84 @@ pub fn run_check(path: &str) -> Result<String, String> {
     }
 }
 
-/// `smcsim report`: render a metrics JSONL dump as a table and, optionally,
-/// validate a Perfetto trace file's structure.
+/// A `smcsim report` section: the file's path and text in, the rendered
+/// section or what is wrong with the file out.
+type Section = fn(&str, &str) -> Result<String, String>;
+
+/// The `smcsim report` sections, in output order: flag, what the file
+/// holds, and its renderer.
+const SECTIONS: [(&str, &str, Section); 5] = [
+    ("--metrics", "metrics", |_, text| {
+        let table = metrics::table_from_jsonl(text).map_err(|e| e.to_string())?;
+        Ok(table.render())
+    }),
+    ("--attribution", "attribution", |_, text| {
+        let attr = telemetry::CycleAttribution::from_json(text).map_err(|e| e.to_string())?;
+        Ok(crate::observe::render_attribution(&attr))
+    }),
+    ("--percentiles", "trace stream", |path, text| {
+        let trace = crate::observe::trace_from_jsonl(text).map_err(|e| e.to_string())?;
+        let (completed, failed, shed, rejected) = trace.outcome_totals();
+        Ok(format!(
+            "{path}: {} spans ({completed} completed, {failed} failed, {shed} shed, \
+             {rejected} rejected), {} incidents\n{}",
+            trace.spans().len(),
+            trace.incidents().len(),
+            crate::observe::percentiles_table(&trace).render(),
+        ))
+    }),
+    ("--prom", "exposition", |path, text| {
+        let s = telemetry::exposition::parse(text).map_err(|e| e.to_string())?;
+        Ok(format!(
+            "{path}: OK ({} families, {} samples, {} histograms)\n",
+            s.families, s.samples, s.histograms,
+        ))
+    }),
+    ("--perfetto", "Perfetto trace", |path, text| {
+        let s = telemetry::perfetto::validate(text).map_err(|e| e.to_string())?;
+        Ok(format!(
+            "{path}: OK ({} events over {} tracks: {} spans, {} counter samples, \
+             {} instants)\n",
+            s.events, s.tracks, s.complete_events, s.counter_events, s.instant_events,
+        ))
+    }),
+];
+
+/// `smcsim report`: render or validate each file given, one section per
+/// flag, in the order of `SECTIONS`.
 ///
 /// # Errors
 ///
-/// A human-readable message when a file cannot be read, the metrics dump is
-/// malformed, or the Perfetto trace fails schema validation.
+/// A human-readable message for an unknown flag, a file that cannot be
+/// read, or a file whose contents fail to parse or validate.
 pub fn run_report(args: &[String]) -> Result<String, String> {
-    let mut metrics_path = None;
-    let mut perfetto_path = None;
-    let mut attribution_path = None;
-    let mut percentiles_path = None;
-    let mut prom_path = None;
+    let mut paths = [None; SECTIONS.len()];
     let mut i = 0;
     while i < args.len() {
-        match args[i].as_str() {
-            "--metrics" => metrics_path = Some(value_of(args, &mut i)?),
-            "--perfetto" => perfetto_path = Some(value_of(args, &mut i)?),
-            "--attribution" => attribution_path = Some(value_of(args, &mut i)?),
-            "--percentiles" => percentiles_path = Some(value_of(args, &mut i)?),
-            "--prom" => prom_path = Some(value_of(args, &mut i)?),
-            other => return Err(format!("report: unknown option {other:?}\n{}", usage())),
-        }
+        let at = SECTIONS
+            .iter()
+            .position(|(flag, ..)| *flag == args[i])
+            .ok_or_else(|| format!("report: unknown option {:?}\n{}", args[i], usage()))?;
+        paths[at] = Some(value_of(args, &mut i)?);
         i += 1;
     }
-    let mut out = String::new();
-    let section = |out: &mut String, text: &str| {
-        if !out.is_empty() {
-            out.push('\n');
-        }
-        out.push_str(text);
-    };
-    if let Some(path) = &metrics_path {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read metrics {path}: {e}"))?;
-        let table = metrics::table_from_jsonl(&text).map_err(|e| format!("{path}: {e}"))?;
-        section(&mut out, &table.render());
+    let mut sections = Vec::new();
+    for ((_, what, render), path) in SECTIONS.iter().zip(paths) {
+        let Some(path) = path else {
+            continue;
+        };
+        let text =
+            std::fs::read_to_string(path).map_err(|e| format!("cannot read {what} {path}: {e}"))?;
+        sections.push(render(path, &text).map_err(|e| format!("{path}: {e}"))?);
     }
-    if let Some(path) = &attribution_path {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read attribution {path}: {e}"))?;
-        let attr =
-            telemetry::CycleAttribution::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
-        section(&mut out, &crate::observe::render_attribution(&attr));
-    }
-    if let Some(path) = &percentiles_path {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read trace stream {path}: {e}"))?;
-        let trace = crate::observe::trace_from_jsonl(&text).map_err(|e| format!("{path}: {e}"))?;
-        let (completed, failed, shed, rejected) = trace.outcome_totals();
-        section(
-            &mut out,
-            &format!(
-                "{path}: {} spans ({completed} completed, {failed} failed, {shed} shed, \
-                 {rejected} rejected), {} incidents\n{}",
-                trace.spans().len(),
-                trace.incidents().len(),
-                crate::observe::percentiles_table(&trace).render(),
-            ),
-        );
-    }
-    if let Some(path) = &prom_path {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read exposition {path}: {e}"))?;
-        let summary = telemetry::exposition::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-        section(
-            &mut out,
-            &format!(
-                "{path}: OK ({} families, {} samples, {} histograms)\n",
-                summary.families, summary.samples, summary.histograms,
-            ),
-        );
-    }
-    if let Some(path) = &perfetto_path {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read Perfetto trace {path}: {e}"))?;
-        let summary = telemetry::perfetto::validate(&text).map_err(|e| format!("{path}: {e}"))?;
-        section(
-            &mut out,
-            &format!(
-                "{path}: OK ({} events over {} tracks: {} spans, {} counter samples, \
-                 {} instants)\n",
-                summary.events,
-                summary.tracks,
-                summary.complete_events,
-                summary.counter_events,
-                summary.instant_events,
-            ),
-        );
-    }
-    if out.is_empty() {
+    if sections.is_empty() {
         return Err(format!(
             "report needs --metrics, --attribution, --percentiles, --prom, \
              and/or --perfetto\n{}",
             usage()
         ));
     }
-    Ok(out)
+    Ok(sections.join("\n"))
 }
 
 /// `smcsim serve`: the default command line with a tenant mix required.
@@ -861,17 +867,10 @@ fn campaign_run(args: &[String]) -> Result<String, String> {
     let spec_path =
         spec_path.ok_or_else(|| format!("campaign run needs a spec file\n{}", usage()))?;
     let spec = load_spec(&spec_path)?;
-    let points = campaign::expand(&spec);
     let progress = |done: usize, total: usize| {
         eprintln!("campaign {}: {done}/{total} runs complete", spec.name);
     };
-    let store = campaign::run_points(
-        &spec.name,
-        &points,
-        workers,
-        &crate::sweep::run_point,
-        if quiet { None } else { Some(&progress) },
-    );
+    let store = sweep::run_spec(&spec, workers, (!quiet).then_some(&progress));
     let out_path = out_path.unwrap_or_else(|| format!("{}.results.jsonl", spec.name));
     std::fs::write(&out_path, store.to_jsonl())
         .map_err(|e| format!("cannot write results to {out_path}: {e}"))?;
@@ -1002,10 +1001,16 @@ fn summarize(r: &RunResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use campaign::Domain;
 
     fn args(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
+    }
+
+    /// A path to `file` in the scratch directory of the test `test`.
+    fn scratch(test: &str, file: &str) -> String {
+        let dir = std::env::temp_dir().join(format!("smcsim-cli-{test}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join(file).to_str().unwrap().to_string()
     }
 
     #[test]
@@ -1028,6 +1033,10 @@ mod tests {
         assert!(parse(&args("--faults bogus:1:2"))
             .unwrap_err()
             .contains("bad fault clause"));
+        // Checked on one channel too, where it would have no effect.
+        assert!(parse(&args("--placement warp"))
+            .unwrap_err()
+            .starts_with("--placement: "));
     }
 
     #[test]
@@ -1045,10 +1054,7 @@ mod tests {
 
     #[test]
     fn record_trace_round_trips_through_check() {
-        let dir = std::env::temp_dir().join("smcsim-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("copy.trace.json");
-        let path = path.to_str().unwrap().to_string();
+        let path = scratch("test", "copy.trace.json");
         let mut job = parse(&args("--kernel copy --n 64 --fifo 16")).unwrap();
         job.config.record_commands = true;
         job.record_trace = Some(path.clone());
@@ -1075,21 +1081,16 @@ mod tests {
         assert!(run_check("/nonexistent/trace.json")
             .unwrap_err()
             .contains("cannot read"));
-        let dir = std::env::temp_dir().join("smcsim-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("garbage.json");
+        let path = scratch("test", "garbage.json");
         std::fs::write(&path, "{not json").unwrap();
-        let err = run_check(path.to_str().unwrap()).unwrap_err();
+        let err = run_check(&path).unwrap_err();
         assert!(err.contains("parse error"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn telemetry_flags_write_metrics_and_perfetto_files() {
-        let dir = std::env::temp_dir().join("smcsim-cli-telemetry-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let metrics = dir.join("m.jsonl").to_str().unwrap().to_string();
-        let perfetto = dir.join("t.json").to_str().unwrap().to_string();
+        let (metrics, perfetto) = (scratch("tel", "m.jsonl"), scratch("tel", "t.json"));
         let job = parse(&args(&format!(
             "--kernel copy --n 64 --fifo 16 --metrics-out {metrics} --perfetto-out {perfetto}"
         )))
@@ -1117,7 +1118,8 @@ mod tests {
             ),
             "{text}"
         );
-        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_file(&metrics).ok();
+        std::fs::remove_file(&perfetto).ok();
     }
 
     #[test]
@@ -1129,21 +1131,18 @@ mod tests {
         assert!(run_report(&args("--bogus"))
             .unwrap_err()
             .contains("unknown option"));
-        let dir = std::env::temp_dir().join("smcsim-cli-report-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let bad = dir.join("bad.json");
+        let bad = scratch("report", "bad.json");
         std::fs::write(&bad, "{\"traceEvents\":7}").unwrap();
-        let err = run_report(&args(&format!("--perfetto {}", bad.to_str().unwrap())))
-            .expect_err("invalid trace must fail");
+        let err =
+            run_report(&args(&format!("--perfetto {bad}"))).expect_err("invalid trace must fail");
         assert!(err.contains("traceEvents"), "{err}");
-        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_file(&bad).ok();
     }
 
     #[test]
     fn campaign_run_list_and_diff_round_trip() {
-        let dir = std::env::temp_dir().join("smcsim-cli-campaign-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let spec_path = dir.join("spec.json").to_str().unwrap().to_string();
+        let dir = std::env::temp_dir().join("smcsim-cli-campaign");
+        let spec_path = scratch("campaign", "spec.json");
         std::fs::write(
             &spec_path,
             "{\"schema\": 1, \"name\": \"cli-test\", \
@@ -1155,7 +1154,7 @@ mod tests {
         assert!(listing.contains("2 runs"), "{listing}");
         assert!(listing.contains("copy|smc:16|cli"), "{listing}");
 
-        let golden = dir.join("golden.jsonl").to_str().unwrap().to_string();
+        let golden = scratch("campaign", "golden.jsonl");
         let out = run_campaign_cmd(&args(&format!(
             "run {spec_path} --workers 2 --out {golden} --quiet"
         )))
@@ -1164,7 +1163,7 @@ mod tests {
 
         // A re-run at a different worker count produces the identical store
         // and the diff gate reports it clean.
-        let current = dir.join("current.jsonl").to_str().unwrap().to_string();
+        let current = scratch("campaign", "current.jsonl");
         run_campaign_cmd(&args(&format!(
             "run {spec_path} --workers 1 --out {current} --quiet"
         )))
@@ -1217,13 +1216,11 @@ mod tests {
         assert!(run_campaign_cmd(&args("run spec.json --workers 0"))
             .unwrap_err()
             .contains("positive"));
-        let dir = std::env::temp_dir().join("smcsim-cli-campaign-err-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let bad = dir.join("bad.json").to_str().unwrap().to_string();
+        let bad = scratch("campaign-err", "bad.json");
         std::fs::write(&bad, "{\"schema\": 1, \"axes\": {\"warp\": [1]}}").unwrap();
         let err = run_campaign_cmd(&args(&format!("list {bad}"))).unwrap_err();
         assert!(err.contains("warp"), "{err}");
-        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_file(&bad).ok();
     }
 
     #[test]
@@ -1247,9 +1244,7 @@ mod tests {
 
     #[test]
     fn serve_writes_metrics_and_rejects_bad_flags() {
-        let dir = std::env::temp_dir().join("smcsim-cli-serve-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let metrics = dir.join("serve.jsonl").to_str().unwrap().to_string();
+        let metrics = scratch("serve", "serve.jsonl");
         run_serve_cmd(&args(&format!(
             "--tenants bh:1:copy:64 --fifo 16 --metrics-out {metrics}"
         )))
@@ -1257,7 +1252,7 @@ mod tests {
         let text = std::fs::read_to_string(&metrics).unwrap();
         assert!(text.contains("serve.submitted"), "{text}");
         assert!(text.contains("serve.fairness_milli"), "{text}");
-        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_file(&metrics).ok();
 
         assert!(run_serve_cmd(&[]).unwrap_err().contains("tenant mix"));
         assert!(run_serve_cmd(&args("--tenants xx:1:copy:64"))
@@ -1292,25 +1287,16 @@ mod tests {
             .sum();
         assert!(completed > 0, "{json}");
 
-        assert!(run_serve_cmd(&args(
-            "--tenants ls:1:copy:64 --channels 2 --placement warp"
-        ))
-        .unwrap_err()
-        .contains("placement `warp`"));
+        assert!(
+            run_serve_cmd(&args("--tenants ls:1:copy:64 --placement warp"))
+                .unwrap_err()
+                .contains("--placement")
+        );
         assert!(
             run_serve_cmd(&args("--tenants ls:1:copy:64 --remote-penalty 0,x"))
                 .unwrap_err()
                 .contains("--remote-penalty")
         );
-    }
-
-    #[test]
-    fn serve_with_faults_stays_deterministic() {
-        let cmd = "--tenants ls:1:daxpy:64+bh:1:copy:64 --fifo 16 \
-                   --faults nack:50:6 --fault-seed 5 --json";
-        let a = run_serve_cmd(&args(cmd)).unwrap();
-        let b = run_serve_cmd(&args(cmd)).unwrap();
-        assert_eq!(a, b, "serve runs are bit-reproducible");
     }
 
     #[test]
@@ -1338,14 +1324,12 @@ mod tests {
         );
         assert_eq!(run_serve_cmd(&args(cmd)).unwrap(), chaotic);
         // The chaos metrics land in the registry dump.
-        let dir = std::env::temp_dir().join("smcsim-cli-serve-chaos-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let metrics = dir.join("chaos.jsonl").to_str().unwrap().to_string();
+        let metrics = scratch("serve-chaos", "chaos.jsonl");
         run_serve_cmd(&args(&format!("{cmd} --metrics-out {metrics}"))).unwrap();
         let text = std::fs::read_to_string(&metrics).unwrap();
         assert!(text.contains("fault.degraded_requests"), "{text}");
         assert!(text.contains("recovery.mttr_cycles"), "{text}");
-        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_file(&metrics).ok();
         // Bad plans and the text renderer's chaos block both work.
         assert!(
             run_serve_cmd(&args("--tenants ls:1:copy:64 --chaos gremlins:9"))
@@ -1402,25 +1386,38 @@ mod tests {
             let text = std::fs::read_to_string(format!("{dir}/{name}.golden.jsonl")).unwrap();
             let store = campaign::ResultsStore::from_jsonl(&text).unwrap();
             for record in &store.records {
-                let mut pairs = flags_of(&record.point);
+                // A served point takes the rows it ignores only at their
+                // defaults, so a served record is reproduced without them.
+                let mut point = record.point.clone();
+                if !point.tenants.is_empty() {
+                    for param in PARAMS
+                        .iter()
+                        .filter(|p| sweep::SERVE_IGNORES.contains(&p.name))
+                    {
+                        (param.set)(&mut point, &param.default);
+                    }
+                }
+                let mut pairs = flags_of(&point);
                 let forward: Vec<String> = pairs.concat();
                 pairs.reverse();
                 let backward: Vec<String> = pairs.concat();
+                // The command line configures exactly the campaign's run.
+                let (_, config) = sweep::job_for(&record.point).unwrap();
+                let serve = (!point.tenants.is_empty())
+                    .then(|| sweep::serve_config_of(&record.point, &config));
                 for cli in [&forward, &backward] {
                     let job = parse(cli).unwrap_or_else(|e| panic!("{cli:?}: {e}"));
-                    assert_eq!(job.point, record.point, "{cli:?}");
-                    assert_eq!(job.serve.is_some(), !record.point.tenants.is_empty());
+                    assert_eq!(job.point, point, "{cli:?}");
+                    assert_eq!(job.config, config, "{cli:?}");
+                    assert_eq!(job.serve, serve, "{cli:?}");
                 }
-                if name == "smoke" {
-                    let mut job = parse(&forward).unwrap();
-                    job.json = true;
-                    let v: serde_json::Value =
-                        serde_json::from_str(&execute(&job).unwrap()).unwrap();
-                    let campaign::Outcome::Ok(stats) = &record.outcome else {
-                        panic!("smoke golden runs clean");
-                    };
-                    assert_eq!(v["cycles"].as_u64(), Some(stats.cycles), "{forward:?}");
-                }
+                let mut job = parse(&forward).unwrap();
+                job.json = true;
+                let campaign::Outcome::Ok(stats) = &record.outcome else {
+                    panic!("{name} golden runs clean");
+                };
+                let v: serde_json::Value = serde_json::from_str(&execute(&job).unwrap()).unwrap();
+                assert_eq!(v["cycles"].as_u64(), Some(stats.cycles), "{forward:?}");
             }
         }
     }
@@ -1437,17 +1434,19 @@ mod tests {
             let e = parse(std::slice::from_ref(&name)).unwrap_err();
             assert_eq!(e, format!("{name} needs a value"));
             let invalid = match param.domain {
-                Domain::Text => None,
-                Domain::OneOf(_) => Some("bogus".to_string()),
-                Domain::AtLeast(0) | Domain::Switch => Some("x".to_string()),
-                Domain::AtLeast(min) => Some((min - 1).to_string()),
+                Domain::Text => "bogus:9".to_string(),
+                Domain::OneOf(_) => "bogus".to_string(),
+                Domain::AtLeast(0) | Domain::Switch => "x".to_string(),
+                Domain::AtLeast(min) => (min - 1).to_string(),
             };
-            for bad in invalid
-                .into_iter()
-                .chain((!param.domain.is_text()).then(|| "-1".into()))
+            for bad in
+                std::iter::once(invalid).chain((!param.domain.is_text()).then(|| "-1".into()))
             {
-                let e = parse(&[name.clone(), bad.clone()]).unwrap_err();
-                assert!(e.starts_with(&format!("{name}: ")), "{name} {bad}: {e}");
+                match parse(&[name.clone(), bad.clone()]) {
+                    Err(e) => assert!(e.starts_with(&format!("{name}: ")), "{name} {bad}: {e}"),
+                    // A tenant mix is checked when it is served.
+                    Ok(job) => assert!(job.serve.is_some() && execute(&job).is_err(), "{name}"),
+                }
             }
         }
         for extra in EXTRAS {
@@ -1466,10 +1465,24 @@ mod tests {
             ("--queue-cap 4".to_string(), "tenant mix"),
             (format!("{serve} --explain"), "served point"),
             (format!("{serve} --record-trace t.json"), "served point"),
+            (format!("{serve} --attribution-out a.json"), "served point"),
+            (format!("{serve} --kernel copy"), "--kernel does not apply"),
+            (format!("{serve} --n 99"), "--n does not apply"),
+            (format!("{serve} --stride 4"), "--stride does not apply"),
+            ("--attribution 1".to_string(), "--attribution-out"),
         ] {
             let e = parse(&args(&cli)).unwrap_err();
             assert!(e.contains(wanted), "{cli}: {e}");
         }
+        // At their defaults the rows a serve ignores are accepted.
+        let defaults = format!("{serve} --kernel daxpy --n 1024 --stride 1");
+        parse(&args(&defaults)).unwrap();
+        // Writing the attribution is what makes a point collect it.
+        let job = parse(&args("--attribution-out a.json")).unwrap();
+        assert_eq!(job.point.attribution, 1);
+        assert!(job.config.telemetry);
+        let both = parse(&args("--attribution 1 --attribution-out a.json")).unwrap();
+        assert_eq!(both.point, job.point);
         // A seed with chaos but no fault plan is the chaos and retry seed.
         let job = parse(&args(&format!(
             "{serve} --channels 2 --chaos outage:0:0:100 --fault-seed 7 --retry-budget 2"

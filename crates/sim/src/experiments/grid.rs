@@ -33,12 +33,6 @@ impl KernelJob {
             config,
         }
     }
-
-    /// The same job at a non-unit stride.
-    pub fn with_stride(mut self, stride: u64) -> Self {
-        self.stride = stride;
-        self
-    }
 }
 
 /// Worker count for experiment sweeps: all available cores.

@@ -63,11 +63,13 @@ pub fn job_for(point: &RunPoint) -> Result<(Kernel, SystemConfig), String> {
             )
         })?;
     }
+    // Checked even on one channel, where it has no effect, so a malformed
+    // placement never passes silently.
+    let placement = memsys::Placement::parse(&point.placement)
+        .map_err(|e| format!("bad placement `{}`: {e}", point.placement))?;
     if point.channels > 1 {
         let channels = usize::try_from(point.channels)
             .map_err(|_| format!("channels {} out of range", point.channels))?;
-        let placement = memsys::Placement::parse(&point.placement)
-            .map_err(|e| format!("bad placement `{}`: {e}", point.placement))?;
         config = config.with_channels(channels).with_placement(placement);
     }
     if point.attribution != 0 {
@@ -75,6 +77,11 @@ pub fn job_for(point: &RunPoint) -> Result<(Kernel, SystemConfig), String> {
     }
     Ok((kernel, config))
 }
+
+/// The parameters a served point does not read: each tenant group of its
+/// mix names its own kernel, length and stride. They only place the point
+/// in its grid.
+pub const SERVE_IGNORES: [&str; 3] = ["kernel", "n", "stride"];
 
 /// The serving-layer configuration of a tenant point on `config`: one
 /// regulator bucket per *global* bank (every bank of every channel),
