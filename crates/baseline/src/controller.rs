@@ -7,7 +7,9 @@ use serde::{Deserialize, Serialize};
 use faults::FaultInjector;
 use memsys::{MemorySystem, SystemMap};
 use rdram::{Command, Cycle, Location, SharedSink, PACKET_BYTES};
-use smc::{LivelockReport, SmcError, StreamDescriptor, StreamKind, DEFAULT_WATCHDOG_CYCLES};
+use smc::{
+    LivelockReport, SmcError, StreamDescriptor, StreamKind, Watchdog, DEFAULT_WATCHDOG_CYCLES,
+};
 use telemetry::{Event, SharedTelemetry};
 
 /// Page management applied to each cacheline burst.
@@ -105,9 +107,9 @@ pub struct BaselineController {
     cache_stats: Option<(u64, u64, u64)>,
     faults: FaultInjector,
     data_nacks: u64,
-    watchdog_limit: Cycle,
-    last_fingerprint: u64,
-    last_progress: Cycle,
+    /// Keyed on (commands the memory system accepted, queued ops, ops in
+    /// flight, completed line transfers).
+    watchdog: Watchdog<(u64, usize, usize, u64)>,
     last_issued: Option<(Command, Cycle)>,
     trace_sink: Option<SharedSink>,
     telemetry: Option<SharedTelemetry>,
@@ -162,9 +164,7 @@ impl BaselineController {
             cache_stats: None,
             faults: FaultInjector::inert(),
             data_nacks: 0,
-            watchdog_limit: DEFAULT_WATCHDOG_CYCLES,
-            last_fingerprint: 0,
-            last_progress: 0,
+            watchdog: Watchdog::new(DEFAULT_WATCHDOG_CYCLES),
             last_issued: None,
             trace_sink: None,
             telemetry: None,
@@ -203,8 +203,7 @@ impl BaselineController {
     ///
     /// Panics if `limit` is zero.
     pub fn with_watchdog(mut self, limit: Cycle) -> Self {
-        assert!(limit > 0, "the watchdog needs a nonzero threshold");
-        self.watchdog_limit = limit;
+        self.watchdog = Watchdog::new(limit);
         self
     }
 
@@ -491,46 +490,25 @@ impl BaselineController {
             self.prev_nacks = self.data_nacks;
         }
         if self.done() {
-            self.last_progress = now;
+            self.watchdog.idle(now);
             return Ok(());
         }
-        let fp = self.fingerprint(dev);
-        if fp != self.last_fingerprint {
-            self.last_fingerprint = fp;
-            self.last_progress = now;
-        } else if now.saturating_sub(self.last_progress) >= self.watchdog_limit {
+        let key = (
+            dev.commands_accepted(),
+            self.queue.len(),
+            self.in_flight.len(),
+            self.line_transfers,
+        );
+        if let Some(stalled_for) = self.watchdog.observe(now, key) {
             if let Some(tel) = &self.telemetry {
                 tel.record(Event::WatchdogTrip {
                     cycle: now,
-                    stalled_for: now.saturating_sub(self.last_progress),
+                    stalled_for,
                 });
             }
             return Err(SmcError::Livelock(Box::new(self.livelock_report(now, dev))));
         }
         Ok(())
-    }
-
-    /// Hash of everything that changes when the schedule makes progress.
-    fn fingerprint(&self, dev: &MemorySystem) -> u64 {
-        let s = dev.stats();
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mix = |h: &mut u64, v: u64| {
-            *h ^= v;
-            *h = h.wrapping_mul(0x100_0000_01b3);
-        };
-        for v in [
-            s.activates,
-            s.precharges,
-            s.auto_precharges,
-            s.read_packets,
-            s.write_packets,
-            self.queue.len() as u64,
-            self.in_flight.len() as u64,
-            self.line_transfers,
-        ] {
-            mix(&mut h, v);
-        }
-        h
     }
 
     fn livelock_report(&self, now: Cycle, dev: &MemorySystem) -> LivelockReport {
@@ -541,7 +519,7 @@ impl BaselineController {
         };
         LivelockReport {
             now,
-            stalled_for: now.saturating_sub(self.last_progress),
+            stalled_for: self.watchdog.stalled_for(now),
             last_command,
             last_command_cycle,
             open_banks: (0..banks)
@@ -948,7 +926,9 @@ mod tests {
         ctl.set_faults(inj);
         match ctl.run_to_completion(&mut dev) {
             Err(SmcError::Livelock(report)) => {
-                assert!(report.stalled_for >= 500, "{report}");
+                // Admission at cycle 0 is the last progress; the stall
+                // reaches the threshold exactly 500 cycles later.
+                assert_eq!((report.now, report.stalled_for), (500, 500), "{report}");
                 assert!(report.last_command.is_none(), "nothing ever issued");
                 assert!(report.pending + report.in_flight > 0, "work remained");
             }

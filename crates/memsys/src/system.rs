@@ -206,6 +206,8 @@ pub struct MemorySystem {
     /// Outage window starts already counted per channel, so each window
     /// contributes to MTTR exactly once.
     seen_outages: Vec<BTreeSet<Cycle>>,
+    /// Commands accepted by [`issue_at`](MemorySystem::issue_at).
+    commands: u64,
 }
 
 impl MemorySystem {
@@ -240,6 +242,7 @@ impl MemorySystem {
             sink: None,
             pending_label: None,
             chaos: None,
+            commands: 0,
         }
     }
 
@@ -325,6 +328,15 @@ impl MemorySystem {
             acc.data_busy_cycles += s.data_busy_cycles;
         }
         acc
+    }
+
+    /// Commands [`issue_at`](MemorySystem::issue_at) has accepted so far,
+    /// on every channel. Each accepted command adds one to exactly one of
+    /// the activate, precharge, read-packet and write-packet counters of
+    /// [`stats`](MemorySystem::stats), so this is their sum, kept without
+    /// visiting the channels.
+    pub fn commands_accepted(&self) -> u64 {
+        self.commands
     }
 
     /// Channel `ch`'s own statistics.
@@ -584,6 +596,7 @@ impl MemorySystem {
             self.channels[ch].set_label(label);
         }
         let outcome = self.channels[ch].issue_at(&local, arrival)?;
+        self.commands += 1;
         if self.chaos.is_some() {
             let penalized = start
                 .saturating_add(self.shift_of(ch, cmd))
@@ -694,6 +707,32 @@ mod tests {
         assert_eq!(sys.channel_stats(0).activates, 1);
         assert_eq!(sys.channel_stats(1).activates, 1);
         assert_eq!(sys.stats().activates, 2);
+    }
+
+    #[test]
+    fn accepted_commands_sum_the_command_counters_of_every_channel() {
+        let mut sys = two_channel();
+        let issue = |sys: &mut MemorySystem, cmd: Command| {
+            let at = MemorySystem::earliest(sys, &cmd, 0);
+            MemorySystem::issue_at(sys, &cmd, at)
+        };
+        for cmd in [
+            Command::activate(0, 0),
+            Command::activate(8, 3),
+            Command::read(0, 0),
+            Command::write(8, 16).with_auto_precharge(),
+            Command::precharge(0),
+        ] {
+            issue(&mut sys, cmd).unwrap();
+        }
+        // A rejected command (the bank is already closed) is not counted.
+        assert!(issue(&mut sys, Command::precharge(0)).is_err());
+        let s = sys.stats();
+        assert_eq!(sys.commands_accepted(), 5);
+        assert_eq!(
+            sys.commands_accepted(),
+            s.activates + s.precharges + s.read_packets + s.write_packets
+        );
     }
 
     #[test]

@@ -5,13 +5,10 @@ use memsys::{MemorySystem, SystemMap};
 use rdram::{Cycle, MemoryImage, SharedSink};
 use telemetry::{Event, SharedTelemetry};
 
-use crate::{LivelockReport, Msu, MsuConfig, MsuStats, Sbu, SmcError, StreamDescriptor};
-
-/// Default forward-progress watchdog threshold: cycles without a single
-/// command issued or FIFO element moved before the controller declares
-/// livelock. Generous — the worst legitimate gaps (refresh trains, injected
-/// stall windows) are orders of magnitude shorter.
-pub const DEFAULT_WATCHDOG_CYCLES: Cycle = 50_000;
+use crate::{
+    LivelockReport, Msu, MsuConfig, MsuStats, Sbu, SmcError, StreamDescriptor, Watchdog,
+    DEFAULT_WATCHDOG_CYCLES,
+};
 
 /// A complete Stream Memory Controller.
 ///
@@ -25,9 +22,10 @@ pub const DEFAULT_WATCHDOG_CYCLES: Cycle = 50_000;
 pub struct SmcController {
     sbu: Sbu,
     msu: Msu,
-    watchdog_limit: Cycle,
-    last_fingerprint: u64,
-    last_progress: Cycle,
+    /// Keyed on (commands the memory system accepted, elements moved on
+    /// either side of every FIFO). A FIFO's occupancy moves only when one
+    /// of its element counts does, so the key misses no progress.
+    watchdog: Watchdog<(u64, u64)>,
     trace_sink: Option<SharedSink>,
     telemetry: Option<SharedTelemetry>,
     /// MSU statistics at the previous tick; the telemetry emitter turns
@@ -48,9 +46,7 @@ impl SmcController {
         SmcController {
             sbu: Sbu::new(streams, cfg.fifo_depth),
             msu: Msu::new(map, cfg),
-            watchdog_limit: DEFAULT_WATCHDOG_CYCLES,
-            last_fingerprint: 0,
-            last_progress: 0,
+            watchdog: Watchdog::new(DEFAULT_WATCHDOG_CYCLES),
             trace_sink: None,
             telemetry: None,
             prev_stats: MsuStats::default(),
@@ -84,8 +80,7 @@ impl SmcController {
     ///
     /// Panics if `limit` is zero.
     pub fn with_watchdog(mut self, limit: Cycle) -> Self {
-        assert!(limit > 0, "the watchdog needs a nonzero threshold");
-        self.watchdog_limit = limit;
+        self.watchdog = Watchdog::new(limit);
         self
     }
 
@@ -152,18 +147,20 @@ impl SmcController {
             self.emit_telemetry(now);
         }
         if self.mem_complete() {
-            self.last_progress = now;
+            self.watchdog.idle(now);
             return Ok(());
         }
-        let fp = self.fingerprint(dev);
-        if fp != self.last_fingerprint {
-            self.last_fingerprint = fp;
-            self.last_progress = now;
-        } else if now.saturating_sub(self.last_progress) >= self.watchdog_limit {
+        let moved = self
+            .sbu
+            .iter()
+            .map(|f| f.state())
+            .map(|st| st.mem_next_elem + st.cpu_elems)
+            .sum();
+        if let Some(stalled_for) = self.watchdog.observe(now, (dev.commands_accepted(), moved)) {
             if let Some(tel) = &self.telemetry {
                 tel.record(Event::WatchdogTrip {
                     cycle: now,
-                    stalled_for: now.saturating_sub(self.last_progress),
+                    stalled_for,
                 });
             }
             return Err(SmcError::Livelock(Box::new(self.livelock_report(now, dev))));
@@ -223,35 +220,6 @@ impl SmcController {
             .extend(self.sbu.iter().map(|f| f.state().occupancy));
     }
 
-    /// Hash of everything that changes when the system makes progress:
-    /// device command counters plus per-FIFO element positions. The
-    /// watchdog declares livelock when this stays constant too long while
-    /// work remains.
-    fn fingerprint(&self, dev: &MemorySystem) -> u64 {
-        let s = dev.stats();
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mix = |h: &mut u64, v: u64| {
-            *h ^= v;
-            *h = h.wrapping_mul(0x100_0000_01b3);
-        };
-        for v in [
-            s.activates,
-            s.precharges,
-            s.auto_precharges,
-            s.read_packets,
-            s.write_packets,
-        ] {
-            mix(&mut h, v);
-        }
-        for f in self.sbu.iter() {
-            let st = f.state();
-            mix(&mut h, st.mem_next_elem);
-            mix(&mut h, st.cpu_elems);
-            mix(&mut h, st.occupancy as u64);
-        }
-        h
-    }
-
     fn livelock_report(&self, now: Cycle, dev: &MemorySystem) -> LivelockReport {
         let banks = dev.total_banks();
         let (last_command, last_command_cycle) = match self.msu.last_issued() {
@@ -260,7 +228,7 @@ impl SmcController {
         };
         LivelockReport {
             now,
-            stalled_for: now.saturating_sub(self.last_progress),
+            stalled_for: self.watchdog.stalled_for(now),
             last_command,
             last_command_cycle,
             open_banks: (0..banks)
@@ -289,6 +257,7 @@ impl SmcController {
         let depth = self.sbu.fifo(0).depth();
         self.sbu = Sbu::new(streams, depth);
         self.msu.reset_service_state();
+        self.watchdog.forget();
     }
 
     /// All streams have fully moved between the FIFOs and memory, with
@@ -449,7 +418,9 @@ mod tests {
         }
         match err.expect("watchdog should have tripped") {
             SmcError::Livelock(report) => {
-                assert!(report.stalled_for >= 500, "{report}");
+                // Admission at cycle 0 is the last progress; the stall
+                // reaches the threshold exactly 500 cycles later.
+                assert_eq!((report.now, report.stalled_for), (500, 500), "{report}");
                 assert_eq!(report.fifo_occupancy.len(), 1);
                 assert!(report.last_command.is_none(), "nothing ever issued");
             }

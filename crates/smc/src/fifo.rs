@@ -10,6 +10,7 @@ use std::collections::VecDeque;
 
 use rdram::Cycle;
 
+use crate::stream::PACKET_ELEMS;
 use crate::{PacketAccess, StreamDescriptor, StreamKind};
 
 #[derive(Debug, Clone, Copy)]
@@ -130,22 +131,22 @@ impl StreamFifo {
     /// Memory side: admit the next packet access into the MSU pipeline.
     /// For read-streams the elements are *reserved* (they occupy space until
     /// [`fulfill_read`](Self::fulfill_read) delivers them); for
-    /// write-streams the values are claimed immediately and returned.
+    /// write-streams the values are claimed immediately and returned in the
+    /// first [`elems`](PacketAccess::elems) words of the array. Every other
+    /// word, and every word of a read packet, is zero.
     ///
     /// Returns `None` when the FIFO is not
     /// [`ready_for_access`](Self::ready_for_access) at `now`, leaving the
     /// FIFO untouched — the MSU treats that as "nothing to admit this
     /// cycle" rather than a fatal condition.
-    pub fn admit_next_packet(&mut self, now: Cycle) -> Option<(PacketAccess, Vec<u64>)> {
+    pub fn admit_next_packet(&mut self, now: Cycle) -> Option<(PacketAccess, [u64; PACKET_ELEMS])> {
         if !self.ready_for_access(now) {
             return None;
         }
         let pkt = self.next_packet()?;
-        let values = match self.descriptor.kind {
-            StreamKind::Read => {
-                self.reserved += pkt.elems as usize;
-                Vec::new()
-            }
+        let mut values = [0; PACKET_ELEMS];
+        match self.descriptor.kind {
+            StreamKind::Read => self.reserved += pkt.elems as usize,
             StreamKind::Write => {
                 // Readiness implies `pkt.elems` claimable slots; re-check
                 // before popping so the claim stays transactional even if
@@ -153,15 +154,13 @@ impl StreamFifo {
                 if self.slots.len() < pkt.elems as usize {
                     return None;
                 }
-                let mut vals = Vec::with_capacity(pkt.elems as usize);
-                for _ in 0..pkt.elems {
+                for v in values.iter_mut().take(pkt.elems as usize) {
                     if let Some(slot) = self.slots.pop_front() {
-                        vals.push(slot.value);
+                        *v = slot.value;
                     }
                 }
-                vals
             }
-        };
+        }
         self.mem_next_elem += pkt.elems;
         Some((pkt, values))
     }
@@ -191,56 +190,11 @@ impl StreamFifo {
         }
     }
 
-    /// Number of buffered elements whose data is valid at `now`.
+    /// Number of buffered elements of a write-stream whose data is valid
+    /// at `now`. The CPU pushes write slots in cycle order, so the valid
+    /// ones form a prefix and a binary search finds its end.
     fn available(&self, now: Cycle) -> usize {
-        self.slots.iter().take_while(|s| s.ready_at <= now).count()
-    }
-
-    /// Memory side: record that the packet's elements were fetched, with
-    /// `values` becoming CPU-visible at `ready_at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a read-FIFO overflow or if called on a write-FIFO; the MSU
-    /// checks [`ready_for_access`](Self::ready_for_access) first, so either
-    /// is a scheduling bug.
-    pub fn push_read(&mut self, values: &[u64], ready_at: Cycle) {
-        assert_eq!(
-            self.descriptor.kind,
-            StreamKind::Read,
-            "push_read on a write FIFO"
-        );
-        assert!(
-            self.slots.len() + values.len() <= self.depth,
-            "read FIFO overflow: {} + {} > {}",
-            self.slots.len(),
-            values.len(),
-            self.depth
-        );
-        for &v in values {
-            self.slots.push_back(Slot { value: v, ready_at });
-        }
-        self.mem_next_elem += values.len() as u64;
-    }
-
-    /// Memory side: drain `n` elements of a write-FIFO for a packet write.
-    ///
-    /// Returns `None` — leaving the FIFO untouched — if fewer than `n`
-    /// elements are ready at `now` or if called on a read-FIFO, so a
-    /// confused scheduler underflows into a visible stall instead of a
-    /// panic.
-    pub fn pop_write(&mut self, n: usize, now: Cycle) -> Option<Vec<u64>> {
-        if self.descriptor.kind != StreamKind::Write || self.available(now) < n {
-            return None;
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            if let Some(slot) = self.slots.pop_front() {
-                out.push(slot.value);
-            }
-        }
-        self.mem_next_elem += n as u64;
-        Some(out)
+        self.slots.partition_point(|s| s.ready_at <= now)
     }
 
     /// CPU side: dereference the FIFO head of a read-stream. Returns `None`
@@ -273,7 +227,8 @@ impl StreamFifo {
     }
 
     /// CPU side: write the next element of a write-stream. Returns `false`
-    /// if the FIFO is full (the processor stalls).
+    /// if the FIFO is full (the processor stalls). Successive pushes must
+    /// not go back in time: `now` never decreases between calls.
     ///
     /// # Panics
     ///
@@ -292,6 +247,10 @@ impl StreamFifo {
         if self.slots.len() >= self.depth {
             return false;
         }
+        debug_assert!(
+            self.slots.back().is_none_or(|s| s.ready_at <= now),
+            "write slots must be pushed in cycle order"
+        );
         self.slots.push_back(Slot {
             value,
             ready_at: now,
@@ -329,22 +288,34 @@ mod tests {
         StreamFifo::new(StreamDescriptor::write("z", 0, 1, 8), depth)
     }
 
+    /// The MSU's read path for one packet: admit it, then deliver `values`
+    /// at `ready_at`.
+    fn fetch(f: &mut StreamFifo, values: &[u64], ready_at: Cycle) {
+        let (pkt, _) = f.admit_next_packet(0).expect("read FIFO has room");
+        assert_eq!(pkt.elems as usize, values.len());
+        f.fulfill_read(values, ready_at);
+    }
+
     #[test]
     fn read_fifo_reserves_space_at_issue() {
         let mut f = read_fifo(4);
         assert!(f.ready_for_access(0));
-        f.push_read(&[1, 2], 50);
-        f.push_read(&[3, 4], 54);
+        fetch(&mut f, &[1, 2], 50);
+        fetch(&mut f, &[3, 4], 54);
         // Full: occupancy 4 of 4, even though no data has arrived yet.
         assert!(!f.ready_for_access(0));
         assert_eq!(f.state().occupancy, 4);
+        assert_eq!(f.state().mem_next_elem, 4);
+        // A full read FIFO admits nothing more: it cannot overflow.
+        assert!(f.admit_next_packet(0).is_none());
+        assert_eq!(f.state().occupancy, 4, "a refused admit is a no-op");
         assert_eq!(f.state().mem_next_elem, 4);
     }
 
     #[test]
     fn cpu_sees_data_only_after_arrival() {
         let mut f = read_fifo(4);
-        f.push_read(&[7, 8], 50);
+        fetch(&mut f, &[7, 8], 50);
         assert_eq!(f.cpu_pop(49), None);
         assert_eq!(f.cpu_pop(50), Some(7));
         assert_eq!(f.cpu_pop(50), Some(8));
@@ -354,8 +325,8 @@ mod tests {
     #[test]
     fn popping_frees_space_for_more_prefetch() {
         let mut f = read_fifo(4);
-        f.push_read(&[1, 2], 10);
-        f.push_read(&[3, 4], 14);
+        fetch(&mut f, &[1, 2], 10);
+        fetch(&mut f, &[3, 4], 14);
         assert!(!f.ready_for_access(20));
         assert_eq!(f.cpu_pop(20), Some(1));
         assert_eq!(f.cpu_pop(20), Some(2));
@@ -370,10 +341,35 @@ mod tests {
         assert!(f.cpu_push(11, 0));
         assert!(!f.ready_for_access(0));
         assert!(f.cpu_push(22, 1));
+        // The second element is only valid from cycle 1 on.
+        assert!(!f.ready_for_access(0));
+        assert!(f.admit_next_packet(0).is_none());
         assert!(f.ready_for_access(1));
-        let vals = f.pop_write(2, 1).unwrap();
-        assert_eq!(vals, vec![11, 22]);
+        let (pkt, vals) = f.admit_next_packet(1).unwrap();
+        assert_eq!(pkt.elems, 2);
+        assert_eq!(vals, [11, 22]);
         assert_eq!(f.state().mem_next_elem, 2);
+    }
+
+    #[test]
+    fn write_readiness_matches_a_linear_count_of_valid_slots() {
+        let mut f = StreamFifo::new(StreamDescriptor::write("z", 0, 1, 64), 16);
+        for (value, at) in [(1, 0), (2, 3), (3, 3), (4, 3), (5, 7), (6, 12)] {
+            assert!(f.cpu_push(value, at));
+        }
+        for now in 0..16 {
+            let linear = f.slots.iter().take_while(|s| s.ready_at <= now).count();
+            assert_eq!(f.available(now), linear, "cycle {now}");
+            assert_eq!(f.ready_for_access(now), linear >= 2, "cycle {now}");
+        }
+        // Claiming a packet drops the two oldest slots; the rest still
+        // agree with the linear count.
+        let (_, vals) = f.admit_next_packet(3).unwrap();
+        assert_eq!(vals, [1, 2]);
+        for now in 0..16 {
+            let linear = f.slots.iter().take_while(|s| s.ready_at <= now).count();
+            assert_eq!(f.available(now), linear, "cycle {now}");
+        }
     }
 
     #[test]
@@ -382,7 +378,7 @@ mod tests {
         assert!(f.cpu_push(1, 0));
         assert!(f.cpu_push(2, 0));
         assert!(!f.cpu_push(3, 0));
-        let _ = f.pop_write(2, 0);
+        assert!(f.admit_next_packet(0).is_some());
         assert!(f.cpu_push(3, 0));
     }
 
@@ -390,7 +386,7 @@ mod tests {
     fn completion_semantics() {
         let mut r = read_fifo(8);
         for i in 0..4 {
-            r.push_read(&[i * 2, i * 2 + 1], 0);
+            fetch(&mut r, &[i * 2, i * 2 + 1], 0);
         }
         assert!(r.mem_exhausted());
         assert!(r.complete()); // reads complete once fetched
@@ -402,7 +398,7 @@ mod tests {
         }
         assert!(!w.complete());
         for _ in 0..4 {
-            let _ = w.pop_write(2, 0);
+            assert!(w.admit_next_packet(0).is_some());
         }
         assert!(w.complete());
         assert!(w.is_empty());
@@ -413,7 +409,7 @@ mod tests {
         let mut f = read_fifo(4);
         let (pkt, vals) = f.admit_next_packet(0).unwrap();
         assert_eq!(pkt.elems, 2);
-        assert!(vals.is_empty());
+        assert_eq!(vals, [0, 0], "a read admit claims no values");
         assert_eq!(f.state().occupancy, 2);
         assert_eq!(f.state().mem_next_elem, 2);
         let (pkt2, _) = f.admit_next_packet(0).unwrap();
@@ -435,8 +431,18 @@ mod tests {
         assert!(f.cpu_push(10, 0));
         let (pkt, vals) = f.admit_next_packet(0).unwrap();
         assert_eq!(pkt.elems, 2);
-        assert_eq!(vals, vec![9, 10]);
+        assert_eq!(vals, [9, 10]);
         assert!(f.is_empty());
+    }
+
+    #[test]
+    fn single_element_write_packet_fills_one_word() {
+        // Stride 4: one element per packet.
+        let mut f = StreamFifo::new(StreamDescriptor::write("z", 0, 4, 8), 4);
+        assert!(f.cpu_push(42, 0));
+        let (pkt, vals) = f.admit_next_packet(0).unwrap();
+        assert_eq!(pkt.elems, 1);
+        assert_eq!(vals, [42, 0]);
     }
 
     #[test]
@@ -447,6 +453,11 @@ mod tests {
             "unready FIFO admits nothing"
         );
         assert_eq!(f.state().mem_next_elem, 0, "a refused admit is a no-op");
+        // One produced element is still short of a packet: a visible stall.
+        assert!(f.cpu_push(1, 0));
+        assert!(f.admit_next_packet(0).is_none(), "underflow is a stall");
+        assert_eq!(f.state().occupancy, 1, "a refused admit is a no-op");
+        assert_eq!(f.state().mem_next_elem, 0);
     }
 
     #[test]
@@ -458,23 +469,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "overflow")]
-    fn overflow_panics() {
-        let mut f = read_fifo(2);
-        f.push_read(&[1, 2], 0);
-        f.push_read(&[3, 4], 0);
-    }
-
-    #[test]
-    fn underflow_returns_none() {
+    #[should_panic(expected = "fulfill_read on a write FIFO")]
+    fn write_fifo_refuses_read_data() {
         let mut f = write_fifo(4);
-        f.cpu_push(1, 0);
-        assert!(f.pop_write(2, 0).is_none(), "underflow is a visible stall");
-        assert_eq!(f.state().occupancy, 1, "a refused pop is a no-op");
-        // And a read FIFO refuses pop_write outright.
-        let mut r = read_fifo(4);
-        r.push_read(&[1, 2], 0);
-        assert!(r.pop_write(2, 0).is_none());
+        f.fulfill_read(&[1, 2], 0);
     }
 
     #[test]

@@ -68,11 +68,13 @@ pub mod regs;
 mod sbu;
 mod scheduler;
 mod stream;
+mod watchdog;
 
-pub use controller::{SmcController, DEFAULT_WATCHDOG_CYCLES};
+pub use controller::SmcController;
 pub use error::{LivelockReport, SmcError};
 pub use fifo::{FifoState, StreamFifo};
 pub use msu::{Msu, MsuConfig, MsuStats, PagePolicy};
 pub use sbu::Sbu;
 pub use scheduler::{BankAware, Policy, RoundRobin, SchedulingPolicy, ServiceView};
 pub use stream::{PacketAccess, PacketIter, StreamDescriptor, StreamKind};
+pub use watchdog::{Watchdog, DEFAULT_WATCHDOG_CYCLES};

@@ -25,6 +25,7 @@ use memsys::{MemorySystem, SystemMap};
 use rdram::{Command, Cycle, Location, MemoryImage};
 
 use crate::scheduler::{FifoCandidate, ServiceView};
+use crate::stream::PACKET_ELEMS;
 use crate::{PacketAccess, Policy, Sbu, SchedulingPolicy, SmcError, StreamKind};
 
 /// Page-management policy the MSU applies to its accesses.
@@ -120,8 +121,9 @@ struct Slot {
     access: PacketAccess,
     loc: Location,
     stage: Stage,
-    /// Claimed values for a write access; empty for reads.
-    write_values: Vec<u64>,
+    /// Claimed values for a write access, in its first `access.elems`
+    /// words; unused for reads.
+    write_values: [u64; PACKET_ELEMS],
     is_write: bool,
     /// DATA NACKs absorbed by this access so far.
     retries: u32,
@@ -156,6 +158,16 @@ pub struct Msu {
     degraded: BTreeSet<usize>,
     /// The most recent command issued, for livelock diagnostics.
     last_issued: Option<(Command, Cycle)>,
+    /// In-flight slots per channel, indexed by channel.
+    in_channel: Vec<usize>,
+    /// Per-pass scratch, reset at the start of each pass over the slots:
+    /// channels whose bus already carried a packet this cycle, banks and
+    /// FIFOs with an older slot than the one under inspection, and the
+    /// scheduler's view of every FIFO.
+    bus_used: Vec<bool>,
+    bank_seen: Vec<bool>,
+    fifo_seen: Vec<bool>,
+    candidates: Vec<FifoCandidate>,
 }
 
 impl Msu {
@@ -168,6 +180,11 @@ impl Msu {
         assert!(cfg.window >= 1, "the MSU needs at least one in-flight slot");
         Msu {
             policy: cfg.policy.build(),
+            in_channel: vec![0; map.channels()],
+            bus_used: vec![false; map.channels()],
+            bank_seen: vec![false; map.banks()],
+            fifo_seen: Vec::new(),
+            candidates: Vec::new(),
             map,
             cfg,
             current: None,
@@ -313,12 +330,11 @@ impl Msu {
     /// Derive ROW requirements from live bank state for every slot whose
     /// bank has no older in-flight access.
     fn resolve_stages(&mut self, dev: &MemorySystem) {
+        self.bank_seen.fill(false);
         for k in 0..self.slots.len() {
-            if self.slots[k].stage != Stage::Unresolved {
-                continue;
-            }
-            let bank = self.slots[k].loc.bank;
-            if self.slots[..k].iter().any(|s| s.loc.bank == bank) {
+            let older_in_bank =
+                std::mem::replace(&mut self.bank_seen[self.slots[k].loc.bank], true);
+            if self.slots[k].stage != Stage::Unresolved || older_in_bank {
                 continue;
             }
             let plan = dev.plan(self.slots[k].loc);
@@ -342,24 +358,23 @@ impl Msu {
         mem: &mut MemoryImage,
         sbu: &mut Sbu,
     ) -> Result<bool, SmcError> {
-        let mut issued = vec![false; dev.channels()];
+        self.bus_used.fill(false);
+        self.fifo_seen.clear();
+        self.fifo_seen.resize(sbu.len(), false);
         let mut any = false;
         let mut k = 0;
         while k < self.slots.len() {
-            if self.slots[k].stage != Stage::Col {
+            // A FIFO delivers elements in order: this slot's data transfer
+            // must wait for earlier accesses of the same FIFO.
+            let fifo = self.slots[k].fifo;
+            let older_in_fifo = std::mem::replace(&mut self.fifo_seen[fifo], true);
+            if self.slots[k].stage != Stage::Col || older_in_fifo {
                 k += 1;
                 continue;
             }
             // Each channel's COL bus carries one packet per cycle.
-            let ch = dev.channel_of_bank(self.slots[k].loc.bank);
-            if issued[ch] {
-                k += 1;
-                continue;
-            }
-            // A FIFO delivers elements in order: this slot's data transfer
-            // must wait for earlier accesses of the same FIFO.
-            let fifo = self.slots[k].fifo;
-            if self.slots[..k].iter().any(|s| s.fifo == fifo) {
+            let ch = self.map.channel_of_bank(self.slots[k].loc.bank);
+            if self.bus_used[ch] {
                 k += 1;
                 continue;
             }
@@ -371,11 +386,15 @@ impl Msu {
             }
             let before = self.slots.len();
             self.execute(k, cmd, now, dev, mem, sbu)?;
-            issued[ch] = true;
+            self.bus_used[ch] = true;
             any = true;
             if self.slots.len() == before {
                 // An injected NACK kept the slot in place; move past it.
                 k += 1;
+            } else {
+                // The slot completed and left the window, so it no longer
+                // holds back the FIFO's next access.
+                self.fifo_seen[fifo] = false;
             }
         }
         Ok(any)
@@ -384,19 +403,18 @@ impl Msu {
     /// Issue the oldest ready PRER/ACT command on each channel's ROW bus,
     /// if any.
     fn issue_row(&mut self, now: Cycle, dev: &mut MemorySystem) -> Result<bool, SmcError> {
-        let mut issued = vec![false; dev.channels()];
+        self.bus_used.fill(false);
+        self.bank_seen.fill(false);
         let mut any = false;
         for k in 0..self.slots.len() {
-            if !matches!(self.slots[k].stage, Stage::Precharge | Stage::Activate) {
-                continue;
-            }
             let bank = self.slots[k].loc.bank;
-            // Each channel's ROW bus carries one packet per cycle.
-            let ch = dev.channel_of_bank(bank);
-            if issued[ch] {
+            let older_in_bank = std::mem::replace(&mut self.bank_seen[bank], true);
+            if !matches!(self.slots[k].stage, Stage::Precharge | Stage::Activate) || older_in_bank {
                 continue;
             }
-            if self.slots[..k].iter().any(|s| s.loc.bank == bank) {
+            // Each channel's ROW bus carries one packet per cycle.
+            let ch = self.map.channel_of_bank(bank);
+            if self.bus_used[ch] {
                 continue;
             }
             let cmd = match self.slots[k].stage {
@@ -415,7 +433,7 @@ impl Msu {
                 Stage::Activate => Stage::Col,
                 _ => unreachable!("filtered above"),
             };
-            issued[ch] = true;
+            self.bus_used[ch] = true;
             any = true;
         }
         Ok(any)
@@ -449,7 +467,9 @@ impl Msu {
 
     /// A command issued cleanly: the bank's conflict streak resets.
     fn note_issued(&mut self, cmd: Command, now: Cycle) {
-        self.fault_streaks.insert(cmd.bank(), 0);
+        if self.cfg.degrade_after > 0 {
+            self.fault_streaks.insert(cmd.bank(), 0);
+        }
         self.last_issued = Some((cmd, now));
     }
 
@@ -487,52 +507,46 @@ impl Msu {
     fn admit(&mut self, now: Cycle, dev: &MemorySystem, sbu: &mut Sbu) {
         // The in-flight window is per channel: each channel pipelines up
         // to `cfg.window` accesses of its own.
-        while self.slots.len() < self.cfg.window * dev.channels() {
-            let candidates: Vec<FifoCandidate> = (0..sbu.len())
-                .map(|i| {
-                    let f = sbu.fifo(i);
-                    let next = f.next_packet();
-                    let loc = next.map(|p| self.map.decode(p.packet_addr));
-                    // Service eagerly: at matched CPU/memory bandwidth the
-                    // MSU has no slack to wait for fuller bursts — any idle
-                    // cycle is lost bandwidth (waiting-for-burst hysteresis
-                    // was measured and loses more than it saves on
-                    // turnarounds).
-                    FifoCandidate {
-                        index: i,
-                        ready: f.ready_for_access(now),
-                        next_loc: loc,
-                        plan: loc.map(|l| self.effective_plan(l, dev)),
-                    }
-                })
-                .collect();
+        while self.slots.len() < self.cfg.window * self.map.channels() {
+            let mut candidates = std::mem::take(&mut self.candidates);
+            candidates.clear();
+            candidates.extend(sbu.iter().enumerate().map(|(i, f)| {
+                let loc = f.next_packet().map(|p| self.map.decode(p.packet_addr));
+                // Service eagerly: at matched CPU/memory bandwidth the
+                // MSU has no slack to wait for fuller bursts — any idle
+                // cycle is lost bandwidth (waiting-for-burst hysteresis
+                // was measured and loses more than it saves on
+                // turnarounds).
+                FifoCandidate {
+                    index: i,
+                    ready: f.ready_for_access(now),
+                    next_loc: loc,
+                    plan: loc.map(|l| self.effective_plan(l, dev)),
+                }
+            }));
             let view = ServiceView {
                 now,
                 current: self.current,
                 fifos: &candidates,
             };
-            let Some(i) = self.policy.select(&view) else {
+            let chosen = self.policy.select(&view).map(|i| candidates[i]);
+            self.candidates = candidates;
+            let Some(chosen) = chosen else {
                 return;
             };
-            debug_assert!(candidates[i].ready, "policy selected an unready FIFO");
+            debug_assert!(chosen.ready, "policy selected an unready FIFO");
 
-            let Some(pkt) = sbu.fifo(i).next_packet() else {
+            let (i, Some(loc), Some(plan)) = (chosen.index, chosen.next_loc, chosen.plan) else {
                 // A policy bug selected an exhausted FIFO; skip the admit
                 // rather than panic — the watchdog reports the stall if it
                 // persists.
                 return;
             };
-            let loc = self.map.decode(pkt.packet_addr);
-            let ch = dev.channel_of_bank(loc.bank);
-            let in_channel = self
-                .slots
-                .iter()
-                .filter(|s| dev.channel_of_bank(s.loc.bank) == ch)
-                .count();
+            let ch = self.map.channel_of_bank(loc.bank);
+            let in_channel = self.in_channel[ch];
             if in_channel >= self.cfg.window {
                 return;
             }
-            let plan = self.effective_plan(loc, dev);
             // Open-page systems expose row work: the paper's round-robin
             // MSU does not overlap a page crossing's precharge/activate
             // with other accesses, so such an access waits for an empty
@@ -565,6 +579,7 @@ impl Msu {
                 is_write,
                 retries: 0,
             });
+            self.in_channel[ch] += 1;
             self.maybe_schedule_spec(dev, sbu);
         }
     }
@@ -656,7 +671,8 @@ impl Msu {
                     return Ok(());
                 }
                 let slot = self.slots.remove(k);
-                let desc = sbu.fifo(slot.fifo).descriptor().clone();
+                self.in_channel[self.map.channel_of_bank(slot.loc.bank)] -= 1;
+                let desc = sbu.fifo(slot.fifo).descriptor();
                 if slot.is_write {
                     for (v, e) in slot.write_values.iter().zip(slot.access.element_range()) {
                         // Masked write: only the stream's own bytes of the
@@ -665,12 +681,14 @@ impl Msu {
                     }
                     self.stats.packets_written += 1;
                 } else {
-                    let values: Vec<u64> = slot
-                        .access
-                        .element_range()
-                        .map(|e| mem.read_u64(desc.element_addr(e)))
-                        .collect();
-                    sbu.fifo_mut(slot.fifo).fulfill_read(&values, data.end);
+                    let mut values = [0; PACKET_ELEMS];
+                    let mut len = 0;
+                    for (v, e) in values.iter_mut().zip(slot.access.element_range()) {
+                        *v = mem.read_u64(desc.element_addr(e));
+                        len += 1;
+                    }
+                    sbu.fifo_mut(slot.fifo)
+                        .fulfill_read(&values[..len], data.end);
                     self.stats.packets_read += 1;
                 }
                 self.stats.last_data_cycle = self.stats.last_data_cycle.max(data.end);

@@ -125,18 +125,21 @@ mod tests {
         let mut s = sbu();
         assert!(s.any_ready(0)); // read FIFOs start empty => ready
         assert!(!s.all_complete());
-        // Exhaust both read streams and drain the write stream.
+        // Exhaust both read streams and drain the write stream, the way the
+        // MSU does: admit each packet, then deliver a read's data.
         for i in 0..2 {
             for p in 0..4 {
-                let vals = [p * 2, p * 2 + 1];
-                s.fifo_mut(i).push_read(&vals, 0);
+                assert!(s.fifo_mut(i).admit_next_packet(0).is_some());
+                assert!(!s.all_complete(), "read data still in flight");
+                s.fifo_mut(i).fulfill_read(&[p * 2, p * 2 + 1], 0);
             }
         }
+        assert!(!s.all_complete(), "write stream not drained");
         for e in 0..8 {
             assert!(s.fifo_mut(2).cpu_push(e, 0));
         }
         for _ in 0..4 {
-            assert!(s.fifo_mut(2).pop_write(2, 0).is_some());
+            assert!(s.fifo_mut(2).admit_next_packet(0).is_some());
         }
         assert!(s.all_complete());
     }

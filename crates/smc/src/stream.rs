@@ -8,7 +8,11 @@
 
 use serde::{Deserialize, Serialize};
 
-use rdram::{ELEM_BYTES, PACKET_BYTES};
+use rdram::{ELEM_BYTES, PACKET_BYTES, WORDS_PER_PACKET};
+
+/// The most stream elements one [`PacketAccess`] carries: a 16-byte DATA
+/// packet holds two 64-bit elements.
+pub(crate) const PACKET_ELEMS: usize = WORDS_PER_PACKET as usize;
 
 /// Whether the processor reads or writes a stream.
 ///
