@@ -529,13 +529,8 @@ fn serve(job: &Job, cfg: &tenancy::ServeConfig) -> Result<String, String> {
     }
     if let Some(path) = &job.metrics_out {
         let mut registry = telemetry::Registry::new();
-        crate::serve::record_serve_metrics(&report, &mut registry);
-        if let Some(trace) = &trace {
-            crate::serve::record_trace_metrics(trace, &mut registry);
-        }
-        if let Some(total) = &chaos_total {
-            crate::serve::record_chaos_metrics(total, &mut registry);
-        }
+        crate::counters::Sources::serve(&report, chaos_total).record(&mut registry);
+        crate::serve::record_serve_histograms(&report, trace.as_ref(), &mut registry);
         std::fs::write(path, registry.to_jsonl())
             .map_err(|e| format!("cannot write metrics to {path}: {e}"))?;
     }

@@ -37,6 +37,7 @@
 
 pub mod cli;
 mod config;
+mod counters;
 mod cpu;
 mod error;
 pub mod experiments;

@@ -10,10 +10,9 @@
 
 use rdram::DeviceConfig;
 use smc::SmcError;
-use telemetry::{
-    BankState, CycleAttribution, DerivedCounts, Event, MetricId, MetricKind, Registry, Timeline,
-};
+use telemetry::{BankState, CycleAttribution, DerivedCounts, Event, MetricId, Registry, Timeline};
 
+use crate::counters::Sources;
 use crate::report::Table;
 use crate::{RunResult, SimError};
 
@@ -60,22 +59,10 @@ impl RunTelemetry {
         } else {
             vec![Timeline::from_commands(device, &run.commands)]
         };
+        // The scalar counters come from the binding table (see
+        // `counters.rs`); bank residency, event counts and the
+        // histograms are filled here.
         let mut registry = Registry::new();
-
-        registry.add(MetricId::RunCycles, run.cycles);
-        registry.add(MetricId::UsefulWords, run.useful_words);
-
-        let d = &run.device_stats;
-        registry.add(MetricId::Activates, d.activates);
-        registry.add(MetricId::Precharges, d.precharges);
-        registry.add(MetricId::AutoPrecharges, d.auto_precharges);
-        registry.add(MetricId::ReadHits, d.read_hits);
-        registry.add(MetricId::WriteHits, d.write_hits);
-        registry.add(MetricId::ReadPackets, d.read_packets);
-        registry.add(MetricId::WritePackets, d.write_packets);
-        registry.add(MetricId::Turnarounds, d.turnarounds);
-        registry.add(MetricId::DataBusyCycles, d.data_busy_cycles);
-
         for timeline in &timelines {
             registry.add(
                 MetricId::BankActivatingCycles,
@@ -89,24 +76,13 @@ impl RunTelemetry {
                 MetricId::BankPrechargingCycles,
                 timeline.residency(BankState::Precharging),
             );
+            for len in timeline.open_span_lengths() {
+                registry.observe(MetricId::OpenSpanCycles, len);
+            }
+            for gap in timeline.data_gaps() {
+                registry.observe(MetricId::DataGapCycles, gap);
+            }
         }
-
-        if let Some(m) = &run.msu_stats {
-            registry.add(MetricId::FifoSwitches, m.fifo_switches);
-            registry.add(MetricId::MsuIdleCycles, m.idle_cycles);
-            registry.add(MetricId::SpeculativeActivates, m.speculative_activates);
-            registry.add(MetricId::DataNacks, m.data_nacks);
-            registry.add(MetricId::InjectedStallCycles, m.injected_stall_cycles);
-            registry.add(MetricId::DegradedBanks, m.degraded_banks);
-            registry.set(MetricId::FifoCount, run.kernel.total_streams());
-        }
-        if let Some(b) = &run.baseline {
-            registry.add(MetricId::MsuIdleCycles, b.idle_cycles);
-            registry.add(MetricId::DataNacks, b.data_nacks);
-            registry.add(MetricId::LineTransfers, b.line_transfers);
-        }
-        registry.set(MetricId::BankCount, (banks_per_channel * channels) as u64);
-
         for e in &events {
             match e {
                 Event::Refresh { .. } => registry.inc(MetricId::RefreshesIssued),
@@ -115,14 +91,6 @@ impl RunTelemetry {
                     registry.observe(MetricId::FifoOccupancy, *occupancy);
                 }
                 _ => {}
-            }
-        }
-        for timeline in &timelines {
-            for len in timeline.open_span_lengths() {
-                registry.observe(MetricId::OpenSpanCycles, len);
-            }
-            for gap in timeline.data_gaps() {
-                registry.observe(MetricId::DataGapCycles, gap);
             }
         }
 
@@ -161,13 +129,14 @@ impl RunTelemetry {
         } else {
             CycleAttribution::from_run(device, &timelines[0], &events, run.cycles)
         };
-        let g = attribution.global();
-        registry.add(MetricId::AttrDataCycles, g.data);
-        registry.add(MetricId::AttrRetryCycles, g.retry);
-        registry.add(MetricId::AttrTurnaroundCycles, g.turnaround);
-        registry.add(MetricId::AttrRowOverheadCycles, g.row_overhead);
-        registry.add(MetricId::AttrBankConflictCycles, g.bank_conflict);
-        registry.add(MetricId::AttrIdleCycles, g.idle);
+        // No chaos source: only serves write the fault.* and outage
+        // recovery metrics.
+        Sources {
+            run: Some(run),
+            attribution: Some(*attribution.global()),
+            ..Sources::default()
+        }
+        .record(&mut registry);
 
         RunTelemetry {
             registry,
@@ -220,14 +189,6 @@ pub fn failure_metrics(err: &SimError) -> Registry {
     registry
 }
 
-fn kind_label(kind: MetricKind) -> &'static str {
-    match kind {
-        MetricKind::Counter => "counter",
-        MetricKind::Gauge => "gauge",
-        MetricKind::Histogram => "histogram",
-    }
-}
-
 /// Render a registry as a column-aligned [`Table`]: one row per scalar
 /// metric, then one summary row per histogram.
 pub fn metrics_table(registry: &Registry) -> Table {
@@ -240,7 +201,7 @@ pub fn metrics_table(registry: &Registry) -> Table {
     for (def, v) in registry.scalars() {
         t.row(vec![
             def.name.into(),
-            kind_label(def.kind).into(),
+            def.kind.label().into(),
             v.to_string(),
             def.unit.into(),
         ]);
@@ -254,7 +215,7 @@ pub fn metrics_table(registry: &Registry) -> Table {
         };
         t.row(vec![
             def.name.into(),
-            kind_label(def.kind).into(),
+            def.kind.label().into(),
             value,
             def.unit.into(),
         ]);

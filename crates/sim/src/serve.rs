@@ -208,58 +208,20 @@ pub fn run_serve_chaos(
     Ok((report, trace, totals))
 }
 
-/// Fold a serve report into a telemetry registry under the `serve.*`
-/// metrics, reconciling the aggregate counters.
-pub fn record_serve_metrics(report: &ServeReport, registry: &mut telemetry::Registry) {
+/// Fold a serve's distributions into a telemetry registry: each tenant's
+/// worst queue wait and, for a traced serve, one latency and one
+/// deadline-slack observation per completed request. The scalar serve
+/// metrics come from the binding table in `counters.rs`.
+pub fn record_serve_histograms(
+    report: &ServeReport,
+    trace: Option<&ServeTrace>,
+    registry: &mut telemetry::Registry,
+) {
     use telemetry::MetricId;
-    let (submitted, completed, failed, shed, rejected, misses, words) = report.totals();
-    registry.add(MetricId::ServeSubmitted, submitted);
-    registry.add(MetricId::ServeCompleted, completed);
-    registry.add(MetricId::ServeFailed, failed);
-    registry.add(MetricId::ServeShed, shed);
-    registry.add(MetricId::ServeRejected, rejected);
-    registry.add(MetricId::ServeDeadlineMisses, misses);
-    registry.add(MetricId::ServeUsefulWords, words);
-    registry.add(
-        MetricId::ServeStarvationReports,
-        report.starvation.len() as u64,
-    );
-    registry.set(MetricId::ServeTenants, report.tenants.len() as u64);
-    registry.set(MetricId::ServeFairnessMilli, report.fairness_milli());
-    let (retries, exhausted) = report.tenants.iter().fold((0u64, 0u64), |(r, x), t| {
-        (r + t.retries, x + t.retry_exhausted)
-    });
-    registry.add(MetricId::ServeRetries, retries);
-    registry.add(MetricId::ServeRetryExhausted, exhausted);
     for t in &report.tenants {
         registry.observe(MetricId::ServeWaitCycles, t.max_wait);
     }
-}
-
-/// Fold degraded-mode fault accounting into a telemetry registry under
-/// the `fault.*` / `recovery.*` metrics.
-pub fn record_chaos_metrics(total: &memsys::ChannelFaultStats, registry: &mut telemetry::Registry) {
-    use telemetry::MetricId;
-    registry.add(MetricId::FaultDegradedRequests, total.degraded_commands);
-    registry.add(MetricId::FaultDeferredRequests, total.deferred_commands);
-    registry.add(MetricId::FaultDeferredCycles, total.deferred_cycles);
-    registry.add(
-        MetricId::FaultBrownoutPenaltyCycles,
-        total.brownout_penalty_cycles,
-    );
-    registry.add(
-        MetricId::FaultDevfailPenaltyCycles,
-        total.devfail_penalty_cycles,
-    );
-    registry.add(MetricId::RecoveryOutagesObserved, total.outages_observed);
-    registry.add(MetricId::RecoveryMttrCycles, total.mttr_cycles);
-}
-
-/// Fold a recorded serve trace into a telemetry registry: one latency and
-/// one deadline-slack histogram observation per completed request.
-pub fn record_trace_metrics(trace: &ServeTrace, registry: &mut telemetry::Registry) {
-    use telemetry::MetricId;
-    for span in trace.spans() {
+    for span in trace.iter().flat_map(|trace| trace.spans()) {
         if span.outcome == tenancy::RequestOutcome::Completed {
             registry.observe(MetricId::ServeLatencyCycles, span.latency());
             registry.observe(MetricId::ServeSlackCycles, span.slack());
@@ -270,6 +232,7 @@ pub fn record_trace_metrics(trace: &ServeTrace, registry: &mut telemetry::Regist
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counters::Sources;
     use crate::MemorySystem;
     use tenancy::Executor as _;
 
@@ -440,14 +403,17 @@ mod tests {
         // Exact per-tenant percentiles answer from the trace.
         let p = trace.latency_percentiles(0).expect("tenant 0 completed");
         assert!(p.max >= p.p50 && p.p50 > 0);
-        // Histograms land in the registry with one sample per completion.
+        // Histograms land in the registry with one sample per completion
+        // and one worst wait per tenant.
         let mut registry = telemetry::Registry::new();
-        record_trace_metrics(&trace, &mut registry);
+        record_serve_histograms(&report, Some(&trace), &mut registry);
         use telemetry::MetricId;
         let lat = registry.histogram(MetricId::ServeLatencyCycles).unwrap();
         assert_eq!(lat.count(), completed);
         let slack = registry.histogram(MetricId::ServeSlackCycles).unwrap();
         assert_eq!(slack.count(), completed);
+        let wait = registry.histogram(MetricId::ServeWaitCycles).unwrap();
+        assert_eq!(wait.count(), report.tenants.len() as u64);
     }
 
     #[test]
@@ -474,7 +440,7 @@ mod tests {
         assert_eq!(totals2, totals);
         // The fault accounting lands in the registry under fault.*.
         let mut registry = telemetry::Registry::new();
-        record_chaos_metrics(&totals, &mut registry);
+        Sources::serve(&report, Some(totals)).record(&mut registry);
         use telemetry::MetricId;
         assert_eq!(
             registry.value(MetricId::FaultDegradedRequests),
@@ -503,7 +469,7 @@ mod tests {
         let retries: u64 = report.tenants.iter().map(|t| t.retries).sum();
         assert!(retries > 0, "tiny queue must trigger resubmissions");
         let mut registry = telemetry::Registry::new();
-        record_serve_metrics(&report, &mut registry);
+        Sources::serve(&report, None).record(&mut registry);
         use telemetry::MetricId;
         assert_eq!(registry.value(MetricId::ServeRetries), retries);
     }
@@ -520,7 +486,7 @@ mod tests {
         let mix = TenantMix::parse("bh:2:copy:64").unwrap();
         let (report, ..) = run_serve_chaos(&mix, &serve_cfg(), &base()).unwrap();
         let mut registry = telemetry::Registry::new();
-        record_serve_metrics(&report, &mut registry);
+        Sources::serve(&report, None).record(&mut registry);
         use telemetry::MetricId;
         let (submitted, completed, _f, _s, _r, _m, words) = report.totals();
         assert_eq!(registry.value(MetricId::ServeSubmitted), submitted);

@@ -1,16 +1,18 @@
 //! Binding between the simulator and the `campaign` orchestration layer:
 //! translate a declarative [`RunPoint`] into a [`SystemConfig`] + kernel,
 //! execute it, and fold the [`RunResult`](crate::RunResult) counters into
-//! the integer [`RunStats`] the results store records.
+//! the integer [`RunStats`](campaign::RunStats) the results store records
+//! (through the binding table in `counters.rs`).
 //!
 //! `campaign` itself is simulator-agnostic (it runs any
 //! `Fn(&RunPoint) -> Outcome`); this module is the one place that mapping
 //! lives, so the CLI, the figure experiments, and the fault suite all
 //! drive simulations through the same code path.
 
-use campaign::{CampaignSpec, Group, Order, Outcome, Progress, ResultsStore, RunPoint, RunStats};
+use campaign::{CampaignSpec, Order, Outcome, Progress, ResultsStore, RunPoint};
 use kernels::Kernel;
 
+use crate::counters::Sources;
 use crate::{Alignment, MemorySystem, SystemConfig};
 
 /// Resolve a run point into the kernel and system configuration it
@@ -99,12 +101,11 @@ pub fn serve_config_of(point: &RunPoint, config: &SystemConfig) -> tenancy::Serv
     cfg
 }
 
-/// Execute one run point and fold the result into campaign statistics.
-/// Config errors and simulation failures both come back as structured
-/// [`Outcome::Error`]s; nothing panics. Points with a non-empty tenant
-/// mix route through the multi-tenant serving layer instead of a single
-/// kernel run. Counters of a group the point does not write (see
-/// [`Group::active`]) stay zero.
+/// Execute one run point and fold the result into campaign statistics
+/// through the binding table in `counters.rs`. Config errors and
+/// simulation failures both come back as structured [`Outcome::Error`]s;
+/// nothing panics. Points with a non-empty tenant mix route through the
+/// multi-tenant serving layer instead of a single kernel run.
 pub fn run_point(point: &RunPoint) -> Outcome {
     if !point.tenants.is_empty() {
         return run_tenant_point(point);
@@ -114,44 +115,16 @@ pub fn run_point(point: &RunPoint) -> Outcome {
         Err(message) => return Outcome::Error(message),
     };
     match crate::run_kernel(kernel, point.n, point.stride, &config) {
-        Ok(result) => {
-            let mut stats = stats_of(&result);
-            if point.attribution != 0 {
-                if let Some(tel) = &result.telemetry {
-                    let g = tel.attribution.global();
-                    stats.attr_data_cycles = g.data;
-                    stats.attr_turnaround_cycles = g.turnaround;
-                    stats.attr_row_overhead_cycles = g.row_overhead;
-                    stats.attr_bank_conflict_cycles = g.bank_conflict;
-                    stats.attr_retry_cycles = g.retry;
-                    stats.attr_idle_cycles = g.idle;
-                }
-            }
-            if Group::Chaos.active(point) {
-                fold_chaos(&mut stats, &result.chaos_total());
-            }
-            Outcome::Ok(stats)
-        }
+        Ok(result) => Outcome::Ok(Sources::run(&result).fold(point)),
         Err(e) => Outcome::Error(e.to_string()),
     }
 }
 
-/// Fold the device-level degraded-mode accounting into the campaign
-/// counters.
-fn fold_chaos(stats: &mut RunStats, total: &memsys::ChannelFaultStats) {
-    stats.chaos_degraded_commands = total.degraded_commands;
-    stats.chaos_deferred_commands = total.deferred_commands;
-    stats.chaos_deferred_cycles = total.deferred_cycles;
-    stats.chaos_brownout_penalty_cycles = total.brownout_penalty_cycles;
-    stats.chaos_devfail_penalty_cycles = total.devfail_penalty_cycles;
-    stats.chaos_outages_observed = total.outages_observed;
-    stats.chaos_mttr_cycles = total.mttr_cycles;
-}
-
 /// Execute a multi-tenant run point: parse the mix, configure the serve
-/// with [`serve_config_of`], and fold the serve report into campaign
-/// statistics. The point's own kernel/n/stride describe the base grid
-/// slot; the tenants spec carries each tenant's actual workload.
+/// with [`serve_config_of`], and fold the serve report and the executor's
+/// degraded-mode accounting into campaign statistics. The point's own
+/// kernel/n/stride describe the base grid slot; the tenants spec carries
+/// each tenant's actual workload.
 fn run_tenant_point(point: &RunPoint) -> Outcome {
     let (_, config) = match job_for(point) {
         Ok(job) => job,
@@ -164,67 +137,10 @@ fn run_tenant_point(point: &RunPoint) -> Outcome {
     let cfg = serve_config_of(point, &config);
     match crate::serve::run_serve_chaos(&mix, &cfg, &config) {
         Ok((report, _trace, chaos_total)) => {
-            let mut stats = stats_of_serve(&report);
-            if Group::Chaos.active(point) {
-                stats.serve_retries = report.tenants.iter().map(|t| t.retries).sum();
-                stats.serve_retry_exhausted =
-                    report.tenants.iter().map(|t| t.retry_exhausted).sum();
-                fold_chaos(&mut stats, &chaos_total);
-            }
-            Outcome::Ok(stats)
+            Outcome::Ok(Sources::serve(&report, Some(chaos_total)).fold(point))
         }
         Err(message) => Outcome::Error(message),
     }
-}
-
-/// Fold a serve report into the integer statistics a results store
-/// records. Device-level counters stay 0 (each request already folded its
-/// own device run); the serve-specific fields carry the serving layer's
-/// outcome, which is what multi-tenant goldens gate on.
-pub fn stats_of_serve(report: &tenancy::ServeReport) -> RunStats {
-    let (_submitted, completed, _failed, shed, rejected, misses, words) = report.totals();
-    RunStats {
-        cycles: report.cycles,
-        useful_words: words,
-        serve_completed: completed,
-        serve_shed: shed,
-        serve_rejected: rejected,
-        serve_deadline_misses: misses,
-        serve_fairness_milli: report.fairness_milli(),
-        serve_starvation: report.starvation.len() as u64,
-        serve_budget_violations: report.budget_violations,
-        ..RunStats::default()
-    }
-}
-
-/// Fold a completed run's counters into the integer statistics a results
-/// store records. Bandwidth is rounded to milli-percent of peak; SMC and
-/// natural-order counters land in the same fields (`fifo_switches` stays
-/// 0 for natural order, `idle_cycles`/`data_nacks` come from whichever
-/// controller ran).
-pub fn stats_of(result: &crate::RunResult) -> RunStats {
-    let mut stats = RunStats {
-        cycles: result.cycles,
-        percent_peak_milli: (result.percent_peak() * 1000.0).round() as u64,
-        useful_words: result.useful_words,
-        activates: result.device_stats.activates,
-        read_packets: result.device_stats.read_packets,
-        write_packets: result.device_stats.write_packets,
-        turnarounds: result.device_stats.turnarounds,
-        ..RunStats::default()
-    };
-    if let Some(msu) = &result.msu_stats {
-        stats.fifo_switches = msu.fifo_switches;
-        stats.idle_cycles = msu.idle_cycles;
-        stats.data_nacks = msu.data_nacks;
-        stats.injected_stall_cycles = msu.injected_stall_cycles;
-        stats.degraded_banks = msu.degraded_banks;
-    }
-    if let Some(base) = &result.baseline {
-        stats.idle_cycles = base.idle_cycles;
-        stats.data_nacks = base.data_nacks;
-    }
-    stats
 }
 
 /// Expand `spec` and run it on `workers` threads through the simulator.
@@ -313,7 +229,12 @@ mod tests {
                 crate::run_kernel(kernel, record.point.n, record.point.stride, &config).unwrap();
             match &record.outcome {
                 Outcome::Ok(stats) => {
-                    assert_eq!(*stats, stats_of(&serial), "{}", record.point.key());
+                    assert_eq!(
+                        *stats,
+                        Sources::run(&serial).fold(&record.point),
+                        "{}",
+                        record.point.key()
+                    );
                 }
                 Outcome::Error(e) => panic!("{}: {e}", record.point.key()),
             }

@@ -2,8 +2,9 @@
 //!
 //! Metric identity is a closed enum rather than free-form strings so the
 //! registry can be a flat array (no hashing on any path) and so the set of
-//! metrics is documented in one place — this table is reproduced in
-//! EXPERIMENTS.md's Telemetry section.
+//! metrics is documented in one place. One `metrics!` list declares the
+//! enum and the catalog together; EXPERIMENTS.md's metric catalog
+//! reproduces it, and a test holds the two in step.
 
 /// What a metric measures and how it accumulates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -14,6 +15,18 @@ pub enum MetricKind {
     Gauge,
     /// Log2-bucketed distribution of observed values.
     Histogram,
+}
+
+impl MetricKind {
+    /// The kind as JSONL dumps, Prometheus `# TYPE` lines and report
+    /// tables write it.
+    pub fn label(self) -> &'static str {
+        match self {
+            MetricKind::Counter => "counter",
+            MetricKind::Gauge => "gauge",
+            MetricKind::Histogram => "histogram",
+        }
+    }
 }
 
 /// One catalog entry.
@@ -31,139 +44,158 @@ pub struct MetricDef {
     pub help: &'static str,
 }
 
-/// Identity of every metric the registry can hold.
-///
-/// The discriminants index the registry's backing array; keep them dense.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum MetricId {
-    /// Total cycles from time 0 to the last DATA packet / CPU access.
-    RunCycles,
-    /// 64-bit words of useful stream data moved.
-    UsefulWords,
-    /// ROW ACT packets issued.
-    Activates,
-    /// Explicit ROW PRER packets issued.
-    Precharges,
-    /// Pages closed via COL auto-precharge.
-    AutoPrecharges,
-    /// COL RD packets issued to an already-open row.
-    ReadHits,
-    /// COL WR packets issued to an already-open row.
-    WriteHits,
-    /// Read DATA packets transferred.
-    ReadPackets,
-    /// Write DATA packets transferred.
-    WritePackets,
-    /// Write-to-read DATA-bus turnarounds paid.
-    Turnarounds,
-    /// Cycles the DATA bus carried packets.
-    DataBusyCycles,
-    /// Summed cycles banks spent activating a row.
-    BankActivatingCycles,
-    /// Summed cycles banks held a row open.
-    BankOpenCycles,
-    /// Summed cycles banks spent precharging.
-    BankPrechargingCycles,
-    /// Times the MSU moved service to a different FIFO.
-    FifoSwitches,
-    /// Cycles the MSU had work but nothing schedulable.
-    MsuIdleCycles,
-    /// Speculative PRER/ACT commands issued by the MSU.
-    SpeculativeActivates,
-    /// DATA packets NACKed by the fault injector and retried.
-    DataNacks,
-    /// Cycles lost to injected controller stalls.
-    InjectedStallCycles,
-    /// Banks demoted from open-page to closed-page service.
-    DegradedBanks,
-    /// DRAM refreshes performed.
-    RefreshesIssued,
-    /// Cacheline transfers performed by the natural-order controller.
-    LineTransfers,
-    /// Forward-progress watchdog livelock reports.
-    WatchdogTrips,
-    /// Cycles without observable progress when the watchdog tripped.
-    LivelockStalledFor,
-    /// Accesses in flight when the watchdog tripped.
-    LivelockInFlight,
-    /// Work admitted but not in flight when the watchdog tripped.
-    LivelockPending,
-    /// Banks holding an open page when the watchdog tripped.
-    LivelockOpenBanks,
-    /// Stream FIFOs programmed into the SBU.
-    FifoCount,
-    /// Banks on the simulated channel.
-    BankCount,
-    /// Distribution of per-FIFO occupancy samples (elements).
-    FifoOccupancy,
-    /// Distribution of bank open-page residency span lengths (cycles).
-    OpenSpanCycles,
-    /// Distribution of gaps between consecutive DATA packets (cycles).
-    DataGapCycles,
-    /// Requests offered to the multi-tenant serving layer.
-    ServeSubmitted,
-    /// Requests completed by the serving layer.
-    ServeCompleted,
-    /// Requests the executor failed (absorbed livelocks, retry exhaustion).
-    ServeFailed,
-    /// Requests shed by the degradation ladder.
-    ServeShed,
-    /// Requests rejected with backpressure (admission queue full).
-    ServeRejected,
-    /// Completed requests that finished after their deadline.
-    ServeDeadlineMisses,
-    /// Useful 64-bit words moved on behalf of tenants.
-    ServeUsefulWords,
-    /// Per-tenant forward-progress starvation reports.
-    ServeStarvationReports,
-    /// Tenants in the served mix.
-    ServeTenants,
-    /// Jain fairness index over per-tenant useful words, in milli.
-    ServeFairnessMilli,
-    /// Distribution of worst per-tenant queue waits (cycles).
-    ServeWaitCycles,
-    /// Attributed cycles: DATA bus carrying packets.
-    AttrDataCycles,
-    /// Attributed cycles: fault recovery (injected stalls, NACK retries).
-    AttrRetryCycles,
-    /// Attributed cycles: write-to-read DATA-bus turnaround gaps.
-    AttrTurnaroundCycles,
-    /// Attributed cycles: next packet's bank activating/precharging.
-    AttrRowOverheadCycles,
-    /// Attributed cycles: stalled behind another bank's activate/precharge.
-    AttrBankConflictCycles,
-    /// Attributed cycles: nothing happening on the interface.
-    AttrIdleCycles,
-    /// Distribution of per-request serve latencies (cycles).
-    ServeLatencyCycles,
-    /// Distribution of per-request deadline slack (cycles).
-    ServeSlackCycles,
-    /// Deliveries stretched by a channel brownout or device failure.
-    FaultDegradedRequests,
-    /// Deliveries deferred past a channel outage window.
-    FaultDeferredRequests,
-    /// Cycles deliveries sat deferred behind channel outages.
-    FaultDeferredCycles,
-    /// Extra delivery cycles paid to brownout cost multipliers.
-    FaultBrownoutPenaltyCycles,
-    /// Extra delivery cycles paid to failed-device cost multipliers.
-    FaultDevfailPenaltyCycles,
-    /// Channel outage windows observed end to end (entered and recovered).
-    RecoveryOutagesObserved,
-    /// Summed cycles from each observed outage's first deferral to its
-    /// recovery edge (mean time to recovery numerator).
-    RecoveryMttrCycles,
-    /// Closed-loop client resubmissions of rejected requests.
-    ServeRetries,
-    /// Rejected requests abandoned with an exhausted retry budget or a
-    /// passed deadline.
-    ServeRetryExhausted,
+/// Declares [`MetricId`], [`CATALOG`] and [`METRIC_COUNT`] from one list of
+/// metrics: variant, dotted name, kind, unit and help string. The help
+/// string is also the variant's doc comment.
+macro_rules! metrics {
+    ($($variant:ident $name:literal $kind:ident $unit:literal $help:literal;)*) => {
+        /// Identity of every metric the registry can hold.
+        ///
+        /// The discriminants index the registry's backing array and
+        /// [`CATALOG`].
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[repr(usize)]
+        pub enum MetricId {
+            $(#[doc = $help] $variant,)*
+        }
+
+        /// One entry per [`MetricId`], in discriminant order.
+        pub const CATALOG: &[MetricDef] = &[$(MetricDef {
+            id: MetricId::$variant,
+            name: $name,
+            kind: MetricKind::$kind,
+            unit: $unit,
+            help: $help,
+        }),*];
+
+        /// Number of metrics in the catalog (= length of the registry's
+        /// backing array).
+        pub const METRIC_COUNT: usize = CATALOG.len();
+    };
 }
 
-/// Number of metrics in the catalog (= length of the registry's backing
-/// array).
-pub const METRIC_COUNT: usize = 60;
+metrics! {
+    RunCycles "run.cycles" Counter "cycles"
+        "total cycles from time 0 to the last DATA packet / CPU access";
+    UsefulWords "run.useful_words" Counter "words"
+        "64-bit words of useful stream data moved";
+    Activates "device.activates" Counter "packets"
+        "ROW ACT packets issued (each one a page miss serviced)";
+    Precharges "device.precharges" Counter "packets"
+        "explicit ROW PRER packets issued";
+    AutoPrecharges "device.auto_precharges" Counter "packets"
+        "pages closed via COL auto-precharge";
+    ReadHits "device.read_hits" Counter "packets"
+        "COL RD packets issued to an already-open row";
+    WriteHits "device.write_hits" Counter "packets"
+        "COL WR packets issued to an already-open row";
+    ReadPackets "device.read_packets" Counter "packets"
+        "read DATA packets transferred";
+    WritePackets "device.write_packets" Counter "packets"
+        "write DATA packets transferred";
+    Turnarounds "device.turnarounds" Counter "events"
+        "write-to-read DATA-bus turnarounds paid";
+    DataBusyCycles "device.data_busy_cycles" Counter "cycles"
+        "cycles the DATA bus carried packets";
+    BankActivatingCycles "device.bank_activating_cycles" Counter "cycles"
+        "summed cycles banks spent activating a row (timeline replay)";
+    BankOpenCycles "device.bank_open_cycles" Counter "cycles"
+        "summed cycles banks held a row open (timeline replay)";
+    BankPrechargingCycles "device.bank_precharging_cycles" Counter "cycles"
+        "summed cycles banks spent precharging (timeline replay)";
+    FifoSwitches "msu.fifo_switches" Counter "events"
+        "times the MSU moved service to a different FIFO";
+    MsuIdleCycles "msu.idle_cycles" Counter "cycles"
+        "cycles with memory work remaining but nothing schedulable";
+    SpeculativeActivates "msu.speculative_activates" Counter "packets"
+        "speculative PRER/ACT commands issued";
+    DataNacks "recovery.data_nacks" Counter "events"
+        "DATA packets NACKed by the fault injector and retried";
+    InjectedStallCycles "recovery.injected_stall_cycles" Counter "cycles"
+        "cycles lost to injected controller stalls";
+    DegradedBanks "recovery.degraded_banks" Counter "banks"
+        "banks demoted from open-page to closed-page service";
+    RefreshesIssued "device.refreshes_issued" Counter "events"
+        "DRAM refreshes performed";
+    LineTransfers "baseline.line_transfers" Counter "lines"
+        "cacheline transfers performed by the natural-order controller";
+    WatchdogTrips "livelock.watchdog_trips" Counter "events"
+        "forward-progress watchdog livelock reports";
+    LivelockStalledFor "livelock.stalled_for" Counter "cycles"
+        "cycles without observable progress when the watchdog tripped";
+    LivelockInFlight "livelock.in_flight" Counter "accesses"
+        "accesses in flight when the watchdog tripped";
+    LivelockPending "livelock.pending" Counter "accesses"
+        "work admitted but not in flight when the watchdog tripped";
+    LivelockOpenBanks "livelock.open_banks" Counter "banks"
+        "banks holding an open page when the watchdog tripped";
+    FifoCount "smc.fifo_count" Gauge "fifos"
+        "stream FIFOs programmed into the SBU";
+    BankCount "device.bank_count" Gauge "banks"
+        "banks on the simulated channel";
+    FifoOccupancy "smc.fifo_occupancy" Histogram "elements"
+        "distribution of per-FIFO occupancy samples";
+    OpenSpanCycles "device.open_span_cycles" Histogram "cycles"
+        "distribution of bank open-page residency span lengths";
+    DataGapCycles "device.data_gap_cycles" Histogram "cycles"
+        "distribution of gaps between consecutive DATA packets";
+    ServeSubmitted "serve.submitted" Counter "requests"
+        "requests offered to the multi-tenant serving layer";
+    ServeCompleted "serve.completed" Counter "requests"
+        "requests completed by the serving layer";
+    ServeFailed "serve.failed" Counter "requests"
+        "requests the executor failed (absorbed livelocks, retry exhaustion)";
+    ServeShed "serve.shed" Counter "requests"
+        "requests shed by the degradation ladder";
+    ServeRejected "serve.rejected" Counter "requests"
+        "requests rejected with backpressure (admission queue full)";
+    ServeDeadlineMisses "serve.deadline_misses" Counter "requests"
+        "completed requests that finished after their deadline";
+    ServeUsefulWords "serve.useful_words" Counter "words"
+        "useful 64-bit words moved on behalf of tenants";
+    ServeStarvationReports "serve.starvation_reports" Counter "events"
+        "per-tenant forward-progress starvation reports";
+    ServeTenants "serve.tenants" Gauge "tenants"
+        "tenants in the served mix";
+    ServeFairnessMilli "serve.fairness_milli" Gauge "milli"
+        "Jain fairness index over per-tenant useful words";
+    ServeWaitCycles "serve.wait_cycles" Histogram "cycles"
+        "distribution of worst per-tenant queue waits";
+    AttrDataCycles "attr.data_cycles" Counter "cycles"
+        "attributed cycles: DATA bus carrying packets";
+    AttrRetryCycles "attr.retry_cycles" Counter "cycles"
+        "attributed cycles: fault recovery (injected stalls, NACK retries)";
+    AttrTurnaroundCycles "attr.turnaround_cycles" Counter "cycles"
+        "attributed cycles: write-to-read DATA-bus turnaround gaps";
+    AttrRowOverheadCycles "attr.row_overhead_cycles" Counter "cycles"
+        "attributed cycles: the next packet's bank activating/precharging";
+    AttrBankConflictCycles "attr.bank_conflict_cycles" Counter "cycles"
+        "attributed cycles: stalled behind another bank's activate/precharge";
+    AttrIdleCycles "attr.idle_cycles" Counter "cycles"
+        "attributed cycles: nothing happening on the interface";
+    ServeLatencyCycles "serve.latency_cycles" Histogram "cycles"
+        "distribution of per-request serve latencies (submit to completion)";
+    ServeSlackCycles "serve.deadline_slack_cycles" Histogram "cycles"
+        "distribution of per-request deadline slack at completion";
+    FaultDegradedRequests "fault.degraded_requests" Counter "requests"
+        "deliveries stretched by a channel brownout or device failure";
+    FaultDeferredRequests "fault.deferred_requests" Counter "requests"
+        "deliveries deferred past a channel outage window";
+    FaultDeferredCycles "fault.deferred_cycles" Counter "cycles"
+        "cycles deliveries sat deferred behind channel outages";
+    FaultBrownoutPenaltyCycles "fault.brownout_penalty_cycles" Counter "cycles"
+        "extra delivery cycles paid to brownout cost multipliers";
+    FaultDevfailPenaltyCycles "fault.devfail_penalty_cycles" Counter "cycles"
+        "extra delivery cycles paid to failed-device cost multipliers";
+    RecoveryOutagesObserved "recovery.outages_observed" Counter "outages"
+        "channel outage windows observed end to end (entered and recovered)";
+    RecoveryMttrCycles "recovery.mttr_cycles" Counter "cycles"
+        "summed first-deferral-to-recovery spans of observed outages";
+    ServeRetries "serve.retries" Counter "requests"
+        "closed-loop client resubmissions of rejected requests";
+    ServeRetryExhausted "serve.retry_exhausted" Counter "requests"
+        "rejections abandoned on an exhausted retry budget or passed deadline";
+}
 
 impl MetricId {
     /// Index of this metric in the registry's backing array.
@@ -173,435 +205,9 @@ impl MetricId {
 
     /// The catalog entry for this metric.
     pub fn def(self) -> &'static MetricDef {
-        // CATALOG is indexed by discriminant; `catalog_is_dense` proves the
-        // correspondence, and the modulo keeps the lookup total.
-        &CATALOG[self.index() % CATALOG.len()]
+        &CATALOG[self.index()]
     }
 }
-
-/// One entry per [`MetricId`], in discriminant order.
-pub const CATALOG: &[MetricDef] = &[
-    MetricDef {
-        id: MetricId::RunCycles,
-        name: "run.cycles",
-        kind: MetricKind::Counter,
-        unit: "cycles",
-        help: "total cycles from time 0 to the last DATA packet / CPU access",
-    },
-    MetricDef {
-        id: MetricId::UsefulWords,
-        name: "run.useful_words",
-        kind: MetricKind::Counter,
-        unit: "words",
-        help: "64-bit words of useful stream data moved",
-    },
-    MetricDef {
-        id: MetricId::Activates,
-        name: "device.activates",
-        kind: MetricKind::Counter,
-        unit: "packets",
-        help: "ROW ACT packets issued (each one a page miss serviced)",
-    },
-    MetricDef {
-        id: MetricId::Precharges,
-        name: "device.precharges",
-        kind: MetricKind::Counter,
-        unit: "packets",
-        help: "explicit ROW PRER packets issued",
-    },
-    MetricDef {
-        id: MetricId::AutoPrecharges,
-        name: "device.auto_precharges",
-        kind: MetricKind::Counter,
-        unit: "packets",
-        help: "pages closed via COL auto-precharge",
-    },
-    MetricDef {
-        id: MetricId::ReadHits,
-        name: "device.read_hits",
-        kind: MetricKind::Counter,
-        unit: "packets",
-        help: "COL RD packets issued to an already-open row",
-    },
-    MetricDef {
-        id: MetricId::WriteHits,
-        name: "device.write_hits",
-        kind: MetricKind::Counter,
-        unit: "packets",
-        help: "COL WR packets issued to an already-open row",
-    },
-    MetricDef {
-        id: MetricId::ReadPackets,
-        name: "device.read_packets",
-        kind: MetricKind::Counter,
-        unit: "packets",
-        help: "read DATA packets transferred",
-    },
-    MetricDef {
-        id: MetricId::WritePackets,
-        name: "device.write_packets",
-        kind: MetricKind::Counter,
-        unit: "packets",
-        help: "write DATA packets transferred",
-    },
-    MetricDef {
-        id: MetricId::Turnarounds,
-        name: "device.turnarounds",
-        kind: MetricKind::Counter,
-        unit: "events",
-        help: "write-to-read DATA-bus turnarounds paid",
-    },
-    MetricDef {
-        id: MetricId::DataBusyCycles,
-        name: "device.data_busy_cycles",
-        kind: MetricKind::Counter,
-        unit: "cycles",
-        help: "cycles the DATA bus carried packets",
-    },
-    MetricDef {
-        id: MetricId::BankActivatingCycles,
-        name: "device.bank_activating_cycles",
-        kind: MetricKind::Counter,
-        unit: "cycles",
-        help: "summed cycles banks spent activating a row (timeline replay)",
-    },
-    MetricDef {
-        id: MetricId::BankOpenCycles,
-        name: "device.bank_open_cycles",
-        kind: MetricKind::Counter,
-        unit: "cycles",
-        help: "summed cycles banks held a row open (timeline replay)",
-    },
-    MetricDef {
-        id: MetricId::BankPrechargingCycles,
-        name: "device.bank_precharging_cycles",
-        kind: MetricKind::Counter,
-        unit: "cycles",
-        help: "summed cycles banks spent precharging (timeline replay)",
-    },
-    MetricDef {
-        id: MetricId::FifoSwitches,
-        name: "msu.fifo_switches",
-        kind: MetricKind::Counter,
-        unit: "events",
-        help: "times the MSU moved service to a different FIFO",
-    },
-    MetricDef {
-        id: MetricId::MsuIdleCycles,
-        name: "msu.idle_cycles",
-        kind: MetricKind::Counter,
-        unit: "cycles",
-        help: "cycles with memory work remaining but nothing schedulable",
-    },
-    MetricDef {
-        id: MetricId::SpeculativeActivates,
-        name: "msu.speculative_activates",
-        kind: MetricKind::Counter,
-        unit: "packets",
-        help: "speculative PRER/ACT commands issued",
-    },
-    MetricDef {
-        id: MetricId::DataNacks,
-        name: "recovery.data_nacks",
-        kind: MetricKind::Counter,
-        unit: "events",
-        help: "DATA packets NACKed by the fault injector and retried",
-    },
-    MetricDef {
-        id: MetricId::InjectedStallCycles,
-        name: "recovery.injected_stall_cycles",
-        kind: MetricKind::Counter,
-        unit: "cycles",
-        help: "cycles lost to injected controller stalls",
-    },
-    MetricDef {
-        id: MetricId::DegradedBanks,
-        name: "recovery.degraded_banks",
-        kind: MetricKind::Counter,
-        unit: "banks",
-        help: "banks demoted from open-page to closed-page service",
-    },
-    MetricDef {
-        id: MetricId::RefreshesIssued,
-        name: "device.refreshes_issued",
-        kind: MetricKind::Counter,
-        unit: "events",
-        help: "DRAM refreshes performed",
-    },
-    MetricDef {
-        id: MetricId::LineTransfers,
-        name: "baseline.line_transfers",
-        kind: MetricKind::Counter,
-        unit: "lines",
-        help: "cacheline transfers performed by the natural-order controller",
-    },
-    MetricDef {
-        id: MetricId::WatchdogTrips,
-        name: "livelock.watchdog_trips",
-        kind: MetricKind::Counter,
-        unit: "events",
-        help: "forward-progress watchdog livelock reports",
-    },
-    MetricDef {
-        id: MetricId::LivelockStalledFor,
-        name: "livelock.stalled_for",
-        kind: MetricKind::Counter,
-        unit: "cycles",
-        help: "cycles without observable progress when the watchdog tripped",
-    },
-    MetricDef {
-        id: MetricId::LivelockInFlight,
-        name: "livelock.in_flight",
-        kind: MetricKind::Counter,
-        unit: "accesses",
-        help: "accesses in flight when the watchdog tripped",
-    },
-    MetricDef {
-        id: MetricId::LivelockPending,
-        name: "livelock.pending",
-        kind: MetricKind::Counter,
-        unit: "accesses",
-        help: "work admitted but not in flight when the watchdog tripped",
-    },
-    MetricDef {
-        id: MetricId::LivelockOpenBanks,
-        name: "livelock.open_banks",
-        kind: MetricKind::Counter,
-        unit: "banks",
-        help: "banks holding an open page when the watchdog tripped",
-    },
-    MetricDef {
-        id: MetricId::FifoCount,
-        name: "smc.fifo_count",
-        kind: MetricKind::Gauge,
-        unit: "fifos",
-        help: "stream FIFOs programmed into the SBU",
-    },
-    MetricDef {
-        id: MetricId::BankCount,
-        name: "device.bank_count",
-        kind: MetricKind::Gauge,
-        unit: "banks",
-        help: "banks on the simulated channel",
-    },
-    MetricDef {
-        id: MetricId::FifoOccupancy,
-        name: "smc.fifo_occupancy",
-        kind: MetricKind::Histogram,
-        unit: "elements",
-        help: "distribution of per-FIFO occupancy samples",
-    },
-    MetricDef {
-        id: MetricId::OpenSpanCycles,
-        name: "device.open_span_cycles",
-        kind: MetricKind::Histogram,
-        unit: "cycles",
-        help: "distribution of bank open-page residency span lengths",
-    },
-    MetricDef {
-        id: MetricId::DataGapCycles,
-        name: "device.data_gap_cycles",
-        kind: MetricKind::Histogram,
-        unit: "cycles",
-        help: "distribution of gaps between consecutive DATA packets",
-    },
-    MetricDef {
-        id: MetricId::ServeSubmitted,
-        name: "serve.submitted",
-        kind: MetricKind::Counter,
-        unit: "requests",
-        help: "requests offered to the multi-tenant serving layer",
-    },
-    MetricDef {
-        id: MetricId::ServeCompleted,
-        name: "serve.completed",
-        kind: MetricKind::Counter,
-        unit: "requests",
-        help: "requests completed by the serving layer",
-    },
-    MetricDef {
-        id: MetricId::ServeFailed,
-        name: "serve.failed",
-        kind: MetricKind::Counter,
-        unit: "requests",
-        help: "requests the executor failed (absorbed livelocks, retry exhaustion)",
-    },
-    MetricDef {
-        id: MetricId::ServeShed,
-        name: "serve.shed",
-        kind: MetricKind::Counter,
-        unit: "requests",
-        help: "requests shed by the degradation ladder",
-    },
-    MetricDef {
-        id: MetricId::ServeRejected,
-        name: "serve.rejected",
-        kind: MetricKind::Counter,
-        unit: "requests",
-        help: "requests rejected with backpressure (admission queue full)",
-    },
-    MetricDef {
-        id: MetricId::ServeDeadlineMisses,
-        name: "serve.deadline_misses",
-        kind: MetricKind::Counter,
-        unit: "requests",
-        help: "completed requests that finished after their deadline",
-    },
-    MetricDef {
-        id: MetricId::ServeUsefulWords,
-        name: "serve.useful_words",
-        kind: MetricKind::Counter,
-        unit: "words",
-        help: "useful 64-bit words moved on behalf of tenants",
-    },
-    MetricDef {
-        id: MetricId::ServeStarvationReports,
-        name: "serve.starvation_reports",
-        kind: MetricKind::Counter,
-        unit: "events",
-        help: "per-tenant forward-progress starvation reports",
-    },
-    MetricDef {
-        id: MetricId::ServeTenants,
-        name: "serve.tenants",
-        kind: MetricKind::Gauge,
-        unit: "tenants",
-        help: "tenants in the served mix",
-    },
-    MetricDef {
-        id: MetricId::ServeFairnessMilli,
-        name: "serve.fairness_milli",
-        kind: MetricKind::Gauge,
-        unit: "milli",
-        help: "Jain fairness index over per-tenant useful words",
-    },
-    MetricDef {
-        id: MetricId::ServeWaitCycles,
-        name: "serve.wait_cycles",
-        kind: MetricKind::Histogram,
-        unit: "cycles",
-        help: "distribution of worst per-tenant queue waits",
-    },
-    MetricDef {
-        id: MetricId::AttrDataCycles,
-        name: "attr.data_cycles",
-        kind: MetricKind::Counter,
-        unit: "cycles",
-        help: "attributed cycles: DATA bus carrying packets",
-    },
-    MetricDef {
-        id: MetricId::AttrRetryCycles,
-        name: "attr.retry_cycles",
-        kind: MetricKind::Counter,
-        unit: "cycles",
-        help: "attributed cycles: fault recovery (injected stalls, NACK retries)",
-    },
-    MetricDef {
-        id: MetricId::AttrTurnaroundCycles,
-        name: "attr.turnaround_cycles",
-        kind: MetricKind::Counter,
-        unit: "cycles",
-        help: "attributed cycles: write-to-read DATA-bus turnaround gaps",
-    },
-    MetricDef {
-        id: MetricId::AttrRowOverheadCycles,
-        name: "attr.row_overhead_cycles",
-        kind: MetricKind::Counter,
-        unit: "cycles",
-        help: "attributed cycles: the next packet's bank activating/precharging",
-    },
-    MetricDef {
-        id: MetricId::AttrBankConflictCycles,
-        name: "attr.bank_conflict_cycles",
-        kind: MetricKind::Counter,
-        unit: "cycles",
-        help: "attributed cycles: stalled behind another bank's activate/precharge",
-    },
-    MetricDef {
-        id: MetricId::AttrIdleCycles,
-        name: "attr.idle_cycles",
-        kind: MetricKind::Counter,
-        unit: "cycles",
-        help: "attributed cycles: nothing happening on the interface",
-    },
-    MetricDef {
-        id: MetricId::ServeLatencyCycles,
-        name: "serve.latency_cycles",
-        kind: MetricKind::Histogram,
-        unit: "cycles",
-        help: "distribution of per-request serve latencies (submit to completion)",
-    },
-    MetricDef {
-        id: MetricId::ServeSlackCycles,
-        name: "serve.deadline_slack_cycles",
-        kind: MetricKind::Histogram,
-        unit: "cycles",
-        help: "distribution of per-request deadline slack at completion",
-    },
-    MetricDef {
-        id: MetricId::FaultDegradedRequests,
-        name: "fault.degraded_requests",
-        kind: MetricKind::Counter,
-        unit: "requests",
-        help: "deliveries stretched by a channel brownout or device failure",
-    },
-    MetricDef {
-        id: MetricId::FaultDeferredRequests,
-        name: "fault.deferred_requests",
-        kind: MetricKind::Counter,
-        unit: "requests",
-        help: "deliveries deferred past a channel outage window",
-    },
-    MetricDef {
-        id: MetricId::FaultDeferredCycles,
-        name: "fault.deferred_cycles",
-        kind: MetricKind::Counter,
-        unit: "cycles",
-        help: "cycles deliveries sat deferred behind channel outages",
-    },
-    MetricDef {
-        id: MetricId::FaultBrownoutPenaltyCycles,
-        name: "fault.brownout_penalty_cycles",
-        kind: MetricKind::Counter,
-        unit: "cycles",
-        help: "extra delivery cycles paid to brownout cost multipliers",
-    },
-    MetricDef {
-        id: MetricId::FaultDevfailPenaltyCycles,
-        name: "fault.devfail_penalty_cycles",
-        kind: MetricKind::Counter,
-        unit: "cycles",
-        help: "extra delivery cycles paid to failed-device cost multipliers",
-    },
-    MetricDef {
-        id: MetricId::RecoveryOutagesObserved,
-        name: "recovery.outages_observed",
-        kind: MetricKind::Counter,
-        unit: "outages",
-        help: "channel outage windows observed end to end (entered and recovered)",
-    },
-    MetricDef {
-        id: MetricId::RecoveryMttrCycles,
-        name: "recovery.mttr_cycles",
-        kind: MetricKind::Counter,
-        unit: "cycles",
-        help: "summed first-deferral-to-recovery spans of observed outages",
-    },
-    MetricDef {
-        id: MetricId::ServeRetries,
-        name: "serve.retries",
-        kind: MetricKind::Counter,
-        unit: "requests",
-        help: "closed-loop client resubmissions of rejected requests",
-    },
-    MetricDef {
-        id: MetricId::ServeRetryExhausted,
-        name: "serve.retry_exhausted",
-        kind: MetricKind::Counter,
-        unit: "requests",
-        help: "rejections abandoned on an exhausted retry budget or passed deadline",
-    },
-];
 
 #[cfg(test)]
 mod tests {
@@ -621,6 +227,23 @@ mod tests {
             for b in &CATALOG[i + 1..] {
                 assert_ne!(a.name, b.name);
             }
+        }
+    }
+
+    #[test]
+    fn experiments_md_lists_the_catalog() {
+        // The metric catalog in EXPERIMENTS.md lists every metric, in
+        // order, with its kind and unit.
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../EXPERIMENTS.md");
+        let doc = std::fs::read_to_string(path).unwrap();
+        let rows: Vec<&str> = doc.lines().filter(|l| l.starts_with("| `")).collect();
+        let mut at = 0;
+        for def in CATALOG {
+            let head = format!("| `{}` | {} | {} |", def.name, def.kind.label(), def.unit);
+            at += 1 + rows[at..]
+                .iter()
+                .position(|r| r.starts_with(&head))
+                .unwrap_or_else(|| panic!("EXPERIMENTS.md has no row `{head} ...` in order"));
         }
     }
 

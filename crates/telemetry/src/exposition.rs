@@ -11,7 +11,6 @@
 //! scraper relies on (every sample declared by a TYPE, cumulative bucket
 //! monotonicity, `+Inf` equal to `_count`) so CI can gate the artifact.
 
-use crate::catalog::MetricKind;
 use crate::registry::{Log2Histogram, Registry};
 
 /// Prefix applied to every exposed metric name.
@@ -32,21 +31,13 @@ pub fn exposition_name(catalog_name: &str) -> String {
     out
 }
 
-fn type_str(kind: MetricKind) -> &'static str {
-    match kind {
-        MetricKind::Counter => "counter",
-        MetricKind::Gauge => "gauge",
-        MetricKind::Histogram => "histogram",
-    }
-}
-
 /// Render a registry in the Prometheus text exposition format.
 pub fn to_prometheus(registry: &Registry) -> String {
     let mut out = String::new();
     for (def, value) in registry.scalars() {
         let name = exposition_name(def.name);
         out.push_str(&format!("# HELP {name} {}\n", def.help));
-        out.push_str(&format!("# TYPE {name} {}\n", type_str(def.kind)));
+        out.push_str(&format!("# TYPE {name} {}\n", def.kind.label()));
         out.push_str(&format!("{name} {value}\n"));
     }
     for (def, hist) in registry.histograms() {

@@ -251,19 +251,11 @@ impl Registry {
     }
 }
 
-fn kind_str(kind: MetricKind) -> &'static str {
-    match kind {
-        MetricKind::Counter => "counter",
-        MetricKind::Gauge => "gauge",
-        MetricKind::Histogram => "histogram",
-    }
-}
-
 fn render_line(def: &MetricDef, slot: &Slot) -> String {
     let head = format!(
         "{{\"metric\":\"{}\",\"kind\":\"{}\",\"unit\":\"{}\"",
         def.name,
-        kind_str(def.kind),
+        def.kind.label(),
         def.unit
     );
     match slot {

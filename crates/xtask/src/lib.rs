@@ -58,7 +58,8 @@ pub const NO_ALLOWLIST_FILES: &[&str] = &["crates/sim/src/runner.rs", "crates/si
 /// `sim` files that feed deterministic stores and so are scanned for
 /// panics and nondeterminism (allowlist-eligible, unlike
 /// [`NO_ALLOWLIST_FILES`]).
-pub const SIM_DETERMINISTIC_FILES: &[&str] = &["crates/sim/src/serve.rs"];
+pub const SIM_DETERMINISTIC_FILES: &[&str] =
+    &["crates/sim/src/serve.rs", "crates/sim/src/counters.rs"];
 
 /// Controller/device hot-path files under the cycle-integrity rule: this
 /// is where the paper's integer-cycle timing rules live.
