@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 
 use faults::FaultInjector;
 use memsys::{MemorySystem, SystemMap};
-use rdram::{Command, Cycle, Location, SharedSink, PACKET_BYTES};
+use rdram::{Command, Cycle, Location, SharedSink, ELEM_BYTES, PACKET_BYTES};
 use smc::{
     LivelockReport, SmcError, StreamDescriptor, StreamKind, Watchdog, DEFAULT_WATCHDOG_CYCLES,
 };
@@ -116,6 +116,13 @@ pub struct BaselineController {
     /// NACK count at the previous tick; the telemetry emitter turns the
     /// per-tick delta into events.
     prev_nacks: u64,
+    /// Ticks executed, one per call to [`tick`](Self::tick).
+    ticks: u64,
+    /// The first cycle after the last tick at which a tick can change
+    /// anything, as far as that tick could see: the cycle after a stalled
+    /// tick, else the least of the in-flight ops' earliest starts (looked
+    /// up a cycle ahead after an issue) and the front op's admission cycle.
+    wake: Cycle,
 }
 
 impl BaselineController {
@@ -169,6 +176,8 @@ impl BaselineController {
             trace_sink: None,
             telemetry: None,
             prev_nacks: 0,
+            ticks: 0,
+            wake: 0,
         }
     }
 
@@ -315,7 +324,20 @@ impl BaselineController {
     ) -> VecDeque<LineOp> {
         let n = streams[0].length;
         let allocate = write_policy == WritePolicy::WriteAllocate;
-        let mut queue: VecDeque<LineOp> = VecDeque::new();
+        // Reserve the schedule at its final size: one op per line a stream
+        // touches, plus one writeback per line of a write-allocate store.
+        let ops: u64 = streams
+            .iter()
+            .map(|desc| {
+                let writebacks = allocate && desc.kind == StreamKind::Write;
+                line_count(desc, line_bytes) * if writebacks { 2 } else { 1 }
+            })
+            .sum();
+        let per_line: Vec<usize> = streams
+            .iter()
+            .map(|desc| elements_per_line(desc, line_bytes))
+            .collect();
+        let mut queue: VecDeque<LineOp> = VecDeque::with_capacity(ops as usize);
         let mut current_line: Vec<Option<u64>> = vec![None; streams.len()];
         let mut open_op: Vec<Option<usize>> = vec![None; streams.len()];
         let writeback = |queue: &mut VecDeque<LineOp>, s: usize, line: u64, i: u64| {
@@ -347,6 +369,8 @@ impl BaselineController {
                         }
                     }
                     let is_store = desc.kind == StreamKind::Write;
+                    let mut elements = Vec::with_capacity(per_line[s]);
+                    elements.push((s, i));
                     queue.push_back(LineOp {
                         stream: s,
                         line_addr: line,
@@ -357,7 +381,7 @@ impl BaselineController {
                             desc.kind
                         },
                         trigger_iter: i,
-                        elements: vec![(s, i)],
+                        elements,
                         gated: is_store,
                         record_arrivals: desc.kind == StreamKind::Read,
                     });
@@ -420,20 +444,9 @@ impl BaselineController {
         Some(dep)
     }
 
+    /// Admit queued ops in order while the front one is ready at `now`.
     fn try_admit(&mut self, now: Cycle) {
-        while self.in_flight.len() < self.max_in_flight {
-            // A blocking controller (one outstanding transfer) waits for the
-            // previous line fill to complete before starting the next.
-            if self.max_in_flight == 1 && now < self.last_data_cycle {
-                break;
-            }
-            let Some(op) = self.queue.front() else { break };
-            if op.gated {
-                match self.store_dep_cycle(op) {
-                    Some(dep) if dep <= now => {}
-                    _ => break, // store not ready: in-order issue stalls
-                }
-            }
+        while self.admission_cycle() <= now {
             let Some(op) = self.queue.pop_front() else {
                 break;
             };
@@ -448,6 +461,31 @@ impl BaselineController {
                 resume_at: 0,
             });
         }
+    }
+
+    /// The cycle from which the front op may be admitted, or `Cycle::MAX`
+    /// when only an issue can unblock it: the window is full, or a store
+    /// waits on loads that have not all been scheduled (in-order issue
+    /// stalls behind it).
+    fn admission_cycle(&self) -> Cycle {
+        if self.in_flight.len() >= self.max_in_flight {
+            return Cycle::MAX;
+        }
+        let Some(op) = self.queue.front() else {
+            return Cycle::MAX;
+        };
+        // A blocking controller (one outstanding transfer) waits for the
+        // previous line fill to complete before starting the next.
+        let blocking = if self.max_in_flight == 1 {
+            self.last_data_cycle
+        } else {
+            0
+        };
+        if !op.gated {
+            return blocking;
+        }
+        self.store_dep_cycle(op)
+            .map_or(Cycle::MAX, |dep| dep.max(blocking))
     }
 
     fn packets_per_line(&self) -> u64 {
@@ -465,6 +503,7 @@ impl BaselineController {
     /// forward-progress watchdog sees no command issued for the watchdog
     /// threshold.
     pub fn tick(&mut self, now: Cycle, dev: &mut MemorySystem) -> Result<(), SmcError> {
+        self.ticks += 1;
         if let Some(sink) = &self.trace_sink {
             if !dev.has_cmd_sink() {
                 dev.set_cmd_sink(sink.clone());
@@ -477,6 +516,7 @@ impl BaselineController {
                     tel.record(Event::InjectedStall { cycle: now });
                 }
             }
+            self.wake = now.saturating_add(1);
             return Ok(());
         }
         self.step(now, dev)?;
@@ -532,10 +572,38 @@ impl BaselineController {
     }
 
     /// One scheduling step: admit ready transfers and issue at most one
-    /// command packet.
+    /// command packet. Sets `wake`.
     fn step(&mut self, now: Cycle, dev: &mut MemorySystem) -> Result<(), SmcError> {
         self.try_admit(now);
-        // Find the oldest in-flight op whose next command can start now.
+        let ready = match self.ready_op(now, dev) {
+            Ok((k, cmd)) => {
+                self.issue(k, cmd, now, dev)?;
+                // Look at the next cycle from the new state now, so the
+                // next tick lands on an event rather than finding nothing.
+                let next = now.saturating_add(1);
+                match self.ready_op(next, dev) {
+                    Ok(_) => next,
+                    Err(ready) => ready,
+                }
+            }
+            Err(ready) => {
+                if !self.queue.is_empty() || !self.in_flight.is_empty() {
+                    self.idle_cycles += 1;
+                }
+                ready
+            }
+        };
+        self.wake = ready.min(self.admission_cycle());
+        Ok(())
+    }
+
+    /// The oldest in-flight op whose next command can start at `at`, with
+    /// that command; otherwise the least cycle at which a blocked op's next
+    /// command can start (`Cycle::MAX` when every op waits on an older op
+    /// sharing its bank). Ops that have not started their column phase
+    /// take their stage from live bank state.
+    fn ready_op(&mut self, at: Cycle, dev: &MemorySystem) -> Result<(usize, Command), Cycle> {
+        let mut ready = Cycle::MAX;
         for k in 0..self.in_flight.len() {
             // An op must not issue ROW commands for a bank while an older
             // in-flight op still has column accesses outstanding there — a
@@ -560,17 +628,20 @@ impl BaselineController {
             if bank_busy && matches!(self.in_flight[k].stage, Stage::Precharge | Stage::Activate) {
                 continue;
             }
-            let f = &self.in_flight[k];
-            let cmd = self.command_for(f);
-            if dev.earliest(&cmd, now) > now {
-                continue;
+            let cmd = self.command_for(&self.in_flight[k]);
+            let start = dev.earliest(&cmd, at);
+            if start <= at {
+                return Ok((k, cmd));
             }
-            return self.issue(k, cmd, now, dev);
+            // `Cycle::MAX` is a bounded search giving up, which a later
+            // query may not: look again the cycle after.
+            ready = ready.min(if start == Cycle::MAX {
+                at.saturating_add(1)
+            } else {
+                start
+            });
         }
-        if !self.queue.is_empty() || !self.in_flight.is_empty() {
-            self.idle_cycles += 1;
-        }
-        Ok(())
+        Err(ready)
     }
 
     fn command_for(&self, f: &InFlight) -> Command {
@@ -602,8 +673,9 @@ impl BaselineController {
     ) -> Result<(), SmcError> {
         let stage = self.in_flight[k].stage;
         // Label the op's ROW ACT (or first COL on a page hit) for the
-        // timing-diagram figures.
-        if matches!(stage, Stage::Activate | Stage::Col(0)) {
+        // timing-diagram figures. The device keeps a label only while it
+        // records a packet trace, so build one only then.
+        if dev.config().trace_enabled && matches!(stage, Stage::Activate | Stage::Col(0)) {
             let f = &self.in_flight[k];
             let verb = match (f.op.dir, f.op.gated) {
                 (StreamKind::Read, false) => "ld",
@@ -690,6 +762,13 @@ impl BaselineController {
 
     /// Run the whole schedule, returning the timing summary.
     ///
+    /// The loop steps from event to event: after each tick it jumps to the
+    /// next cycle at which a tick can change anything, and counts every
+    /// skipped cycle as idle. The result, the device state, every arrival,
+    /// the command stream and the telemetry events all equal those of
+    /// calling [`tick`](Self::tick) once per cycle (see the
+    /// [crate docs](crate) for why).
+    ///
     /// # Errors
     ///
     /// Propagates the first [`SmcError`] a tick reports — under fault
@@ -699,10 +778,15 @@ impl BaselineController {
         &mut self,
         dev: &mut MemorySystem,
     ) -> Result<BaselineResult, SmcError> {
-        let mut now = 0;
+        let mut now: Cycle = 0;
         while !self.done() {
             self.tick(now, dev)?;
-            now += 1;
+            if self.done() {
+                break;
+            }
+            let next = self.next_event(now, dev);
+            self.idle_cycles += next.saturating_sub(now).saturating_sub(1);
+            now = next;
         }
         Ok(BaselineResult {
             last_data_cycle: self.last_data_cycle,
@@ -712,10 +796,51 @@ impl BaselineController {
         })
     }
 
+    /// The next cycle after the tick at `now` at which a tick can change
+    /// anything: the tick's `wake` cycle, the next injected stall (stalled
+    /// cycles are stepped one by one) or the watchdog's deadline, whichever
+    /// comes first. Under chaos the launch search can pass over acceptable
+    /// launches, so an earliest start is not a promise and every cycle is
+    /// stepped.
+    fn next_event(&self, now: Cycle, dev: &MemorySystem) -> Cycle {
+        let next = now.saturating_add(1);
+        if dev.has_chaos() {
+            return next;
+        }
+        let stall = self.faults.next_stall(next).unwrap_or(Cycle::MAX);
+        self.wake.min(stall).min(self.watchdog.deadline()).max(next)
+    }
+
     /// End cycle of the last DATA packet scheduled so far.
     pub fn last_data_cycle(&self) -> Cycle {
         self.last_data_cycle
     }
+
+    /// Ticks executed so far, one per call to [`tick`](Self::tick): one per
+    /// cycle for a caller that steps every cycle, one per event under
+    /// [`run_to_completion`](Self::run_to_completion).
+    pub fn ticks(&self) -> u64 {
+        self.ticks
+    }
+}
+
+/// Distinct cachelines `desc` touches: one per element once elements are
+/// a line or more apart, else every line from the first element's to the
+/// last's.
+fn line_count(desc: &StreamDescriptor, line_bytes: u64) -> u64 {
+    if desc.stride * ELEM_BYTES >= line_bytes {
+        return desc.length;
+    }
+    let first = desc.element_addr(0) / line_bytes;
+    let last = desc.element_addr(desc.length - 1) / line_bytes;
+    last - first + 1
+}
+
+/// The most elements of `desc` one cacheline can hold.
+fn elements_per_line(desc: &StreamDescriptor, line_bytes: u64) -> usize {
+    line_bytes
+        .div_ceil(desc.stride * ELEM_BYTES)
+        .min(desc.length) as usize
 }
 
 #[cfg(test)]

@@ -19,6 +19,30 @@
 //! * no dirty-line writebacks and no cache-conflict misses — the same
 //!   optimistic simplifications as the paper's analytic bounds.
 //!
+//! # Event stepping
+//!
+//! [`BaselineController::tick`] advances one cycle, but most cycles of a
+//! natural-order run issue nothing. [`BaselineController::run_to_completion`]
+//! therefore ticks only at cycles where a tick can change something: the
+//! least earliest start of the in-flight ops' next commands, the cycle at
+//! which the front op can be admitted (its store dependency, or the last
+//! line fill for a blocking controller), the next injected stall cycle and
+//! the watchdog's deadline. A tick that issues looks ahead one cycle from
+//! the new state, so the next tick usually issues too. Every skipped cycle
+//! counts as idle, as the per-cycle loop counted it.
+//!
+//! This is exact, not an approximation. Without channel chaos,
+//! `MemorySystem::earliest(cmd, t)` is the first cycle at or after `t` at
+//! which the command is accepted: device timing, remote ROW penalties and
+//! injected busy windows all keep that form. The answer changes only when
+//! a command issues, and bank state, admission and the watchdog's progress
+//! key change only at a tick. So a skipped cycle would have found nothing
+//! to issue or admit, and the result, every arrival, the command stream and
+//! the telemetry events equal those of the per-cycle loop. Chaos breaks the
+//! first property — its launch search can pass over acceptable launches —
+//! so with a chaos plan attached every cycle is stepped.
+//! [`BaselineController::ticks`] counts the ticks taken.
+//!
 //! # Example
 //!
 //! ```

@@ -55,6 +55,26 @@ impl FaultInjector {
         })
     }
 
+    /// The first cycle at or after `from` at which the controller is
+    /// [`stalled`](Self::stalled), or `None` when no clause ever stalls
+    /// it.
+    pub fn next_stall(&self, from: Cycle) -> Option<Cycle> {
+        self.clauses
+            .iter()
+            .filter_map(|c| match *c {
+                FaultClause::Stall { period, len } if len > 0 => {
+                    let phase = from % period;
+                    Some(if phase < len {
+                        from
+                    } else {
+                        from.saturating_add(period - phase)
+                    })
+                }
+                _ => None,
+            })
+            .min()
+    }
+
     /// Whether the DATA packet of an access to `bank`, whose transfer ends
     /// at `data_end`, is NACKed on retry number `attempt` (0 = first try).
     ///
@@ -299,6 +319,17 @@ mod tests {
         }
         // Stalls do not make banks busy.
         assert_eq!(inj.free_at(0, 2), 2);
+    }
+
+    #[test]
+    fn next_stall_is_the_first_stalled_cycle() {
+        let inj = injector("stall:50:5;stall:70:3;busy:0:10:2");
+        for t in 0..400u64 {
+            let first = (t..).find(|&u| inj.stalled(u));
+            assert_eq!(inj.next_stall(t), first, "from {t}");
+        }
+        assert_eq!(injector("busy:0:10:2").next_stall(7), None);
+        assert_eq!(FaultInjector::inert().next_stall(0), None);
     }
 
     #[test]

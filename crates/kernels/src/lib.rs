@@ -30,7 +30,7 @@
 //! let c = Coefficients::default();
 //! // One iteration: inputs in stream order (x, y) -> outputs (y).
 //! let out = k.compute(&[2.0, 3.0], &c);
-//! assert_eq!(out, vec![c.a * 2.0 + 3.0]);
+//! assert_eq!(out[0], c.a * 2.0 + 3.0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -67,6 +67,13 @@ impl Default for Coefficients {
         }
     }
 }
+
+/// The most read-streams any kernel declares (hydro and vaxpy).
+pub const MAX_READS: usize = 3;
+
+/// The most write-streams any kernel declares (swap): the length of
+/// [`Kernel::compute`]'s result.
+pub const MAX_WRITES: usize = 2;
 
 /// A stream's role within a kernel: which vector it walks, at what element
 /// offset, and in which direction.
@@ -139,45 +146,51 @@ impl Kernel {
 
     /// The streams the kernel declares, reads first, in the order the
     /// processor touches them each iteration.
-    pub fn streams(&self) -> Vec<StreamSpec> {
+    pub fn streams(&self) -> &'static [StreamSpec] {
         use StreamKind::{Read, Write};
-        let spec = |name, vector, offset, kind| StreamSpec {
-            name,
-            vector,
-            offset,
-            kind,
-        };
+        // A struct literal of constants, so each table is a `'static`
+        // promotion rather than a per-call allocation.
+        macro_rules! spec {
+            ($name:literal, $vector:literal, $offset:literal, $kind:ident) => {
+                StreamSpec {
+                    name: $name,
+                    vector: $vector,
+                    offset: $offset,
+                    kind: $kind,
+                }
+            };
+        }
         match self {
-            Kernel::Copy => vec![spec("x", 0, 0, Read), spec("y", 1, 0, Write)],
-            Kernel::Daxpy => vec![
-                spec("x", 0, 0, Read),
-                spec("y", 1, 0, Read),
-                spec("y'", 1, 0, Write),
+            Kernel::Copy => &[spec!("x", 0, 0, Read), spec!("y", 1, 0, Write)],
+            Kernel::Daxpy => &[
+                spec!("x", 0, 0, Read),
+                spec!("y", 1, 0, Read),
+                spec!("y'", 1, 0, Write),
             ],
-            Kernel::Hydro => vec![
-                spec("y", 0, 0, Read),
-                spec("zx+10", 1, 10, Read),
-                spec("zx+11", 1, 11, Read),
-                spec("x", 2, 0, Write),
+            Kernel::Hydro => &[
+                spec!("y", 0, 0, Read),
+                spec!("zx+10", 1, 10, Read),
+                spec!("zx+11", 1, 11, Read),
+                spec!("x", 2, 0, Write),
             ],
-            Kernel::Vaxpy => vec![
-                spec("a", 0, 0, Read),
-                spec("x", 1, 0, Read),
-                spec("y", 2, 0, Read),
-                spec("y'", 2, 0, Write),
+            Kernel::Vaxpy => &[
+                spec!("a", 0, 0, Read),
+                spec!("x", 1, 0, Read),
+                spec!("y", 2, 0, Read),
+                spec!("y'", 2, 0, Write),
             ],
-            Kernel::Fill => vec![spec("y", 0, 0, Write)],
-            Kernel::Scale => vec![spec("x", 0, 0, Read), spec("y", 1, 0, Write)],
-            Kernel::Triad => vec![
-                spec("x", 0, 0, Read),
-                spec("z", 1, 0, Read),
-                spec("y", 2, 0, Write),
+            Kernel::Fill => &[spec!("y", 0, 0, Write)],
+            Kernel::Scale => &[spec!("x", 0, 0, Read), spec!("y", 1, 0, Write)],
+            Kernel::Triad => &[
+                spec!("x", 0, 0, Read),
+                spec!("z", 1, 0, Read),
+                spec!("y", 2, 0, Write),
             ],
-            Kernel::Swap => vec![
-                spec("x", 0, 0, Read),
-                spec("y", 1, 0, Read),
-                spec("x'", 0, 0, Write),
-                spec("y'", 1, 0, Write),
+            Kernel::Swap => &[
+                spec!("x", 0, 0, Read),
+                spec!("y", 1, 0, Read),
+                spec!("x'", 0, 0, Write),
+                spec!("y'", 1, 0, Write),
             ],
         }
     }
@@ -232,12 +245,13 @@ impl Kernel {
     }
 
     /// One iteration of the kernel: `inputs` are the read-stream values in
-    /// stream order; the result is the write-stream values in stream order.
+    /// stream order; the result holds the write-stream values in stream
+    /// order, padded with zeros past [`writes`](Self::writes).
     ///
     /// # Panics
     ///
     /// Panics if `inputs.len()` differs from [`reads`](Self::reads).
-    pub fn compute(&self, inputs: &[f64], c: &Coefficients) -> Vec<f64> {
+    pub fn compute(&self, inputs: &[f64], c: &Coefficients) -> [f64; MAX_WRITES] {
         assert_eq!(
             inputs.len() as u64,
             self.reads(),
@@ -246,17 +260,17 @@ impl Kernel {
             self.reads()
         );
         match self {
-            Kernel::Copy => vec![inputs[0]],
-            Kernel::Daxpy => vec![c.a * inputs[0] + inputs[1]],
+            Kernel::Copy => [inputs[0], 0.0],
+            Kernel::Daxpy => [c.a * inputs[0] + inputs[1], 0.0],
             Kernel::Hydro => {
                 let (y, zx10, zx11) = (inputs[0], inputs[1], inputs[2]);
-                vec![c.q + y * (c.r * zx10 + c.t * zx11)]
+                [c.q + y * (c.r * zx10 + c.t * zx11), 0.0]
             }
-            Kernel::Vaxpy => vec![inputs[0] * inputs[1] + inputs[2]],
-            Kernel::Fill => vec![c.a],
-            Kernel::Scale => vec![c.a * inputs[0]],
-            Kernel::Triad => vec![inputs[0] + c.a * inputs[1]],
-            Kernel::Swap => vec![inputs[1], inputs[0]],
+            Kernel::Vaxpy => [inputs[0] * inputs[1] + inputs[2], 0.0],
+            Kernel::Fill => [c.a, 0.0],
+            Kernel::Scale => [c.a * inputs[0], 0.0],
+            Kernel::Triad => [inputs[0] + c.a * inputs[1], 0.0],
+            Kernel::Swap => [inputs[1], inputs[0]],
         }
     }
 
@@ -341,17 +355,30 @@ mod tests {
             r: 3.0,
             t: 5.0,
         };
-        assert_eq!(Kernel::Copy.compute(&[7.0], &c), vec![7.0]);
-        assert_eq!(Kernel::Daxpy.compute(&[7.0, 1.0], &c), vec![15.0]);
+        assert_eq!(Kernel::Copy.compute(&[7.0], &c), [7.0, 0.0]);
+        assert_eq!(Kernel::Daxpy.compute(&[7.0, 1.0], &c), [15.0, 0.0]);
         assert_eq!(
             Kernel::Hydro.compute(&[2.0, 10.0, 100.0], &c),
-            vec![1.0 + 2.0 * (30.0 + 500.0)]
+            [1.0 + 2.0 * (30.0 + 500.0), 0.0]
         );
-        assert_eq!(Kernel::Vaxpy.compute(&[2.0, 3.0, 4.0], &c), vec![10.0]);
-        assert_eq!(Kernel::Swap.compute(&[1.0, 2.0], &c), vec![2.0, 1.0]);
-        assert_eq!(Kernel::Fill.compute(&[], &c), vec![2.0]);
-        assert_eq!(Kernel::Triad.compute(&[1.0, 4.0], &c), vec![9.0]);
-        assert_eq!(Kernel::Scale.compute(&[4.0], &c), vec![8.0]);
+        assert_eq!(Kernel::Vaxpy.compute(&[2.0, 3.0, 4.0], &c), [10.0, 0.0]);
+        assert_eq!(Kernel::Swap.compute(&[1.0, 2.0], &c), [2.0, 1.0]);
+        assert_eq!(Kernel::Fill.compute(&[], &c), [2.0, 0.0]);
+        assert_eq!(Kernel::Triad.compute(&[1.0, 4.0], &c), [9.0, 0.0]);
+        assert_eq!(Kernel::Scale.compute(&[4.0], &c), [8.0, 0.0]);
+    }
+
+    #[test]
+    fn stream_tables_fit_the_fixed_buffers_reads_first() {
+        let most = |f: fn(&Kernel) -> u64| Kernel::ALL.iter().map(f).max();
+        assert_eq!(most(Kernel::reads), Some(MAX_READS as u64));
+        assert_eq!(most(Kernel::writes), Some(MAX_WRITES as u64));
+        for k in Kernel::ALL {
+            let streams = k.streams();
+            let (reads, writes) = streams.split_at(k.reads() as usize);
+            assert!(reads.iter().all(|s| s.kind == StreamKind::Read), "{k}");
+            assert!(writes.iter().all(|s| s.kind == StreamKind::Write), "{k}");
+        }
     }
 
     #[test]

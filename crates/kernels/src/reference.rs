@@ -1,9 +1,8 @@
 //! Scalar reference execution of the kernels over a memory image.
 
 use rdram::{MemoryImage, ELEM_BYTES};
-use smc::StreamKind;
 
-use crate::{Coefficients, Kernel};
+use crate::{Coefficients, Kernel, MAX_READS};
 
 /// Executes a kernel directly against a [`MemoryImage`], element by element
 /// and iteration by iteration, with no memory system in between.
@@ -50,22 +49,20 @@ impl ReferenceMachine {
     /// Panics if `vector_bases.len()` differs from the kernel's vector
     /// count.
     pub fn run(&self, mem: &mut MemoryImage, vector_bases: &[u64], n: u64, stride: u64) {
-        let streams = self.kernel.streams();
+        // Streams are declared reads first.
+        let (reads, writes) = self.kernel.streams().split_at(self.kernel.reads() as usize);
         assert_eq!(vector_bases.len(), self.kernel.vectors());
         let addr = |spec: &crate::StreamSpec, i: u64| {
             vector_bases[spec.vector] + (spec.offset + i * stride) * ELEM_BYTES
         };
+        let mut buffer = [0.0; MAX_READS];
+        let inputs = &mut buffer[..reads.len()];
         for i in 0..n {
-            let inputs: Vec<f64> = streams
-                .iter()
-                .filter(|s| s.kind == StreamKind::Read)
-                .map(|s| mem.read_f64(addr(s, i)))
-                .collect();
-            let outputs = self.kernel.compute(&inputs, &self.coeffs);
-            for (out, s) in outputs
-                .iter()
-                .zip(streams.iter().filter(|s| s.kind == StreamKind::Write))
-            {
+            for (value, s) in inputs.iter_mut().zip(reads) {
+                *value = mem.read_f64(addr(s, i));
+            }
+            let outputs = self.kernel.compute(inputs, &self.coeffs);
+            for (out, s) in outputs.iter().zip(writes) {
                 mem.write_f64(addr(s, i), *out);
             }
         }

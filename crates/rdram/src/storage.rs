@@ -6,11 +6,11 @@
 //! end-to-end kernel tests verify that access *reordering* never changes
 //! computation *results*.
 
-use std::collections::BTreeMap;
-
 use crate::ELEM_BYTES;
 
 const CHUNK_BYTES: u64 = 4096;
+
+type Chunk = Box<[u8; CHUNK_BYTES as usize]>;
 
 // Whole elements tile a chunk, so an aligned element never straddles two.
 const _: () = assert!(CHUNK_BYTES.is_multiple_of(ELEM_BYTES));
@@ -20,6 +20,10 @@ const _: () = assert!(CHUNK_BYTES.is_multiple_of(ELEM_BYTES));
 /// Pages are allocated lazily in 4 KB chunks; unwritten memory reads as
 /// zero. Convenience accessors exist for the 64-bit stream elements the
 /// paper's kernels operate on.
+///
+/// Chunks are indexed by chunk number, so the index grows with the highest
+/// address written: a simulated system's few megabytes of capacity need a
+/// few thousand entries.
 ///
 /// ```
 /// use rdram::MemoryImage;
@@ -31,7 +35,8 @@ const _: () = assert!(CHUNK_BYTES.is_multiple_of(ELEM_BYTES));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct MemoryImage {
-    chunks: BTreeMap<u64, Box<[u8; CHUNK_BYTES as usize]>>,
+    /// Chunk `i` holds bytes `[i * CHUNK_BYTES, (i + 1) * CHUNK_BYTES)`.
+    chunks: Vec<Option<Chunk>>,
 }
 
 impl MemoryImage {
@@ -56,7 +61,7 @@ impl MemoryImage {
 
     /// Read one byte.
     pub fn read_byte(&self, addr: u64) -> u8 {
-        match self.chunks.get(&(addr / CHUNK_BYTES)) {
+        match self.chunk(addr) {
             Some(chunk) => chunk[(addr % CHUNK_BYTES) as usize],
             None => 0,
         }
@@ -67,11 +72,21 @@ impl MemoryImage {
         self.chunk_mut(addr)[(addr % CHUNK_BYTES) as usize] = value;
     }
 
+    /// The chunk holding `addr`, if it was ever written.
+    fn chunk(&self, addr: u64) -> Option<&Chunk> {
+        let index = usize::try_from(addr / CHUNK_BYTES).ok()?;
+        self.chunks.get(index)?.as_ref()
+    }
+
     /// The chunk holding `addr`, allocated zeroed on first touch.
     fn chunk_mut(&mut self, addr: u64) -> &mut [u8; CHUNK_BYTES as usize] {
-        self.chunks
-            .entry(addr / CHUNK_BYTES)
-            .or_insert_with(|| Box::new([0u8; CHUNK_BYTES as usize]))
+        // A chunk number past `usize` fails the resize (capacity overflow)
+        // rather than alias a lower chunk.
+        let index = usize::try_from(addr / CHUNK_BYTES).unwrap_or(usize::MAX);
+        if index >= self.chunks.len() {
+            self.chunks.resize_with(index.saturating_add(1), || None);
+        }
+        self.chunks[index].get_or_insert_with(|| Box::new([0u8; CHUNK_BYTES as usize]))
     }
 
     /// Read a little-endian 64-bit word.
@@ -83,7 +98,7 @@ impl MemoryImage {
     pub fn read_u64(&self, addr: u64) -> u64 {
         assert_eq!(addr % ELEM_BYTES, 0, "unaligned element read at {addr:#x}");
         let mut buf = [0u8; ELEM_BYTES as usize];
-        if let Some(chunk) = self.chunks.get(&(addr / CHUNK_BYTES)) {
+        if let Some(chunk) = self.chunk(addr) {
             let off = (addr % CHUNK_BYTES) as usize;
             buf.copy_from_slice(&chunk[off..off + ELEM_BYTES as usize]);
         }
@@ -113,7 +128,7 @@ impl MemoryImage {
 
     /// Number of 4 KB chunks currently allocated.
     pub fn allocated_chunks(&self) -> usize {
-        self.chunks.len()
+        self.chunks.iter().filter(|c| c.is_some()).count()
     }
 }
 
@@ -183,6 +198,21 @@ mod tests {
             assert_eq!(mem.read_u64(addr), bytewise_u64(&mem, addr));
         }
         assert_eq!(mem.allocated_chunks(), 2);
+    }
+
+    #[test]
+    fn reads_past_the_highest_chunk_read_zero_and_allocate_nothing() {
+        let mut mem = MemoryImage::new();
+        mem.write_u64(3 * CHUNK_BYTES, 9);
+        let past = [4 * CHUNK_BYTES, 100 * CHUNK_BYTES + 8, u64::MAX - 7];
+        for addr in past {
+            assert_eq!(mem.read_u64(addr), 0);
+            assert_eq!(mem.read_byte(addr), 0);
+        }
+        // Below the highest chunk, unwritten chunks read zero too.
+        assert_eq!(mem.read_u64(CHUNK_BYTES), 0);
+        assert_eq!(mem.allocated_chunks(), 1);
+        assert_eq!(mem.chunks.len(), 4, "reads never grow the index");
     }
 
     #[test]

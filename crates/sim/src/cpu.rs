@@ -7,7 +7,7 @@
 //! iteration dereferences every read-FIFO head in the kernel's natural
 //! order, computes, and pushes the results into the write FIFOs.
 
-use kernels::{Coefficients, Kernel};
+use kernels::{Coefficients, Kernel, MAX_READS, MAX_WRITES};
 use rdram::Cycle;
 use smc::{SmcController, StreamKind};
 
@@ -35,8 +35,10 @@ pub struct StreamCpu {
     iterations: u64,
     iter: u64,
     phase: Phase,
-    inputs: Vec<f64>,
-    outputs: Vec<f64>,
+    /// This iteration's read values, by position in `reads`.
+    inputs: [f64; MAX_READS],
+    /// This iteration's results, computed at its first write attempt.
+    outputs: Option<[f64; MAX_WRITES]>,
     /// Cycles between successive stream accesses.
     access_cycles: Cycle,
     /// Earliest cycle the next access may complete (rate limiting).
@@ -73,8 +75,8 @@ impl StreamCpu {
             iterations,
             iter: 0,
             phase,
-            inputs: Vec::new(),
-            outputs: Vec::new(),
+            inputs: [0.0; MAX_READS],
+            outputs: None,
             access_cycles: CYCLES_PER_ACCESS,
             next_access_at: 0,
             finish_cycle: 0,
@@ -120,16 +122,16 @@ impl StreamCpu {
                 let Some(bits) = ctl.cpu_read(fifo, now) else {
                     return;
                 };
-                self.inputs.push(f64::from_bits(bits));
+                self.inputs[k] = f64::from_bits(bits);
                 self.advance_after_read(k, now);
             }
             Phase::Write(k) => {
-                if self.outputs.is_empty() {
-                    self.outputs = self.kernel.compute(&self.inputs, &self.coeffs);
-                    self.inputs.clear();
-                }
+                let outputs = *self.outputs.get_or_insert_with(|| {
+                    self.kernel
+                        .compute(&self.inputs[..self.reads.len()], &self.coeffs)
+                });
                 let fifo = self.writes[k];
-                if !ctl.cpu_write(fifo, self.outputs[k].to_bits(), now) {
+                if !ctl.cpu_write(fifo, outputs[k].to_bits(), now) {
                     return;
                 }
                 self.advance_after_write(k, now);
@@ -147,7 +149,6 @@ impl StreamCpu {
         if k + 1 < self.reads.len() {
             self.phase = Phase::Read(k + 1);
         } else if self.writes.is_empty() {
-            self.inputs.clear();
             self.next_iteration();
         } else {
             self.phase = Phase::Write(0);
@@ -159,7 +160,7 @@ impl StreamCpu {
         if k + 1 < self.writes.len() {
             self.phase = Phase::Write(k + 1);
         } else {
-            self.outputs.clear();
+            self.outputs = None;
             self.next_iteration();
         }
     }

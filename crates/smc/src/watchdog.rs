@@ -75,4 +75,20 @@ impl<K: PartialEq> Watchdog<K> {
     pub fn stalled_for(&self, now: Cycle) -> Cycle {
         now.saturating_sub(self.last_progress)
     }
+
+    /// The first cycle at which [`observe`](Self::observe) trips if the key
+    /// stays unchanged. A controller that skips cycles must not skip past
+    /// it, or the livelock trips late.
+    ///
+    /// ```
+    /// use smc::Watchdog;
+    ///
+    /// let mut dog = Watchdog::new(10);
+    /// assert_eq!(dog.observe(3, 1), None);
+    /// assert_eq!(dog.deadline(), 13);
+    /// assert_eq!(dog.observe(dog.deadline(), 1), Some(10));
+    /// ```
+    pub fn deadline(&self) -> Cycle {
+        self.last_progress.saturating_add(self.limit)
+    }
 }
