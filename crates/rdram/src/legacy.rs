@@ -1,14 +1,13 @@
-//! Conventional DRAM timing catalogue (the paper's Figure 1) and a small
-//! functional fast-page-mode DRAM model.
+//! Conventional DRAM timing catalogue (the paper's Figure 1) and the Rambus
+//! DRAM generations.
 //!
 //! The paper frames Direct RDRAM against the DRAMs of its day: fast-page
 //! mode (FPM), Extended Data Out (EDO), Burst-EDO, and SDRAM. This module
-//! reproduces the Figure 1 parameter table and provides a bus-occupancy
-//! model of a fast-page-mode memory system — the substrate of the authors'
-//! earlier SMC hardware — so the crate can contrast the two asymptotic
-//! regimes identified in Section 5.2: FPM SMC performance is limited by DRAM
-//! *page misses*, while Direct RDRAM SMC performance is limited by bus
-//! *turnaround*.
+//! reproduces the Figure 1 parameter table. Its FPM column times the `fpm`
+//! crate's model of the authors' earlier SMC hardware, which contrasts the
+//! two asymptotic regimes identified in Section 5.2: FPM SMC performance is
+//! limited by DRAM *page misses*, while Direct RDRAM SMC performance is
+//! limited by bus *turnaround*.
 
 use serde::{Deserialize, Serialize};
 
@@ -118,95 +117,6 @@ pub const RDRAM_GENERATIONS: [RdramGeneration; 3] = [
     },
 ];
 
-/// A functional model of a fast-page-mode DRAM memory system, timed in
-/// nanoseconds.
-///
-/// This is deliberately simple — the level of detail of the paper's
-/// *analytic* treatment of its earlier FPM SMC: a page-hit access occupies
-/// the memory for `tPC`, a page miss for `tRC`, and there is no inter-bank
-/// pipelining within one simple controller (matching the authors'
-/// proof-of-concept system with interleaved banks driven in lockstep).
-///
-/// ```
-/// use rdram::legacy::FpmDram;
-///
-/// let mut fpm = FpmDram::new(2, 1024, 8); // 2 banks, 1KB pages, 8B words
-/// let first = fpm.access(0, 0.0);     // bank 0: page miss
-/// let second = fpm.access(16, first); // bank 0 again, same page: hit
-/// assert!(second - first < first);
-/// ```
-#[derive(Debug, Clone)]
-pub struct FpmDram {
-    timing: ConventionalTiming,
-    banks: usize,
-    page_bytes: u64,
-    word_bytes: u64,
-    open_pages: Vec<Option<u64>>,
-    page_hits: u64,
-    page_misses: u64,
-}
-
-impl FpmDram {
-    /// Create a fast-page-mode memory with `banks` banks of `page_bytes`
-    /// pages, interleaved at `word_bytes` granularity (word interleaving, as
-    /// in the authors' i860 system).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any argument is zero.
-    pub fn new(banks: usize, page_bytes: u64, word_bytes: u64) -> Self {
-        assert!(banks > 0 && page_bytes > 0 && word_bytes > 0);
-        FpmDram {
-            timing: FIGURE_1[0],
-            banks,
-            page_bytes,
-            word_bytes,
-            open_pages: vec![None; banks],
-            page_hits: 0,
-            page_misses: 0,
-        }
-    }
-
-    /// The FPM timing parameters in use.
-    pub fn timing(&self) -> &ConventionalTiming {
-        &self.timing
-    }
-
-    /// Perform a word access at byte address `addr`, not before `now` (ns).
-    /// Returns the completion time in ns.
-    pub fn access(&mut self, addr: u64, now: f64) -> f64 {
-        let word = addr / self.word_bytes;
-        let bank = (word % self.banks as u64) as usize;
-        let page = addr / (self.page_bytes * self.banks as u64);
-        if self.open_pages[bank] == Some(page) {
-            self.page_hits += 1;
-            now + self.timing.t_pc_ns
-        } else {
-            self.open_pages[bank] = Some(page);
-            self.page_misses += 1;
-            now + self.timing.t_rc_ns
-        }
-    }
-
-    /// Page hits observed so far.
-    pub fn page_hits(&self) -> u64 {
-        self.page_hits
-    }
-
-    /// Page misses observed so far.
-    pub fn page_misses(&self) -> u64 {
-        self.page_misses
-    }
-
-    /// Asymptotic effective bandwidth (bytes/ns) of a stream whose accesses
-    /// hit the page buffer with probability `hit_rate`.
-    pub fn stream_bandwidth(&self, hit_rate: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&hit_rate), "hit rate must be in [0,1]");
-        let t = hit_rate * self.timing.t_pc_ns + (1.0 - hit_rate) * self.timing.t_rc_ns;
-        self.word_bytes as f64 / t
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,34 +145,5 @@ mod tests {
         );
         assert!(!RDRAM_GENERATIONS[0].concurrent_transactions);
         assert!(RDRAM_GENERATIONS[1].concurrent_transactions);
-    }
-
-    #[test]
-    fn hits_are_cheaper_than_misses() {
-        let mut fpm = FpmDram::new(2, 1024, 8);
-        let t1 = fpm.access(0, 0.0);
-        assert_eq!(t1, 95.0); // miss
-        let t2 = fpm.access(8, t1); // bank 1: miss
-        assert_eq!(t2 - t1, 95.0);
-        let t3 = fpm.access(16, t2); // bank 0 again, same page: hit
-        assert_eq!(t3 - t2, 30.0);
-        assert_eq!(fpm.page_hits(), 1);
-        assert_eq!(fpm.page_misses(), 2);
-    }
-
-    #[test]
-    fn stream_bandwidth_interpolates() {
-        let fpm = FpmDram::new(2, 1024, 8);
-        let all_hits = fpm.stream_bandwidth(1.0);
-        let all_misses = fpm.stream_bandwidth(0.0);
-        assert!(all_hits > all_misses);
-        assert!((all_hits - 8.0 / 30.0).abs() < 1e-12);
-        assert!((all_misses - 8.0 / 95.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "hit rate")]
-    fn bandwidth_rejects_bad_hit_rate() {
-        let _ = FpmDram::new(2, 1024, 8).stream_bandwidth(1.5);
     }
 }

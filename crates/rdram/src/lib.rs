@@ -21,7 +21,8 @@
 //!   Figures 5 and 6;
 //! * a byte-accurate [`MemoryImage`] so simulations can move real data, and
 //! * the paper's Figure 1 catalogue of conventional DRAM timing parameters
-//!   plus a functional fast-page-mode device model in [`legacy`].
+//!   and the Rambus generations of its Section 2.2, in [`legacy`] (the
+//!   `fpm` crate models the fast-page-mode memory itself).
 //!
 //! The device is driven by a memory controller (see the `baseline` and `smc`
 //! crates) through a two-phase protocol: ask [`Rdram::earliest`] when a

@@ -346,18 +346,26 @@ mod tests {
             };
             assert_eq!(registry.value(id), expected, "{}", id.def().name);
         }
-        // A telemetered run's registry carries every run and attribution
-        // row's value.
-        let cfg = SystemConfig::smc(MemorySystem::CacheLineInterleaved, 16).with_telemetry();
-        let result = crate::run_kernel(Kernel::Vaxpy, 64, 1, &cfg).unwrap();
+        // A telemetered run's registry carries every run, attribution and
+        // chaos row's value; this chaos plan makes every chaos row nonzero.
+        let plan = "brownout:0:100:1500:4;outage:1:400:600;devfail:1:0:2000:2";
+        let cfg = SystemConfig::smc(MemorySystem::CacheLineInterleaved, 32)
+            .with_channels(2)
+            .with_placement(memsys::Placement::ChannelInterleaved { block_bytes: 1024 })
+            .with_chaos(faults::FaultPlan::parse(plan).unwrap(), 0)
+            .with_telemetry();
+        let result = crate::run_kernel(Kernel::Copy, 1024, 1, &cfg).unwrap();
         let registry = &result.telemetry.as_ref().unwrap().registry;
         let sources = Sources::run(&result);
         for binding in BINDINGS {
-            if let (Some(id), Read::Run(_) | Read::Attribution(_)) = (binding.metric, binding.read)
-            {
-                let value = binding.value(&sources);
-                assert_eq!(Some(registry.value(id)), value, "{}", id.def().name);
+            let Some(id) = binding.metric else { continue };
+            let value = binding.value(&sources);
+            match binding.read {
+                Read::Serve(_) => continue,
+                Read::Chaos(_) => assert!(value > Some(0), "{} is zero", id.def().name),
+                Read::Run(_) | Read::Attribution(_) => {}
             }
+            assert_eq!(Some(registry.value(id)), value, "{}", id.def().name);
         }
     }
 }

@@ -309,6 +309,28 @@ mod tests {
         // Deep FIFOs on long vectors approach the bound.
         let deep = p.rows.last().unwrap();
         assert!(deep.staggered > 0.89 * deep.smc_bound, "{deep:?}");
+        // The best FIFO depth "must be chosen experimentally" (Section 6):
+        // long vectors prefer deep FIFOs and exploit over 90% of peak.
+        let best = best_staggered(&p);
+        assert!(best.depth >= 32 && best.staggered > 90.0, "{best:?}");
+    }
+
+    /// The panel's best staggered row. Ties go to the shallower FIFO, since
+    /// FIFO storage is the SMC's main hardware cost: `max_by` keeps the last
+    /// of equal maxima, and the rows are scanned deepest first.
+    fn best_staggered(p: &Fig7Panel) -> &Fig7Row {
+        let by_staggered = |a: &&Fig7Row, b: &&Fig7Row| a.staggered.total_cmp(&b.staggered);
+        p.rows.iter().rev().max_by(by_staggered).unwrap()
+    }
+
+    #[test]
+    fn short_multi_read_vectors_avoid_the_deepest_fifo() {
+        // vaxpy on 128-element vectors: filling two 128-deep read FIFOs
+        // before the last read-stream delivers makes the deepest FIFO
+        // suboptimal.
+        let p = panel('m', Kernel::Vaxpy, 128, MemorySystem::CacheLineInterleaved);
+        let best = best_staggered(&p);
+        assert!(best.depth < 128, "{best:?}");
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Regeneration of every table and figure in the paper's evaluation.
 //!
 //! Each submodule produces a serializable result plus a plain-text
-//! rendering. The `repro` binary (`cargo run -p sim --bin repro --release`)
-//! runs them all and records paper-vs-measured comparisons for
-//! EXPERIMENTS.md.
+//! rendering. The root package's table of studies names each one once,
+//! and its `repro` binary (`cargo run --release --bin repro`) runs them and
+//! writes `results/`, which EXPERIMENTS.md compares with the paper.
 
 pub mod chaos;
 pub mod extra;
@@ -17,99 +17,3 @@ pub mod fig9;
 pub mod grid;
 pub mod headline;
 pub mod numa;
-
-/// Names of all experiments, in paper order (`extra`, `numa`, and `chaos`
-/// are this reproduction's extension studies; `headline` is appended by
-/// the `repro` binary).
-pub const ALL: [&str; 11] = [
-    "fig1", "fig2", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "extra", "numa", "chaos",
-];
-
-/// Render one experiment by name (`"headline"` for the Section 6 numbers).
-///
-/// # Panics
-///
-/// Panics on an unknown experiment name.
-pub fn render(name: &str) -> String {
-    match name {
-        "fig1" => fig1::render(),
-        "fig2" => fig2::render(),
-        "fig4" => fig4::render(),
-        "fig5" => fig56::render_fig5(),
-        "fig6" => fig56::render_fig6(),
-        "fig7" => fig7::run().render(),
-        "fig8" => fig8::run().render(),
-        "fig9" => fig9::run().render(),
-        "extra" => extra::run().render(),
-        "numa" => numa::run().render(),
-        "chaos" => chaos::run().render(),
-        "headline" => headline::run().render(),
-        other => {
-            panic!("unknown experiment {other:?}; known: fig1..fig9, extra, numa, chaos, headline")
-        }
-    }
-}
-
-/// The experiment's data as pretty-printed JSON, for the experiments that
-/// produce structured series (fig7, fig8, fig9, headline). `None` for the
-/// purely textual ones.
-///
-/// # Panics
-///
-/// Panics on an unknown experiment name.
-pub fn json(name: &str) -> Option<String> {
-    let to = |v: &dyn serde::Serialize| serde_json::to_string_pretty(v).expect("serializable");
-    match name {
-        "fig7" => Some(to(&fig7::run())),
-        "fig8" => Some(to(&fig8::run())),
-        "fig9" => Some(to(&fig9::run())),
-        "extra" => Some(to(&extra::run())),
-        "numa" => Some(to(&numa::run())),
-        "chaos" => Some(to(&chaos::run())),
-        "headline" => Some(to(&headline::run())),
-        "fig1" | "fig2" | "fig4" | "fig5" | "fig6" => None,
-        other => {
-            panic!("unknown experiment {other:?}; known: fig1..fig9, extra, numa, chaos, headline")
-        }
-    }
-}
-
-/// The experiment's data as CSV, for the figures with plottable series.
-/// `None` otherwise.
-///
-/// # Panics
-///
-/// Panics on an unknown experiment name.
-pub fn csv(name: &str) -> Option<String> {
-    match name {
-        "fig7" => Some(fig7::run().to_csv()),
-        "fig8" => Some(fig8::run().to_csv()),
-        "fig9" => Some(fig9::run().to_csv()),
-        "numa" => Some(numa::run().to_csv()),
-        "chaos" => Some(chaos::run().to_csv()),
-        "fig1" | "fig2" | "fig4" | "fig5" | "fig6" | "extra" | "headline" => None,
-        other => {
-            panic!("unknown experiment {other:?}; known: fig1..fig9, extra, numa, chaos, headline")
-        }
-    }
-}
-
-/// SVG renderings of the experiment's figure(s): `(file name, document)`
-/// pairs. Empty for the experiments without plottable series.
-///
-/// # Panics
-///
-/// Panics on an unknown experiment name.
-pub fn svgs(name: &str) -> Vec<(String, String)> {
-    match name {
-        "fig7" => fig7::run().to_svgs(),
-        "fig8" => vec![("fig8.svg".into(), fig8::run().to_svg())],
-        "fig9" => vec![("fig9.svg".into(), fig9::run().to_svg())],
-        "fig1" | "fig2" | "fig4" | "fig5" | "fig6" | "extra" | "numa" | "chaos" | "headline" => {
-            Vec::new()
-        }
-        other => {
-            panic!("unknown experiment {other:?}; known: fig1..fig9, extra, numa, chaos, headline")
-        }
-    }
-}

@@ -15,7 +15,7 @@
 //!   bandwidth and device statistics. Every SMC run also moves real data
 //!   and is checked bit-exactly against the kernel's scalar reference;
 //! * [`experiments`] regenerates the paper's Figures 1–9 and the Section 6
-//!   headline numbers (`cargo run -p sim --bin repro`).
+//!   headline numbers (the root package's `repro` binary runs them).
 //!
 //! # Example
 //!
@@ -49,7 +49,6 @@ pub mod report;
 mod runner;
 pub mod serve;
 pub mod sweep;
-pub mod tuning;
 
 pub use config::{AccessOrder, Alignment, MemorySystem, SystemConfig};
 pub use cpu::{StreamCpu, CYCLES_PER_ACCESS};

@@ -129,12 +129,9 @@ impl RunTelemetry {
         } else {
             CycleAttribution::from_run(device, &timelines[0], &events, run.cycles)
         };
-        // No chaos source: only serves write the fault.* and outage
-        // recovery metrics.
         Sources {
-            run: Some(run),
             attribution: Some(*attribution.global()),
-            ..Sources::default()
+            ..Sources::run(run)
         }
         .record(&mut registry);
 

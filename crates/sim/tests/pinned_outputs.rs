@@ -63,6 +63,15 @@ fn counter_outputs_match_the_pinned_bytes() {
         &[("--metrics-out", "copy-natural-cli.metrics.jsonl")],
         None,
     );
+    // A chaotic kernel run: every fault and recovery counter is nonzero.
+    check(
+        "copy-smc-chaos",
+        "--kernel copy --n 1024 --memory cli --order smc --fifo 32 --channels 2 \
+         --placement interleaved:1024 \
+         --chaos brownout:0:100:1500:4;outage:1:400:600;devfail:1:0:2000:2",
+        &[("--metrics-out", "copy-smc-chaos.metrics.jsonl")],
+        None,
+    );
     // A chaotic serve: every fault and recovery counter is nonzero.
     check(
         "serve-chaos",

@@ -8,11 +8,12 @@
 
 use kernels::Kernel;
 use rdram::trace;
+use sim::experiments::fig56;
 use sim::{run_kernel, MemorySystem, SystemConfig};
 
 fn main() {
-    println!("{}", sim::experiments::render("fig5"));
-    println!("{}", sim::experiments::render("fig6"));
+    println!("{}", fig56::render_fig5());
+    println!("{}", fig56::render_fig6());
 
     // The same stream population through the SMC: triad has the identical
     // 2-read / 1-write signature. Note the bus staying saturated.

@@ -17,6 +17,9 @@
 //! * [`sim`] — the cycle-based simulation engine, experiment harness, and
 //!   report generation for every figure and table in the paper.
 //!
+//! The package itself holds the table of [`studies`], [`ablations`] included,
+//! that the `repro` binary writes into `results/`.
+//!
 //! ## Quickstart
 //!
 //! ```
@@ -37,6 +40,9 @@
 //! ```
 
 #![forbid(unsafe_code)]
+
+pub mod ablations;
+pub mod studies;
 
 pub use analytic;
 pub use baseline;
