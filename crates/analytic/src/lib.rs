@@ -38,9 +38,6 @@
 //! assert!((76.11 - cli).abs() < 1.0);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod cache;
 pub mod explain;
 pub mod smc;

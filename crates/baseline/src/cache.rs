@@ -112,12 +112,13 @@ impl CacheModel {
     ///
     /// Panics if the configuration is invalid.
     pub fn new(cfg: CacheConfig) -> Self {
-        let checked = cfg.validate();
-        assert!(
-            checked.is_ok(),
-            "invalid cache configuration: {}",
-            checked.unwrap_err()
-        );
+        #[expect(
+            clippy::panic,
+            reason = "an invalid CacheConfig is a programming error at system assembly time, caught before any simulation starts"
+        )]
+        if let Err(e) = cfg.validate() {
+            panic!("invalid cache configuration: {e}");
+        }
         CacheModel {
             sets: vec![Vec::with_capacity(cfg.ways); cfg.sets() as usize],
             cfg,
@@ -187,6 +188,10 @@ impl CacheModel {
     }
 
     /// Miss ratio in `[0, 1]`, or `None` before any access.
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "display derivation for reports; no cycle count is computed from it"
+    )]
     pub fn miss_ratio(&self) -> Option<f64> {
         let total = self.hits + self.misses;
         if total == 0 {
@@ -245,7 +250,9 @@ mod tests {
             CacheOutcome::Miss {
                 evicted_dirty: Some(addr),
             } => assert_eq!(addr, 0),
-            other => panic!("expected dirty eviction, got {other:?}"),
+            other @ (CacheOutcome::Hit | CacheOutcome::Miss { .. }) => {
+                panic!("expected dirty eviction, got {other:?}")
+            }
         }
         assert_eq!(c.writebacks(), 1);
     }

@@ -1,5 +1,10 @@
 //! Line-transfer scheduling for the natural-order controller.
 
+// Cycle integrity: no wrapping arithmetic and no truncating casts on this
+// integer-cycle hot path. Each exception says why it cannot wrap.
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+
 use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
@@ -152,6 +157,10 @@ impl BaselineController {
             "the model assumes equal-length streams"
         );
         let queue = Self::build_queue(&streams, line_bytes, WritePolicy::StoreDirect);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a stream length sizes an in-memory vector, so it fits usize"
+        )]
         let arrivals = streams
             .iter()
             .map(|s| vec![None; s.length as usize])
@@ -254,6 +263,10 @@ impl BaselineController {
 
     /// Build the schedule through a shared set-associative cache: every
     /// miss fetches a line, every dirty eviction writes one back.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "line_bytes is non-zero (CacheModel::new validates it), a queue index follows a push, and n - 1 runs only when there are dirty lines, so n >= 1"
+    )]
     fn build_queue_cached(
         streams: &[StreamDescriptor],
         cache_cfg: crate::cache::CacheConfig,
@@ -317,6 +330,11 @@ impl BaselineController {
     /// stream by stream, a new transfer whenever an access leaves the
     /// stream's current line. Under [`WritePolicy::WriteAllocate`], stores
     /// *fetch* their line and enqueue a writeback when the stream moves on.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::cast_possible_truncation,
+        reason = "line counts and queue indices are bounded by the stream lengths; line_bytes is non-zero (checked in new), a queue index follows a push, n - 1 runs only for a stream with a line, so n >= 1; element indices and stream lengths index in-memory vectors, so they fit usize"
+    )]
     fn build_queue(
         streams: &[StreamDescriptor],
         line_bytes: u64,
@@ -419,6 +437,10 @@ impl BaselineController {
 
     /// Arrival cycle of read element `elem` of stream `stream`, once its
     /// DATA packet has been scheduled.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "element indices and stream lengths index in-memory vectors, so they fit usize"
+    )]
     pub fn elem_arrival(&self, stream: usize, elem: u64) -> Option<Cycle> {
         self.arrivals[stream][elem as usize]
     }
@@ -431,6 +453,10 @@ impl BaselineController {
     /// Dependency for a store line: the loads of its trigger iteration must
     /// have delivered their elements. Returns the cycle at which the store
     /// may begin, or `None` while unknown.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "element indices and stream lengths index in-memory vectors, so they fit usize"
+    )]
     fn store_dep_cycle(&self, op: &LineOp) -> Option<Cycle> {
         let mut dep = 0;
         for (s, desc) in self.streams.iter().enumerate() {
@@ -502,6 +528,10 @@ impl BaselineController {
     /// fault plan's retry budget, or [`SmcError::Livelock`] when the
     /// forward-progress watchdog sees no command issued for the watchdog
     /// threshold.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "tick and idle-cycle counters, one increment per cycle, bounded by the run length"
+    )]
     pub fn tick(&mut self, now: Cycle, dev: &mut MemorySystem) -> Result<(), SmcError> {
         self.ticks += 1;
         if let Some(sink) = &self.trace_sink {
@@ -587,6 +617,10 @@ impl BaselineController {
                 }
             }
             Err(ready) => {
+                #[expect(
+                    clippy::arithmetic_side_effects,
+                    reason = "an idle-cycle counter, one increment per cycle, bounded by the run length"
+                )]
                 if !self.queue.is_empty() || !self.in_flight.is_empty() {
                     self.idle_cycles += 1;
                 }
@@ -644,6 +678,10 @@ impl BaselineController {
         Err(ready)
     }
 
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "p is a packet index below packets_per_line, so the column stays inside the line"
+    )]
     fn command_for(&self, f: &InFlight) -> Command {
         match f.stage {
             Stage::Precharge => Command::precharge(f.loc.bank),
@@ -664,6 +702,11 @@ impl BaselineController {
         }
     }
 
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::cast_possible_truncation,
+        reason = "p is a packet index below packets_per_line, so addresses stay inside the line; NACK, retry and line counters are bounded by the run length; element indices and stream lengths index in-memory vectors, so they fit usize"
+    )]
     fn issue(
         &mut self,
         k: usize,
@@ -774,6 +817,10 @@ impl BaselineController {
     /// Propagates the first [`SmcError`] a tick reports — under fault
     /// injection that can be a livelock or an exhausted retry budget; on a
     /// fault-free run any error is an internal bug.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "idle cycles are at most the cycles skipped, bounded by the run length"
+    )]
     pub fn run_to_completion(
         &mut self,
         dev: &mut MemorySystem,
@@ -827,6 +874,10 @@ impl BaselineController {
 /// Distinct cachelines `desc` touches: one per element once elements are
 /// a line or more apart, else every line from the first element's to the
 /// last's.
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "line_bytes is non-zero and a stream has at least one element (the n axis starts at 1), so the last line is at or after the first"
+)]
 fn line_count(desc: &StreamDescriptor, line_bytes: u64) -> u64 {
     if desc.stride * ELEM_BYTES >= line_bytes {
         return desc.length;
@@ -837,6 +888,11 @@ fn line_count(desc: &StreamDescriptor, line_bytes: u64) -> u64 {
 }
 
 /// The most elements of `desc` one cacheline can hold.
+#[expect(
+    clippy::arithmetic_side_effects,
+    clippy::cast_possible_truncation,
+    reason = "a stride is at least 1 element, so the divisor is non-zero; the result is at most the stream length, which fits usize"
+)]
 fn elements_per_line(desc: &StreamDescriptor, line_bytes: u64) -> usize {
     line_bytes
         .div_ceil(desc.stride * ELEM_BYTES)

@@ -35,10 +35,13 @@
 //! simulator (`sim::sweep`) lives downstream and this orchestration layer
 //! stays free of cycle-accounting concerns. All stored quantities are
 //! integers (cycles, milli-percent bandwidth), keeping the crate inside
-//! the repository's integer-only hot-path lint.
+//! the repository's integer-only hot-path lints.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+// No-panic and no-float: errors are values and cycle accounting is integer
+// arithmetic. Each exception is an `#[expect(.., reason = "..")]` at its site.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::float_arithmetic))]
 
 pub mod diff;
 pub mod executor;

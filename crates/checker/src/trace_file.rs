@@ -1,5 +1,5 @@
-//! On-disk trace format: the device configuration a run used plus every
-//! command the controller issued, as JSON.
+//! On-disk trace format: the device configuration a run used, its channel
+//! count, and every command the controller issued, as JSON.
 //!
 //! Writing uses the ordinary `Serialize` derives. Reading is a hand-written
 //! walk over the untyped [`serde_json::Value`] tree, because the vendored
@@ -13,13 +13,17 @@ use rdram::{ColOp, Command, CommandRecord, DeviceConfig, RowOp, Timing};
 use serde::Serialize;
 use serde_json::Value;
 
-/// A recorded simulation trace: the device it ran against and the command
-/// stream it produced, ready for [`check`](crate::check).
+/// A recorded simulation trace: the device it ran against, its channel
+/// count, and the command stream it produced, ready for
+/// [`check`](crate::check) one channel at a time.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TraceFile {
-    /// Configuration of the device the trace was recorded against. The
-    /// checker needs it because legality depends on geometry and timing.
+    /// Configuration of each channel's device. The checker needs it
+    /// because legality depends on geometry and timing.
     pub device: DeviceConfig,
+    /// Channels the run spread its banks over. Command banks are global:
+    /// channel `c` owns banks `c * device.total_banks()` onwards.
+    pub channels: usize,
     /// Every command the controller issued, tagged with its start cycle.
     pub commands: Vec<CommandRecord>,
 }
@@ -158,6 +162,10 @@ impl TraceFile {
     /// that does not match the expected shape.
     pub fn from_value(v: &Value) -> Result<Self, ParseError> {
         let device = parse_device(field(v, "$", "device")?, "$.device")?;
+        let channels = usize_field(v, "$", "channels")?;
+        if channels == 0 {
+            return Err(err("$.channels", "a run has at least one channel"));
+        }
         let list = field(v, "$", "commands")?
             .as_array()
             .ok_or_else(|| err("$.commands", "expected an array"))?;
@@ -165,7 +173,11 @@ impl TraceFile {
         for (i, rec) in list.iter().enumerate() {
             commands.push(parse_record(rec, &format!("$.commands[{i}]"))?);
         }
-        Ok(TraceFile { device, commands })
+        Ok(TraceFile {
+            device,
+            channels,
+            commands,
+        })
     }
 
     /// Render the trace as pretty-printed JSON.
@@ -197,6 +209,7 @@ mod tests {
     fn sample() -> TraceFile {
         TraceFile {
             device: DeviceConfig::default(),
+            channels: 1,
             commands: vec![
                 CommandRecord {
                     cycle: 0,
@@ -239,14 +252,27 @@ mod tests {
 
         let e = TraceFile::from_str("not json").expect_err("garbage");
         assert_eq!(e.path, "$");
+
+        let json = trace.to_json();
+        let e = TraceFile::from_str(&json.replace("\"channels\"", "\"lanes\""))
+            .expect_err("the channel count is required");
+        assert_eq!(
+            (e.path.as_str(), e.message.as_str()),
+            ("$", "missing field `channels`")
+        );
+        let e = TraceFile::from_str(&json.replace("\"channels\": 1", "\"channels\": 0"))
+            .expect_err("zero channels");
+        assert_eq!(e.path, "$.channels");
     }
 
     #[test]
     fn unknown_command_tag_is_rejected() {
-        let json = r#"{"device": DEVICE, "commands": [{"cycle": 0, "cmd": {"Nap": {}}}]}"#.replace(
-            "DEVICE",
-            &serde_json::to_string(&DeviceConfig::default()).unwrap(),
-        );
+        let json =
+            r#"{"device": DEVICE, "channels": 1, "commands": [{"cycle": 0, "cmd": {"Nap": {}}}]}"#
+                .replace(
+                    "DEVICE",
+                    &serde_json::to_string(&DeviceConfig::default()).unwrap(),
+                );
         let e = TraceFile::from_str(&json).expect_err("unknown tag");
         assert_eq!(e.path, "$.commands[0].cmd");
     }

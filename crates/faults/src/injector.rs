@@ -1,5 +1,10 @@
 //! The injector: a fault plan bound to a seed, answering per-cycle queries.
 
+// Cycle integrity: no wrapping arithmetic and no truncating casts on this
+// integer-cycle hot path. Each exception says why it cannot wrap.
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+
 use rdram::{ChannelFaults, Cycle};
 
 use crate::{FaultClause, FaultPlan};
@@ -48,16 +53,29 @@ impl FaultInjector {
 
     /// Whether the controller is fault-stalled (must not issue commands)
     /// at `now`.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "every period is at least 1: the spec parser rejects zero and the seeded generators start at 64"
+    )]
     pub fn stalled(&self, now: Cycle) -> bool {
         self.clauses.iter().any(|c| match *c {
             FaultClause::Stall { period, len } => now % period < len,
-            _ => false,
+            FaultClause::BankBusy { .. }
+            | FaultClause::DataNack { .. }
+            | FaultClause::RefreshStorm { .. }
+            | FaultClause::ChannelBrownout { .. }
+            | FaultClause::ChannelOutage { .. }
+            | FaultClause::DeviceFail { .. } => false,
         })
     }
 
     /// The first cycle at or after `from` at which the controller is
     /// [`stalled`](Self::stalled), or `None` when no clause ever stalls
     /// it.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "every period is at least 1: the spec parser rejects zero and the seeded generators start at 64, and period - phase is positive because phase < period"
+    )]
     pub fn next_stall(&self, from: Cycle) -> Option<Cycle> {
         self.clauses
             .iter()
@@ -70,7 +88,13 @@ impl FaultInjector {
                         from.saturating_add(period - phase)
                     })
                 }
-                _ => None,
+                FaultClause::BankBusy { .. }
+                | FaultClause::DataNack { .. }
+                | FaultClause::RefreshStorm { .. }
+                | FaultClause::Stall { .. }
+                | FaultClause::ChannelBrownout { .. }
+                | FaultClause::ChannelOutage { .. }
+                | FaultClause::DeviceFail { .. } => None,
             })
             .min()
     }
@@ -86,7 +110,12 @@ impl FaultInjector {
                 let roll = mix(self.seed, bank as u64, data_end, u64::from(attempt)) % 1000;
                 roll < u64::from(permille)
             }
-            _ => false,
+            FaultClause::BankBusy { .. }
+            | FaultClause::RefreshStorm { .. }
+            | FaultClause::Stall { .. }
+            | FaultClause::ChannelBrownout { .. }
+            | FaultClause::ChannelOutage { .. }
+            | FaultClause::DeviceFail { .. } => false,
         })
     }
 
@@ -97,7 +126,12 @@ impl FaultInjector {
             .iter()
             .filter_map(|c| match *c {
                 FaultClause::DataNack { max_retries, .. } => Some(max_retries),
-                _ => None,
+                FaultClause::BankBusy { .. }
+                | FaultClause::RefreshStorm { .. }
+                | FaultClause::Stall { .. }
+                | FaultClause::ChannelBrownout { .. }
+                | FaultClause::ChannelOutage { .. }
+                | FaultClause::DeviceFail { .. } => None,
             })
             .max()
             .unwrap_or(0)
@@ -153,7 +187,12 @@ impl FaultInjector {
                     mult,
                 } => ((ch == channel) && (from..from.saturating_add(len)).contains(&t))
                     .then_some(mult),
-                _ => None,
+                FaultClause::BankBusy { .. }
+                | FaultClause::DataNack { .. }
+                | FaultClause::RefreshStorm { .. }
+                | FaultClause::Stall { .. }
+                | FaultClause::ChannelOutage { .. }
+                | FaultClause::DeviceFail { .. } => None,
             })
             .max()
             .unwrap_or(1)
@@ -171,7 +210,12 @@ impl FaultInjector {
                     from,
                     mult,
                 } => (ch == channel && dev == device && t >= from).then_some(mult),
-                _ => None,
+                FaultClause::BankBusy { .. }
+                | FaultClause::DataNack { .. }
+                | FaultClause::RefreshStorm { .. }
+                | FaultClause::Stall { .. }
+                | FaultClause::ChannelBrownout { .. }
+                | FaultClause::ChannelOutage { .. } => None,
             })
             .max()
             .unwrap_or(1)
@@ -204,6 +248,10 @@ impl ChannelFaults for FaultInjector {
 
 /// If `clause` makes `bank` busy at `t`, the first cycle after the current
 /// window ([`Cycle::MAX`] when the window never ends).
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "every period is at least 1: the spec parser rejects zero and the seeded generators start at 64; len - phase is positive inside `then`, and t is a simulated cycle far below u64::MAX"
+)]
 fn busy_window_end(clause: &FaultClause, bank: usize, t: Cycle) -> Option<Cycle> {
     let (period, len) = match *clause {
         FaultClause::BankBusy {

@@ -317,7 +317,10 @@ impl FaultPlan {
                     from: from.saturating_sub(origin),
                     mult,
                 }),
-                other => Some(other),
+                other @ (FaultClause::BankBusy { .. }
+                | FaultClause::DataNack { .. }
+                | FaultClause::RefreshStorm { .. }
+                | FaultClause::Stall { .. }) => Some(other),
             })
             .collect();
         FaultPlan { clauses }
@@ -364,7 +367,12 @@ impl FaultPlan {
                     from,
                     len,
                 } => (ch == channel).then_some((from, from.saturating_add(len))),
-                _ => None,
+                FaultClause::BankBusy { .. }
+                | FaultClause::DataNack { .. }
+                | FaultClause::RefreshStorm { .. }
+                | FaultClause::Stall { .. }
+                | FaultClause::ChannelBrownout { .. }
+                | FaultClause::DeviceFail { .. } => None,
             })
             .collect()
     }
@@ -640,11 +648,9 @@ mod tests {
             // inside campaign JSON; extracting and re-parsing must replay
             // the plan byte-identically.
             let doc = serde_json::to_string(&serde_json::Value::String(plan.to_spec())).unwrap();
-            let recorded = match serde_json::from_str(&doc).unwrap() {
-                serde_json::Value::String(s) => s,
-                other => panic!("expected a JSON string, got {other:?}"),
-            };
-            let replayed = FaultPlan::parse(&recorded).unwrap();
+            let recorded = serde_json::from_str(&doc).unwrap();
+            let recorded = recorded.as_str().expect("a JSON string");
+            let replayed = FaultPlan::parse(recorded).unwrap();
             assert_eq!(replayed, plan);
             assert_eq!(replayed.to_spec(), plan.to_spec());
         }
@@ -683,7 +689,7 @@ mod tests {
 
     #[test]
     fn chaos_seeds_are_deterministic_and_bounded() {
-        let mut distinct = std::collections::HashSet::new();
+        let mut distinct = std::collections::BTreeSet::new();
         for seed in 0..128u64 {
             let a = FaultPlan::chaos_from_seed(seed, 2);
             assert_eq!(a, FaultPlan::chaos_from_seed(seed, 2));
@@ -706,7 +712,12 @@ mod tests {
                     } => {
                         assert!(channel < 2 && device < 4);
                     }
-                    _ => unreachable!("chaos_from_seed emits only channel clauses"),
+                    FaultClause::BankBusy { .. }
+                    | FaultClause::DataNack { .. }
+                    | FaultClause::RefreshStorm { .. }
+                    | FaultClause::Stall { .. } => {
+                        unreachable!("chaos_from_seed emits only channel clauses")
+                    }
                 }
             }
         }
@@ -719,7 +730,7 @@ mod tests {
 
     #[test]
     fn seeds_vary_the_plan() {
-        let distinct: std::collections::HashSet<String> =
+        let distinct: std::collections::BTreeSet<String> =
             (0..64).map(|s| FaultPlan::from_seed(s).to_spec()).collect();
         assert!(
             distinct.len() > 16,

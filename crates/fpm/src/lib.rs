@@ -42,9 +42,6 @@
 //! assert!(result.attainable_fraction() > 0.9, "{}", result.attainable_fraction());
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod memory;
 mod natural;
 mod smc_ctl;

@@ -33,9 +33,6 @@
 //! assert_eq!(out[0], c.a * 2.0 + 3.0);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod reference;
 
 pub use reference::ReferenceMachine;

@@ -53,8 +53,11 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+// No-panic and no-float: errors are values and cycle accounting is integer
+// arithmetic. Each exception is an `#[expect(.., reason = "..")]` at its site.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::float_arithmetic))]
 
 mod map;
 mod system;

@@ -7,6 +7,11 @@
 //! global bank index so controllers can track conflicts across channels
 //! with one flat bank space.
 
+// Cycle integrity: no wrapping arithmetic and no truncating casts on this
+// integer-cycle hot path. Each exception says why it cannot wrap.
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+
 use rdram::{AddressMap, DeviceConfig, Location, PACKET_BYTES};
 use serde::{Deserialize, Serialize};
 
@@ -187,11 +192,19 @@ impl SystemMap {
     }
 
     /// Banks across the whole system (`channels × banks_per_channel`).
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "the global bank count: channels times banks per channel, both small validated geometry"
+    )]
     pub fn banks(&self) -> usize {
         self.channels * self.banks_per_channel
     }
 
     /// Which channel owns global bank `bank`.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "banks_per_channel is at least 1: a validated DeviceConfig has a device and a bank"
+    )]
     pub fn channel_of_bank(&self, bank: usize) -> usize {
         bank / self.banks_per_channel
     }
@@ -202,6 +215,11 @@ impl SystemMap {
     }
 
     /// Which channel `addr` lives on, and its address within that channel.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::cast_possible_truncation,
+        reason = "block_bytes and channel_capacity are non-zero (SystemMap::new checks them) and n >= 2 here; a channel index is below n, so it fits usize"
+    )]
     pub fn split(&self, addr: u64) -> (usize, u64) {
         if self.channels == 1 {
             return (0, addr);
@@ -223,6 +241,10 @@ impl SystemMap {
     }
 
     /// Decode `addr` to a globally-banked location.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "a global bank index: below channels times banks per channel"
+    )]
     pub fn decode(&self, addr: u64) -> Location {
         let (ch, local_addr) = self.split(addr);
         let loc = self.inner.decode(local_addr);
@@ -236,6 +258,10 @@ impl SystemMap {
     /// Encode a globally-banked location back to its address, the exact
     /// inverse of [`decode`](SystemMap::decode) over each placement's
     /// valid address range.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "banks_per_channel is at least 1: a validated DeviceConfig has a device and a bank; the result is the inverse of split, so it stays within the system capacity"
+    )]
     pub fn encode(&self, loc: Location) -> u64 {
         let ch = loc.bank / self.banks_per_channel;
         let local_addr = self.inner.encode(Location {

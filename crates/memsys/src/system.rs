@@ -1,5 +1,10 @@
 //! The multi-channel memory system: command routing and aggregation.
 
+// Cycle integrity: no wrapping arithmetic and no truncating casts on this
+// integer-cycle hot path. Each exception says why it cannot wrap.
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -132,6 +137,10 @@ fn rebase(cmd: &Command, bank: usize) -> Command {
 /// each returned stream against the *per-channel* device configuration is
 /// the correct way to audit a multi-channel trace: every channel has its
 /// own bus triple, so a flattened replay would merge independent buses.
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "banks_per_channel is checked non-zero before the loop"
+)]
 pub fn split_by_channel(
     records: &[CommandRecord],
     channels: usize,
@@ -219,6 +228,10 @@ impl MemorySystem {
     /// (the per-channel device count lives in both, and they must match),
     /// or if `cfg` itself is invalid. System construction happens once at
     /// simulation setup, where an invalid configuration is unrecoverable.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "the global bank count: channels times banks per channel, both small validated geometry"
+    )]
     pub fn new(cfg: DeviceConfig, topo: Topology) -> Self {
         let validity = topo.validate();
         assert!(validity.is_ok(), "invalid topology: {validity:?}");
@@ -266,6 +279,10 @@ impl MemorySystem {
     }
 
     /// Banks across the whole system.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "the global bank count: channels times banks per channel, both small validated geometry"
+    )]
     pub fn total_banks(&self) -> usize {
         self.banks_per_channel * self.channels.len()
     }
@@ -276,6 +293,10 @@ impl MemorySystem {
     }
 
     /// Which channel owns global bank `bank`.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "banks_per_channel is at least 1: every channel is a validated device with a bank"
+    )]
     pub fn channel_of_bank(&self, bank: usize) -> usize {
         bank / self.banks_per_channel
     }
@@ -313,6 +334,10 @@ impl MemorySystem {
     /// channel this equals the device's own counters exactly; with N it
     /// is the whole system's traffic (the per-channel breakdown stays
     /// available through [`channel_stats`](MemorySystem::channel_stats)).
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "sums per-channel event counters, each bounded by the run length"
+    )]
     pub fn stats(&self) -> DeviceStats {
         let mut acc = DeviceStats::default();
         for dev in &self.channels {
@@ -382,6 +407,10 @@ impl MemorySystem {
     /// Attach an injected-fault model speaking *global* bank indices.
     /// Each channel's device sees the same timeline through a local→global
     /// bank offset, so controller and devices agree on busy windows.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "a channel base bank: below the global bank count"
+    )]
     pub fn set_faults(&mut self, faults: Arc<dyn ChannelFaults>) {
         if self.channels.len() == 1 {
             self.channels[0].set_faults(faults);
@@ -445,6 +474,10 @@ impl MemorySystem {
                 outage: None,
             };
         };
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "both divisors are clamped to at least 1"
+        )]
         let (channel_mult, device_mult) = match cmd {
             Command::Col { .. } => {
                 let local = cmd.bank() % self.banks_per_channel.max(1);
@@ -507,6 +540,10 @@ impl MemorySystem {
     /// # Panics
     ///
     /// Panics if the location's bank is out of range.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "banks_per_channel is at least 1: every channel is a validated device with a bank"
+    )]
     pub fn plan(&self, loc: Location) -> AccessPlan {
         let ch = self.channel_of_bank(loc.bank);
         self.channels[ch].plan(Location {
@@ -517,6 +554,10 @@ impl MemorySystem {
     }
 
     /// The row currently open in global bank `bank`, if any.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "banks_per_channel is at least 1: every channel is a validated device with a bank"
+    )]
     pub fn open_row(&self, bank: usize) -> Option<u64> {
         let ch = self.channel_of_bank(bank);
         self.channels
@@ -534,6 +575,10 @@ impl MemorySystem {
         let Some(dev) = self.channels.get(ch) else {
             return now;
         };
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "banks_per_channel is at least 1: every channel is a validated device with a bank"
+        )]
         let local = rebase(cmd, bank % self.banks_per_channel);
         let shift = self.shift_of(ch, cmd);
         if self.chaos.is_none() {
@@ -580,6 +625,10 @@ impl MemorySystem {
     /// The owning channel's [`ProtocolError`] (bank indices in errors are
     /// channel-local), or [`ProtocolError::NoSuchBank`] with the global
     /// bank when no channel owns it.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "banks_per_channel is at least 1: every channel is a validated device with a bank; the accepted-command count grows by one per command, bounded by the run length"
+    )]
     pub fn issue_at(&mut self, cmd: &Command, start: Cycle) -> Result<Outcome, ProtocolError> {
         let bank = cmd.bank();
         let ch = self.channel_of_bank(bank);

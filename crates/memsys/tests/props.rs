@@ -53,7 +53,9 @@ impl Shape {
         match self.placement {
             // NUMA exposes one channel's worth of address space.
             Placement::Numa { .. } => cfg.capacity_bytes(),
-            _ => cfg.capacity_bytes() * self.channels as u64,
+            Placement::ChannelInterleaved { .. } | Placement::DeviceSequential => {
+                cfg.capacity_bytes() * self.channels as u64
+            }
         }
     }
 }
@@ -312,7 +314,10 @@ proptest! {
                 faults::FaultClause::ChannelBrownout { channel, .. }
                 | faults::FaultClause::ChannelOutage { channel, .. }
                 | faults::FaultClause::DeviceFail { channel, .. } => channel == ch,
-                _ => false,
+                faults::FaultClause::BankBusy { .. }
+                | faults::FaultClause::DataNack { .. }
+                | faults::FaultClause::RefreshStorm { .. }
+                | faults::FaultClause::Stall { .. } => false,
             });
             if !touched {
                 prop_assert!(st.is_clean(), "untouched channel {} has stats {:?}", ch, st);

@@ -1,5 +1,10 @@
 //! Per-bank sense-amp state and timing bookkeeping.
 
+// Cycle integrity: no wrapping arithmetic and no truncating casts on this
+// integer-cycle hot path. Each exception says why it cannot wrap.
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+
 use serde::{Deserialize, Serialize};
 
 use crate::{Cycle, Interval, Timing};
@@ -114,6 +119,10 @@ impl Bank {
     }
 
     /// Record a COL packet occupying `packet` on the COL bus.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "counts COL packets since the last activate, bounded by the run length"
+    )]
     pub fn record_col(&mut self, packet: Interval) {
         self.last_col = Some(packet);
         self.cols_since_act += 1;

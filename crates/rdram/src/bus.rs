@@ -1,6 +1,11 @@
 //! Packet buses: serialized command channels and the turnaround-sensitive
 //! DATA bus.
 
+// Cycle integrity: no wrapping arithmetic and no truncating casts on this
+// integer-cycle hot path. Each exception says why it cannot wrap.
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+
 use serde::{Deserialize, Serialize};
 
 use crate::{Cycle, Dir, Interval, Timing};
@@ -38,6 +43,10 @@ impl Bus {
     ///
     /// Panics if the packet overlaps an earlier reservation; the device only
     /// issues at cycles it has itself validated, so an overlap is a bug.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "busy cycles sum non-overlapping packets, so they never exceed the last packet end"
+    )]
     pub fn reserve(&mut self, packet: Interval) {
         assert!(
             packet.start >= self.next_free,
@@ -90,6 +99,10 @@ impl DataBus {
     /// # Panics
     ///
     /// Panics if `packet` starts before [`earliest`](Self::earliest) allows.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "event counters, one increment per issued packet, bounded by the run length"
+    )]
     pub fn reserve(&mut self, packet: Interval, dir: Dir, t: &Timing) {
         assert!(
             packet.start >= self.earliest(dir, t),

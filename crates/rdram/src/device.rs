@@ -1,5 +1,10 @@
 //! The Direct RDRAM device timing model.
 
+// Cycle integrity: no wrapping arithmetic and no truncating casts on this
+// integer-cycle hot path. Each exception says why it cannot wrap.
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+
 use std::sync::Arc;
 
 use crate::sink::{CommandRecord, SharedSink};
@@ -118,6 +123,10 @@ impl Rdram {
     /// construction happens once at simulation setup, where an invalid
     /// configuration is unrecoverable.
     pub fn new(cfg: DeviceConfig) -> Self {
+        #[expect(
+            clippy::panic,
+            reason = "an invalid DeviceConfig is a programming error at system assembly time, caught before any simulation starts"
+        )]
         if let Err(e) = cfg.validate() {
             panic!("invalid device configuration: {e}");
         }
@@ -309,6 +318,10 @@ impl Rdram {
         Ok(outcome)
     }
 
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "event counters, one increment per issued packet, bounded by the run length"
+    )]
     fn issue_at_inner(&mut self, cmd: &Command, start: Cycle) -> Result<Outcome, ProtocolError> {
         let bank = cmd.bank();
         if bank >= self.banks.len() {
@@ -394,6 +407,10 @@ impl Rdram {
         }
     }
 
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "event counters, one increment per issued packet, bounded by the run length; busy cycles sum non-overlapping DATA packets"
+    )]
     fn issue_col(
         &mut self,
         op: ColOp,
@@ -477,6 +494,10 @@ impl Rdram {
     }
 
     /// Which channel device a channel-wide bank index belongs to.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "cfg.banks is non-zero: DeviceConfig::validate checks it at construction"
+    )]
     fn device_of(&self, bank: usize) -> usize {
         bank / self.cfg.banks
     }
@@ -575,17 +596,16 @@ mod tests {
         issue(&mut dev, Command::activate(0, 0), 0);
         let cmd = Command::read(0, 0);
         let err = dev.issue_at(&cmd, 5).unwrap_err();
-        match err {
-            ProtocolError::TooEarly {
-                earliest,
-                requested,
-                ..
-            } => {
-                assert_eq!(requested, 5);
-                assert_eq!(earliest, 12);
-            }
-            other => panic!("unexpected error {other:?}"),
-        }
+        let ProtocolError::TooEarly {
+            earliest,
+            requested,
+            ..
+        } = err
+        else {
+            panic!("unexpected error {err:?}");
+        };
+        assert_eq!(requested, 5);
+        assert_eq!(earliest, 12);
     }
 
     #[test]

@@ -4,6 +4,11 @@
 //! independent buses: ROW commands (activate / precharge), COL commands
 //! (read / write / retire), and DATA.
 
+// Cycle integrity: no wrapping arithmetic and no truncating casts on this
+// integer-cycle hot path. Each exception says why it cannot wrap.
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+
 use serde::{Deserialize, Serialize};
 
 use crate::Cycle;
@@ -190,6 +195,10 @@ impl Command {
                 op,
                 auto_precharge: true,
             },
+            #[expect(
+                clippy::panic,
+                reason = "API misuse guard, documented under `# Panics`"
+            )]
             Command::Row(_) => panic!("auto-precharge applies only to COL commands"),
         }
     }

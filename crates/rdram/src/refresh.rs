@@ -8,6 +8,11 @@
 //! bookkeeping a controller needs to honour that obligation, so the claim
 //! can be *measured* instead of assumed (see the refresh ablation).
 
+// Cycle integrity: no wrapping arithmetic and no truncating casts on this
+// integer-cycle hot path. Each exception says why it cannot wrap.
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+
 use serde::{Deserialize, Serialize};
 
 use crate::{Command, CommandPort, Cycle, DeviceConfig, ProtocolError};
@@ -51,10 +56,15 @@ impl RefreshTimer {
     ///
     /// Panics if the configuration is invalid.
     pub fn new(cfg: &DeviceConfig) -> Self {
-        cfg.validate()
-            .unwrap_or_else(|e| panic!("invalid device configuration: {e}"));
-        let total_rows = cfg.total_banks() as u64 * cfg.rows_per_bank;
-        let interval = (RETENTION_CYCLES / total_rows).max(1);
+        #[expect(
+            clippy::panic,
+            reason = "an invalid DeviceConfig is a programming error at system assembly time, caught before any simulation starts"
+        )]
+        if let Err(e) = cfg.validate() {
+            panic!("invalid device configuration: {e}");
+        }
+        let total_rows = (cfg.total_banks() as u64).saturating_mul(cfg.rows_per_bank);
+        let interval = RETENTION_CYCLES.checked_div(total_rows).unwrap_or(1).max(1);
         RefreshTimer {
             interval,
             next_due: interval,
@@ -93,6 +103,10 @@ impl RefreshTimer {
     /// # Panics
     ///
     /// Panics if no refresh is due (check [`due`](Self::due) first).
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "bank and row wrap below banks and rows, non-zero by validation; next_due and issued advance once per refresh, bounded by the run length"
+    )]
     pub fn take(&mut self, now: Cycle) -> (usize, u64) {
         assert!(self.due(now), "no refresh due at cycle {now}");
         let target = (self.bank, self.row);
@@ -136,7 +150,7 @@ impl RefreshTimer {
         let pre = Command::precharge(bank);
         let t2 = dev.earliest(&pre, t);
         dev.issue_at(&pre, t2)?;
-        Ok(t2 + dev.timing().t_rp)
+        Ok(t2.saturating_add(dev.timing().t_rp))
     }
 }
 

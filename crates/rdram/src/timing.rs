@@ -6,6 +6,11 @@
 //! 800 MHz (both clock edges), so one 4-cycle DATA packet moves 16 bytes and
 //! the peak bandwidth of a single device is 1.6 GB/s.
 
+// Cycle integrity: no wrapping arithmetic and no truncating casts on this
+// integer-cycle hot path. Each exception says why it cannot wrap.
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+
 use serde::{Deserialize, Serialize};
 
 use crate::Cycle;
@@ -106,6 +111,10 @@ impl Timing {
 
     /// Delay from the start of a COL RD packet to the start of its read DATA
     /// packet (`tCAC + tRDLY`).
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "a Figure 2 identity written as the paper prints it; every term is a timing parameter under 100 cycles"
+    )]
     pub fn read_data_delay(&self) -> Cycle {
         self.t_cac + self.t_rdly
     }
@@ -114,11 +123,19 @@ impl Timing {
     ///
     /// For the default part this is 16 bytes / 4 cycles = 4 B/cycle,
     /// i.e. 1.6 GB/s at 400 MHz.
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "display derivation for reports; no cycle count is computed from it"
+    )]
     pub fn peak_bytes_per_cycle(&self) -> f64 {
         PACKET_BYTES as f64 / self.t_pack as f64
     }
 
     /// Peak bandwidth in gigabytes per second.
+    #[expect(
+        clippy::float_arithmetic,
+        reason = "display derivation for reports; no cycle count is computed from it"
+    )]
     pub fn peak_gbytes_per_sec(&self) -> f64 {
         self.peak_bytes_per_cycle() / CYCLE_NS
     }
@@ -136,6 +153,10 @@ impl Timing {
     ///   held open and precharged), and
     /// * `tRAS + tRP < 2*tRR + tRAC`, the paper's condition for precharge to
     ///   hide completely under pipelined accesses in the closed-page case.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "the Figure 2 identities written as the paper prints them; every term is a timing parameter under 100 cycles"
+    )]
     pub fn validate(&self) -> Result<(), String> {
         if self.t_pack == 0 {
             return Err("tPACK must be non-zero".into());

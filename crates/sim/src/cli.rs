@@ -14,6 +14,10 @@
 //! smcsim check copy.trace.json
 //! ```
 
+// No-panic, with no exception: `forbid` rejects any inner allow or expect.
+#![cfg_attr(not(test), forbid(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), forbid(clippy::panic, clippy::todo, clippy::unimplemented))]
+
 use campaign::{Domain, Param, RunPoint, Val, PARAMS};
 use checker::TraceFile;
 use kernels::Kernel;
@@ -251,7 +255,7 @@ run parameters (one per campaign axis, same names and values):
     for param in PARAMS {
         let default = match &param.default {
             Val::Str(s) if s.is_empty() => "none".to_string(),
-            v => v.to_string(),
+            v @ (Val::Str(_) | Val::U64(_)) => v.to_string(),
         };
         let head = format!("  {} {}", flag(param), param.domain);
         out.push_str(&format!("{head:<40}[{default}]\n"));
@@ -470,6 +474,7 @@ pub fn execute(job: &Job) -> Result<String, String> {
     if let Some(path) = &job.record_trace {
         let trace = TraceFile {
             device: job.config.device.clone(),
+            channels: job.config.channels,
             commands: result.commands.clone(),
         };
         std::fs::write(path, trace.to_json())
@@ -540,7 +545,8 @@ fn serve(job: &Job, cfg: &tenancy::ServeConfig) -> Result<String, String> {
     Ok(render_serve_report(&report, chaos_total.as_ref()))
 }
 
-/// Replay a recorded trace file through the timing-conformance checker.
+/// Replay a recorded trace file through the timing-conformance checker,
+/// one channel at a time.
 ///
 /// Returns the rendered report on a clean trace.
 ///
@@ -552,7 +558,7 @@ pub fn run_check(path: &str) -> Result<String, String> {
     let text =
         std::fs::read_to_string(path).map_err(|e| format!("cannot read trace {path}: {e}"))?;
     let trace: TraceFile = text.parse().map_err(|e| format!("{path}: {e}"))?;
-    let violations = checker::check(&trace.device, &trace.commands);
+    let violations = crate::check_channels(&trace.device, trace.channels, &trace.commands);
     let report = format!(
         "{path}: {} command(s), {}",
         trace.commands.len(),
@@ -1068,6 +1074,21 @@ mod tests {
         std::fs::write(&path, bad.to_json()).unwrap();
         let err = run_check(&path).expect_err("mutated trace must fail");
         assert!(err.contains("violation"), "{err}");
+        std::fs::remove_file(&path).ok();
+
+        // Two channels under chaos: the trace holds global bank numbers and
+        // the channel count, and it checks clean one channel at a time.
+        let path = scratch("test", "copy-2ch.trace.json");
+        let job = parse(&args(&format!(
+            "--kernel copy --n 1024 --memory cli --order smc --fifo 32 --channels 2 \
+             --placement interleaved:1024 \
+             --chaos brownout:0:100:1500:4;outage:1:400:600;devfail:1:0:2000:2 \
+             --record-trace {path}"
+        )))
+        .unwrap();
+        execute(&job).unwrap();
+        let report = run_check(&path).expect("two-channel chaos trace is conformant");
+        assert!(report.contains("OK"), "{report}");
         std::fs::remove_file(&path).ok();
     }
 

@@ -16,6 +16,10 @@
 //! dump are filled where their data lives ([`crate::metrics`] and
 //! [`crate::serve`]).
 
+// No-panic: this file feeds deterministic run records.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
+
 use baseline::BaselineResult;
 use campaign::{RunPoint, RunStats, STATS};
 use memsys::ChannelFaultStats;

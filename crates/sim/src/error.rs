@@ -68,7 +68,7 @@ impl std::error::Error for SimError {
         match self {
             SimError::Faults(e) => Some(e),
             SimError::Controller(e) => Some(e),
-            _ => None,
+            SimError::Config(_) | SimError::Conformance { .. } | SimError::Budget { .. } => None,
         }
     }
 }

@@ -44,7 +44,11 @@ pub fn vector_bases(kernel: Kernel, n: u64, stride: u64, cfg: &SystemConfig) -> 
     // whole system.
     let addressable = match cfg.placement {
         memsys::Placement::Numa { .. } if cfg.channels > 1 => cfg.device.capacity_bytes(),
-        _ => cfg.device.capacity_bytes() * cfg.channels.max(1) as u64,
+        memsys::Placement::ChannelInterleaved { .. }
+        | memsys::Placement::DeviceSequential
+        | memsys::Placement::Numa { .. } => {
+            cfg.device.capacity_bytes() * cfg.channels.max(1) as u64
+        }
     };
     assert!(
         top <= addressable,

@@ -32,9 +32,6 @@
 //! assert!(result.percent_peak() > 2.0 * base.percent_peak());
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod cli;
 mod config;
 mod counters;
@@ -55,4 +52,4 @@ pub use cpu::{StreamCpu, CYCLES_PER_ACCESS};
 pub use error::SimError;
 pub use layout::vector_bases;
 pub use metrics::RunTelemetry;
-pub use runner::{percent_peak_of, run_kernel, RunResult, RunSummary};
+pub use runner::{check_channels, percent_peak_of, run_kernel, RunResult, RunSummary};

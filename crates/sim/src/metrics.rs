@@ -90,7 +90,11 @@ impl RunTelemetry {
                 Event::FifoDepth { occupancy, .. } => {
                     registry.observe(MetricId::FifoOccupancy, *occupancy);
                 }
-                _ => {}
+                Event::FifoSwitch { .. }
+                | Event::DataNack { .. }
+                | Event::InjectedStall { .. }
+                | Event::BankDegraded { .. }
+                | Event::SpeculativeActivate { .. } => {}
             }
         }
 
@@ -119,7 +123,12 @@ impl RunTelemetry {
                                 Some(_) => None,
                                 None => (ch == 0).then_some(Event::DataNack { cycle, bank: None }),
                             },
-                            _ => None,
+                            Event::FifoDepth { .. }
+                            | Event::FifoSwitch { .. }
+                            | Event::BankDegraded { .. }
+                            | Event::SpeculativeActivate { .. }
+                            | Event::Refresh { .. }
+                            | Event::WatchdogTrip { .. } => None,
                         })
                         .collect();
                     CycleAttribution::from_run(device, tl, &local_events, run.cycles)

@@ -1,5 +1,9 @@
 //! Kernel execution on a configured system.
 
+// No-panic, with no exception: `forbid` rejects any inner allow or expect.
+#![cfg_attr(not(test), forbid(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), forbid(clippy::panic, clippy::todo, clippy::unimplemented))]
+
 use std::sync::{Arc, Mutex};
 
 use serde::Serialize;
@@ -9,8 +13,8 @@ use faults::FaultInjector;
 use kernels::{Coefficients, Kernel, ReferenceMachine};
 use memsys::SystemMap;
 use rdram::{
-    sink::drain_trace, trace::Trace, AddressMap, CommandRecord, CommandTrace, Cycle, DeviceStats,
-    MemoryImage, SharedSink, WORDS_PER_PACKET,
+    sink::drain_trace, trace::Trace, AddressMap, CommandRecord, CommandTrace, Cycle, DeviceConfig,
+    DeviceStats, MemoryImage, SharedSink, WORDS_PER_PACKET,
 };
 use smc::{MsuConfig, MsuStats, SmcController};
 use telemetry::SharedTelemetry;
@@ -225,7 +229,6 @@ pub fn run_kernel(
     // delivery, outages defer it to the window's end, and the router keeps
     // exact per-channel loss accounting. Plans without channel-scoped
     // clauses leave the system healthy (set_chaos refuses them).
-    let chaos_active = cfg.chaos_active();
     if let Some(plan) = cfg.chaos.as_ref().filter(|p| p.has_channel_faults()) {
         dev.set_chaos(FaultInjector::new(plan, cfg.chaos_seed));
     }
@@ -337,24 +340,8 @@ pub fn run_kernel(
     };
 
     let commands = cmd_trace.as_ref().map(drain_trace).unwrap_or_default();
-    // The conformance checker replays the *healthy* timing model over
-    // launch cycles; chaos intentionally decouples launch from delivery
-    // (a post-outage command may launch closer to a deferred predecessor
-    // than healthy spacing allows, because the device sequenced their
-    // deliveries, not their launches), so degraded runs skip the audit.
-    if cfg.check_conformance && !chaos_active {
-        // Each channel has its own bus triple and bank array, so a
-        // multi-channel trace is audited channel by channel against the
-        // per-channel timing model; a flattened check would see phantom
-        // bus overlaps between independent channels.
-        let violations: Vec<checker::Violation> = if cfg.channels > 1 {
-            memsys::split_by_channel(&commands, cfg.channels, device_cfg.total_banks())
-                .iter()
-                .flat_map(|local| checker::check(&device_cfg, local))
-                .collect()
-        } else {
-            checker::check(&device_cfg, &commands)
-        };
+    if cfg.check_conformance {
+        let violations = check_channels(&device_cfg, cfg.channels, &commands);
         if let Some(first) = violations.first() {
             return Err(SimError::Conformance {
                 violations: violations.len(),
@@ -403,42 +390,72 @@ pub fn run_kernel(
         let collected = RunTelemetry::collect(&device_cfg, cfg.channels, &result, t.drain());
         // Debug builds cross-check the replayed timeline against the
         // device's own counters: both derive from the same command stream,
-        // so any divergence is a bug in one of the two models. Faulty runs
-        // are exempt — NACKed transfers perturb the replay's hit accounting.
+        // so any divergence is a bug in one of the two models. Attribution
+        // must also account for each cycle exactly once.
         #[cfg(debug_assertions)]
         {
-            // The exact-partition invariant holds on every run, fault
-            // storms included: attribution must account for each cycle
-            // exactly once.
-            // Chaos runs are exempt like faulty runs: degraded delivery
-            // decouples the launch-time replay from the device's schedule.
-            if !chaos_active {
-                let exact = collected.attribution.check_exact();
-                assert!(exact.is_ok(), "cycle attribution lost cycles: {exact:?}");
-            }
-            if injector.is_none() && !chaos_active {
-                let mismatches =
-                    telemetry::reconcile(&collected.derived_counts(), &result.device_stats);
-                assert!(
-                    mismatches.is_empty(),
-                    "telemetry replay diverged from device counters: {mismatches:?}"
-                );
-                let attr_mismatches = collected.attribution.reconcile(&result.device_stats);
-                assert!(
-                    attr_mismatches.is_empty(),
-                    "cycle attribution diverged from device counters: {attr_mismatches:?}"
-                );
-            }
+            let exact = collected.attribution.check_exact();
+            assert!(exact.is_ok(), "cycle attribution lost cycles: {exact:?}");
+            let mismatches =
+                telemetry::reconcile(&collected.derived_counts(), &result.device_stats);
+            assert!(
+                mismatches.is_empty(),
+                "telemetry replay diverged from device counters: {mismatches:?}"
+            );
+            let attr_mismatches = collected.attribution.reconcile(&result.device_stats);
+            assert!(
+                attr_mismatches.is_empty(),
+                "cycle attribution diverged from device counters: {attr_mismatches:?}"
+            );
         }
         result.telemetry = Some(collected);
     }
     Ok(result)
 }
 
+/// Audit a command stream against the per-channel timing model, one
+/// channel at a time.
+///
+/// `commands` carry global bank numbers, as [`RunResult::commands`] and
+/// recorded trace files do, and `device` is one channel's configuration.
+/// Each channel has its own bus triple and bank array, so a flattened
+/// replay would see phantom bus overlaps between independent channels. A
+/// command whose bank lies past the last channel is checked whole, so it
+/// is reported as `no-such-bank` rather than dropped.
+pub fn check_channels(
+    device: &DeviceConfig,
+    channels: usize,
+    commands: &[CommandRecord],
+) -> Vec<checker::Violation> {
+    if channels <= 1 {
+        return checker::check(device, commands);
+    }
+    let banks = device.total_banks();
+    let stray: Vec<CommandRecord> = commands
+        .iter()
+        .filter(|r| r.cmd.bank() >= banks.saturating_mul(channels))
+        .copied()
+        .collect();
+    memsys::split_by_channel(commands, channels, banks)
+        .iter()
+        .chain([&stray])
+        .flat_map(|local| checker::check(device, local))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{Alignment, MemorySystem};
+
+    #[test]
+    fn check_channels_reports_banks_past_the_last_channel() {
+        let device = DeviceConfig::default();
+        let cmd = rdram::Command::activate(2 * device.total_banks(), 0);
+        let violations = check_channels(&device, 2, &[CommandRecord { cycle: 0, cmd }]);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert_eq!(violations[0].rule, checker::RuleId::NoSuchBank);
+    }
 
     const CLI: MemorySystem = MemorySystem::CacheLineInterleaved;
     const PI: MemorySystem = MemorySystem::PageInterleaved;

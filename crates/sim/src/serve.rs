@@ -11,6 +11,10 @@
 //! tenant name and request sequence number, so a fault storm hits each
 //! request differently but the whole serve run stays bit-reproducible.
 
+// No-panic: this file feeds deterministic serve stores.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
+
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 

@@ -100,7 +100,7 @@ impl std::error::Error for SmcError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SmcError::Protocol(e) => Some(e),
-            _ => None,
+            SmcError::Livelock(_) | SmcError::RetryExhausted { .. } | SmcError::Internal(_) => None,
         }
     }
 }

@@ -16,6 +16,11 @@
 //! enable [`MsuConfig::speculative_activate`] to get exactly that
 //! improvement.
 
+// Cycle integrity: no wrapping arithmetic and no truncating casts on this
+// integer-cycle hot path. Each exception says why it cannot wrap.
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+
 use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
@@ -280,6 +285,10 @@ impl Msu {
     /// [`SmcError::Protocol`] if the device rejects a scheduled command (an
     /// internal scheduling bug) or [`SmcError::RetryExhausted`] if an
     /// injected DATA NACK outlasts the fault plan's retry budget.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "MsuStats counters, one increment per cycle or event, bounded by the run length"
+    )]
     pub fn tick(
         &mut self,
         now: Cycle,
@@ -351,6 +360,10 @@ impl Msu {
     /// Issue the oldest ready COL command on each channel's COL bus, if
     /// any. With one channel this issues at most one command; with N the
     /// MSU reorders across channels, overlapping data transfers.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "k indexes the window and stays below slots.len()"
+    )]
     fn issue_col(
         &mut self,
         now: Cycle,
@@ -420,7 +433,7 @@ impl Msu {
             let cmd = match self.slots[k].stage {
                 Stage::Precharge => Command::precharge(bank),
                 Stage::Activate => Command::activate(bank, self.slots[k].loc.row),
-                _ => unreachable!("filtered above"),
+                Stage::Unresolved | Stage::Col => unreachable!("filtered above"),
             };
             if dev.earliest(&cmd, now) > now {
                 self.note_hold(bank, now);
@@ -431,7 +444,7 @@ impl Msu {
             self.slots[k].stage = match self.slots[k].stage {
                 Stage::Precharge => Stage::Activate,
                 Stage::Activate => Stage::Col,
-                _ => unreachable!("filtered above"),
+                Stage::Unresolved | Stage::Col => unreachable!("filtered above"),
             };
             self.bus_used[ch] = true;
             any = true;
@@ -451,6 +464,10 @@ impl Msu {
 
     /// Record one injected conflict (busy-window hold or DATA NACK) on
     /// `bank`; a long enough streak demotes the bank to closed-page.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "a per-bank conflict streak and a degraded-bank count, both bounded by the run length"
+    )]
     fn note_fault_conflict(&mut self, bank: usize) {
         if self.cfg.degrade_after == 0 {
             return;
@@ -504,6 +521,10 @@ impl Msu {
         dev.plan(loc)
     }
 
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "the window is a small per-channel slot count times the channel count; the FIFO-switch and per-channel slot counts are bounded by the run length and the window"
+    )]
     fn admit(&mut self, now: Cycle, dev: &MemorySystem, sbu: &mut Sbu) {
         // The in-flight window is per channel: each channel pipelines up
         // to `cfg.window` accesses of its own.
@@ -609,6 +630,10 @@ impl Msu {
     /// accesses within one contiguous chunk of the interleaving (a cacheline
     /// under CLI, a page under PI). The same FIFO's next packet staying in
     /// the chunk keeps the page open; anything else closes it.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "k is a window index below slots.len(), and the chunk is a cacheline or a page, never zero"
+    )]
     fn should_auto_precharge(&self, k: usize, sbu: &Sbu) -> bool {
         if self.page_policy_for(self.slots[k].loc.bank) != PagePolicy::ClosedPage {
             return false;
@@ -630,6 +655,10 @@ impl Msu {
         }
     }
 
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "MsuStats counters, one increment per cycle or event, bounded by the run length; a retired slot was counted in its channel at admission, and a packet holds at most PACKET_ELEMS elements"
+    )]
     fn execute(
         &mut self,
         k: usize,
@@ -699,6 +728,10 @@ impl Msu {
 
     /// If the current FIFO will cross into a new page within the lookahead
     /// window, queue a speculative precharge/activate for that page.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "element indices stay within one packet past the stream length"
+    )]
     fn maybe_schedule_spec(&mut self, dev: &MemorySystem, sbu: &Sbu) {
         if !self.cfg.speculative_activate || self.spec.is_some() {
             return;
@@ -735,6 +768,10 @@ impl Msu {
         }
     }
 
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "MsuStats counters, one increment per cycle or event, bounded by the run length"
+    )]
     fn try_issue_spec(&mut self, now: Cycle, dev: &mut MemorySystem) -> Result<(), SmcError> {
         let Some(t) = self.spec else { return Ok(()) };
         // Never touch a bank with in-flight accesses.

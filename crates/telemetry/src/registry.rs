@@ -245,7 +245,7 @@ impl Registry {
             .zip(&self.slots)
             .filter_map(|(def, slot)| match slot {
                 Slot::Histogram(h) => Some((def, h.as_ref())),
-                _ => None,
+                Slot::Counter(_) | Slot::Gauge(_) => None,
             })
             .collect()
     }

@@ -160,7 +160,7 @@ impl Ladder {
             level = level.max(match level {
                 DegradeLevel::Normal => DegradeLevel::Throttle,
                 DegradeLevel::Throttle => DegradeLevel::Shed,
-                other => other,
+                other @ (DegradeLevel::Shed | DegradeLevel::Critical) => other,
             });
         }
         level

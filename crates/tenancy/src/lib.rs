@@ -35,11 +35,15 @@
 //! The crate is simulator-agnostic: the serve loop drives an
 //! [`server::Executor`] callback, and `sim::serve` binds that callback to
 //! the real kernel runner. Everything here is integer-cycle arithmetic,
-//! `#![forbid(unsafe_code)]`, and panic-free on non-test paths — the same
-//! robustness bar `xtask lint` holds the other hot-path crates to.
+//! free of unsafe code, and panic-free on non-test paths — the same
+//! declared lints (README, "Static analysis") as the other hot-path
+//! crates.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+// No-panic and no-float: errors are values and cycle accounting is integer
+// arithmetic. Each exception is an `#[expect(.., reason = "..")]` at its site.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::float_arithmetic))]
 
 pub mod arbiter;
 pub mod ladder;

@@ -14,6 +14,11 @@
 //! as a [`RetryAudit`] so the property suite can assert that no client ever
 //! resubmits earlier than its hint.
 
+// Cycle integrity: no wrapping arithmetic and no truncating casts on this
+// integer-cycle hot path. Each exception says why it cannot wrap.
+#![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+
 use crate::tenant::Cycle;
 
 /// Closed-loop retry policy for rejected requests.
@@ -89,6 +94,10 @@ impl RetryPolicy {
         if spread == 0 {
             return exp.max(1);
         }
+        #[expect(
+            clippy::arithmetic_side_effects,
+            reason = "the divisor is spread + 1, saturating, so it is at least 1"
+        )]
         let roll =
             mix(self.seed, tenant as u64, seq, u64::from(attempt)) % spread.saturating_add(1);
         exp.saturating_sub(spread / 2).saturating_add(roll).max(1)

@@ -39,8 +39,6 @@
 //! assert!(result.percent_peak() > 1.15 * base.percent_peak());
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod ablations;
 pub mod studies;
 

@@ -1,7 +1,7 @@
 //! End-to-end timing conformance: every schedule the simulated controllers
 //! emit — all four paper kernels, both memory organizations, both access
-//! orderings, fault-free and under injected faults — replays through the
-//! `checker` crate with zero violations.
+//! orderings, fault-free, under injected faults and under channel chaos —
+//! replays through the `checker` crate with zero violations.
 //!
 //! This is the acceptance gate for the conformance subsystem: the paper's
 //! bandwidth numbers are only meaningful if the command streams behind them
@@ -10,6 +10,7 @@
 use checker::check;
 use faults::FaultPlan;
 use kernels::Kernel;
+use memsys::Placement;
 use sim::{run_kernel, MemorySystem, SystemConfig};
 
 const CLI: MemorySystem = MemorySystem::CacheLineInterleaved;
@@ -83,4 +84,84 @@ fn faulted_runs_stay_conformant() {
         &SystemConfig::smc(PI, 32).with_faults(stall, 7),
         "smc/PI+stall",
     );
+}
+
+/// Every run on a grid of faulted and chaos configurations passes all four
+/// run audits, called here explicitly so release builds check them too:
+/// the per-channel timing checker, the exact cycle partition of the
+/// attribution, and both reconciliations of the telemetry replay against
+/// the device's own counters.
+#[test]
+fn every_audit_holds_under_faults_and_chaos() {
+    // (label, channels, device fault plan, channel chaos plan)
+    let plans = [
+        ("clean", 1, "", ""),
+        ("nack", 1, "nack:50:8", ""),
+        ("busy+stall", 1, "busy:*:256:16;stall:1024:32", ""),
+        (
+            "chaos-smoke",
+            2,
+            "",
+            "brownout:0:100:1500:4;outage:1:400:600",
+        ),
+        (
+            "chaos-devfail",
+            2,
+            "",
+            "brownout:0:64:512:3;outage:1:200:300;devfail:0:0:400:2",
+        ),
+    ];
+    let (mut nacks, mut outages) = (0, 0);
+    for kernel in Kernel::PAPER_SUITE {
+        for memory in [CLI, PI] {
+            for base in [
+                SystemConfig::smc(memory, 32),
+                SystemConfig::natural_order(memory),
+            ] {
+                for (plan, channels, faults, chaos) in plans {
+                    let label = format!("{kernel} {memory:?} {:?} {plan}", base.ordering);
+                    let mut cfg = base
+                        .clone()
+                        .with_command_recording()
+                        .with_telemetry()
+                        .with_channels(channels)
+                        .with_placement(Placement::ChannelInterleaved { block_bytes: 1024 });
+                    if !faults.is_empty() {
+                        cfg = cfg.with_faults(FaultPlan::parse(faults).expect("valid plan"), 7);
+                    }
+                    if !chaos.is_empty() {
+                        cfg = cfg.with_chaos(FaultPlan::parse(chaos).expect("valid plan"), 7);
+                    }
+                    let r = run_kernel(kernel, 256, 1, &cfg)
+                        .unwrap_or_else(|e| panic!("{label}: run failed: {e}"));
+
+                    let violations = sim::check_channels(&cfg.device, channels, &r.commands);
+                    assert!(
+                        violations.is_empty(),
+                        "{label}: {}",
+                        checker::report(&violations)
+                    );
+                    let tel = r.telemetry.as_ref().expect("telemetry requested");
+                    if let Err(e) = tel.attribution.check_exact() {
+                        panic!("{label}: cycle attribution lost cycles: {e}");
+                    }
+                    let replay = telemetry::reconcile(&tel.derived_counts(), &r.device_stats);
+                    assert!(replay.is_empty(), "{label}: replay diverged: {replay:?}");
+                    let attr = tel.attribution.reconcile(&r.device_stats);
+                    assert!(attr.is_empty(), "{label}: attribution diverged: {attr:?}");
+
+                    nacks += r.msu_stats.map_or(0, |s| s.data_nacks)
+                        + r.baseline.as_ref().map_or(0, |b| b.data_nacks);
+                    outages += r
+                        .chaos_stats
+                        .iter()
+                        .map(|s| s.outages_observed)
+                        .sum::<u64>();
+                }
+            }
+        }
+    }
+    // The grid must exercise what it claims to audit.
+    assert!(nacks > 0, "no DATA NACK was injected");
+    assert!(outages > 0, "no outage was observed");
 }

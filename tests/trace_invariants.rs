@@ -5,7 +5,7 @@
 //! delay, and the write-to-read turnaround — across both controllers and
 //! both memory organizations.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use kernels::Kernel;
 use rdram::trace::{Trace, TraceKind, TraceUnit};
@@ -21,10 +21,10 @@ fn traced(kernel: Kernel, n: u64, cfg: &SystemConfig) -> Trace {
 }
 
 fn check_invariants(trace: &Trace, t: &Timing) {
-    let mut lane_end: HashMap<&'static str, u64> = HashMap::new();
+    let mut lane_end: BTreeMap<&'static str, u64> = BTreeMap::new();
     let mut last_act_any: Option<u64> = None;
-    let mut last_act_bank: HashMap<usize, u64> = HashMap::new();
-    let mut col_ok_bank: HashMap<usize, u64> = HashMap::new();
+    let mut last_act_bank: BTreeMap<usize, u64> = BTreeMap::new();
+    let mut col_ok_bank: BTreeMap<usize, u64> = BTreeMap::new();
     let mut last_write_data_end: Option<u64> = None;
 
     for e in trace.events() {
