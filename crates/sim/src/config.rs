@@ -5,9 +5,12 @@ use serde::{Deserialize, Serialize};
 
 use analytic::Organization;
 use baseline::LinePolicy;
-use memsys::{Placement, Topology};
-use rdram::{Cycle, DeviceConfig, Interleave};
+use faults::FaultInjector;
+use memsys::{Placement, SystemMap, Topology};
+use rdram::{AddressMap, Cycle, DeviceConfig, Interleave};
 use smc::{PagePolicy, Policy};
+
+use crate::SimError;
 
 fn default_channels() -> usize {
     1
@@ -125,8 +128,10 @@ pub struct SystemConfig {
     pub cache: Option<baseline::cache::CacheConfig>,
     /// Record a packet trace (needed for the timing-diagram figures).
     pub trace: bool,
-    /// Record every issued command with its start cycle, exposing the
-    /// stream on [`RunResult::commands`](crate::RunResult) (the
+    /// Record every issued command with the cycle the memory system
+    /// delivered it at (its launch cycle unless a chaos plan deferred or
+    /// stretched it), exposing the stream on
+    /// [`RunResult::commands`](crate::RunResult) (the
     /// `smcsim --record-trace` format checked by `smcsim check`).
     pub record_commands: bool,
     /// Replay the recorded command stream through the timing-conformance
@@ -135,8 +140,10 @@ pub struct SystemConfig {
     /// Defaults to on in debug builds (every test run audits its own
     /// schedule) and off in release builds.
     pub check_conformance: bool,
-    /// Verify the memory image against the kernel's scalar reference after
-    /// the run (always possible because simulations move real data).
+    /// Verify the memory image of every SMC run against the kernel's
+    /// scalar reference after the run (the SMC moves real data; the
+    /// natural-order controller is a timing model that moves none, so
+    /// natural-order runs have nothing to verify).
     pub verify: bool,
     /// Fault-injection plan, applied identically to the device and the
     /// controller (both evaluate the same deterministic schedule). `None`
@@ -146,8 +153,9 @@ pub struct SystemConfig {
     pub fault_seed: u64,
     /// Collect cycle-resolved telemetry: a metrics registry, bank/bus/FIFO
     /// timelines replayed from the command stream, and controller events,
-    /// exposed on [`RunResult::telemetry`](crate::RunResult). Implies
-    /// command recording internally; cycle counts are unaffected.
+    /// exposed on [`RunResult::telemetry`](crate::RunResult) and audited in
+    /// every build ([`SimError::Audit`]). Implies command recording
+    /// internally; cycle counts are unaffected.
     pub telemetry: bool,
     /// Independent memory channels, each shaped like [`Self::device`]. The
     /// paper's system is one channel; more channels multiply peak DATA
@@ -240,6 +248,39 @@ impl SystemConfig {
             devices_per_channel: self.device.devices,
             remote_penalty: self.remote_penalty.clone(),
         }
+    }
+
+    /// The address map and memory system this configuration describes:
+    /// the device, address map, topology and placement validated, packet
+    /// tracing per [`Self::trace`], and the channel-scoped clauses of
+    /// [`Self::chaos`] attached. Device-level faults are left to the
+    /// caller, which shares one injector with its controller.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::Config`] naming the first invalid part.
+    pub fn build_memory(&self) -> Result<(SystemMap, memsys::MemorySystem), SimError> {
+        let invalid = |what: &str, e: String| SimError::Config(format!("invalid {what}: {e}"));
+        self.device
+            .validate()
+            .map_err(|e| invalid("device config", e))?;
+        let inner = AddressMap::new(self.memory.interleave(self.line_bytes), &self.device)
+            .map_err(|e| invalid("address map", e))?;
+        let topo = self.topology();
+        topo.validate().map_err(|e| invalid("topology", e))?;
+        let map = if topo.is_single() {
+            SystemMap::single(inner)
+        } else {
+            SystemMap::new(inner, &self.device, &topo, self.placement)
+                .map_err(|e| invalid("placement", e))?
+        };
+        let mut device = self.device.clone();
+        device.trace_enabled = self.trace;
+        let mut dev = memsys::MemorySystem::new(device, topo);
+        if let Some(plan) = &self.chaos {
+            dev.set_chaos(FaultInjector::new(plan, self.chaos_seed));
+        }
+        Ok((map, dev))
     }
 
     /// Replace the vector alignment.

@@ -178,14 +178,14 @@ impl StreamCpu {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use memsys::SystemMap;
-    use rdram::{AddressMap, DeviceConfig, Interleave, MemoryImage};
+    use rdram::MemoryImage;
     use smc::{MsuConfig, StreamDescriptor};
 
+    use crate::{MemorySystem, SystemConfig};
+
     fn drive(kernel: Kernel, n: u64) -> (StreamCpu, MemoryImage, Vec<StreamDescriptor>) {
-        let cfg = DeviceConfig::default();
-        let map = SystemMap::single(AddressMap::new(Interleave::Page, &cfg).unwrap());
-        let mut dev = memsys::MemorySystem::single(cfg);
+        let cfg = SystemConfig::natural_order(MemorySystem::PageInterleaved);
+        let (map, mut dev) = cfg.build_memory().unwrap();
         let mut mem = MemoryImage::new();
         // Vectors one bank-rotation apart.
         let bases: Vec<u64> = (0..kernel.vectors() as u64)

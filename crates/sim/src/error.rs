@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use faults::FaultSpecError;
 use smc::SmcError;
 
 /// Anything that can go wrong in a simulated run.
@@ -14,8 +13,6 @@ use smc::SmcError;
 pub enum SimError {
     /// The device or system configuration is invalid.
     Config(String),
-    /// A fault spec failed to parse.
-    Faults(FaultSpecError),
     /// The memory controller reported a protocol violation, a livelock, or
     /// an exhausted retry budget.
     Controller(SmcError),
@@ -27,6 +24,10 @@ pub enum SimError {
         /// Rendered description of the first violation.
         first: String,
     },
+    /// A completed run's cycle attribution did not partition it exactly, or
+    /// its timeline replay or attribution diverged from the device's own
+    /// counters: a bug in one of the models.
+    Audit(String),
     /// The run exceeded its cycle budget without completing.
     Budget {
         /// The kernel that ran.
@@ -44,12 +45,12 @@ impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SimError::Config(msg) => write!(f, "invalid configuration: {msg}"),
-            SimError::Faults(e) => write!(f, "{e}"),
             SimError::Controller(e) => write!(f, "{e}"),
             SimError::Conformance { violations, first } => write!(
                 f,
                 "command stream failed timing conformance: {violations} violation(s), first: {first}"
             ),
+            SimError::Audit(msg) => write!(f, "run audit failed: {msg}"),
             SimError::Budget {
                 kernel,
                 n,
@@ -66,9 +67,11 @@ impl fmt::Display for SimError {
 impl std::error::Error for SimError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            SimError::Faults(e) => Some(e),
             SimError::Controller(e) => Some(e),
-            SimError::Config(_) | SimError::Conformance { .. } | SimError::Budget { .. } => None,
+            SimError::Config(_)
+            | SimError::Conformance { .. }
+            | SimError::Audit(_)
+            | SimError::Budget { .. } => None,
         }
     }
 }
@@ -76,12 +79,6 @@ impl std::error::Error for SimError {
 impl From<SmcError> for SimError {
     fn from(e: SmcError) -> Self {
         SimError::Controller(e)
-    }
-}
-
-impl From<FaultSpecError> for SimError {
-    fn from(e: FaultSpecError) -> Self {
-        SimError::Faults(e)
     }
 }
 

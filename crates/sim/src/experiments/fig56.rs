@@ -2,8 +2,7 @@
 //! `{rd x[i]; rd y[i]; st z[i]}` under both memory organizations.
 
 use baseline::BaselineController;
-use memsys::SystemMap;
-use rdram::{trace, AddressMap};
+use rdram::trace;
 use smc::StreamDescriptor;
 
 use crate::{MemorySystem, SystemConfig};
@@ -11,13 +10,8 @@ use crate::{MemorySystem, SystemConfig};
 const WINDOW: u64 = 160;
 
 fn render_for(memory: MemorySystem, title: &str) -> String {
-    let cfg = SystemConfig::natural_order(memory);
-    let mut device_cfg = cfg.device.clone();
-    device_cfg.trace_enabled = true;
-    let map = SystemMap::single(
-        AddressMap::new(cfg.memory.interleave(cfg.line_bytes), &device_cfg).expect("valid map"),
-    );
-    let mut dev = memsys::MemorySystem::single(device_cfg);
+    let cfg = SystemConfig::natural_order(memory).with_trace();
+    let (map, mut dev) = cfg.build_memory().expect("valid system");
     // Staggered bases: one interleaving unit apart so the three streams
     // start in different banks, as the paper's diagrams assume.
     let unit = match memory {

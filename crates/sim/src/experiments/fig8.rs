@@ -65,15 +65,10 @@ pub fn run() -> Fig8 {
 /// analytic single-stream model.
 fn simulate_single(memory: MemorySystem, stride: u64) -> f64 {
     use baseline::BaselineController;
-    use memsys::SystemMap;
-    use rdram::AddressMap;
     use smc::StreamDescriptor;
 
     let cfg = SystemConfig::natural_order(memory);
-    let map = SystemMap::single(
-        AddressMap::new(cfg.memory.interleave(cfg.line_bytes), &cfg.device).expect("valid map"),
-    );
-    let mut dev = memsys::MemorySystem::single(cfg.device.clone());
+    let (map, mut dev) = cfg.build_memory().expect("valid system");
     let n = 1024;
     let streams = vec![StreamDescriptor::read("x", 0, stride, n)];
     let mut ctl = BaselineController::new(streams, map, cfg.memory.line_policy(), cfg.line_bytes)

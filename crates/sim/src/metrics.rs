@@ -320,11 +320,8 @@ mod tests {
             MemorySystem::PageInterleaved,
         ] {
             let cfg = SystemConfig::smc(memory, 64).with_telemetry();
-            let r = run_kernel(Kernel::Vaxpy, 128, 1, &cfg).expect("fault-free run");
+            let r = run_kernel(Kernel::Vaxpy, 128, 1, &cfg).expect("fault-free, audited run");
             let tel = r.telemetry.as_ref().expect("telemetry requested");
-            tel.attribution.check_exact().expect("exact partition");
-            let mismatches = tel.attribution.reconcile(&r.device_stats);
-            assert!(mismatches.is_empty(), "{memory:?}: {mismatches:?}");
             assert_eq!(tel.attribution.total(), r.cycles);
             // The registry mirrors the attribution globals.
             let g = tel.attribution.global();

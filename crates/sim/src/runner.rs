@@ -1,4 +1,5 @@
-//! Kernel execution on a configured system.
+//! One kernel run on a configured system: the session that builds, runs
+//! and audits it, and the result it reports.
 
 // No-panic, with no exception: `forbid` rejects any inner allow or expect.
 #![cfg_attr(not(test), forbid(clippy::unwrap_used, clippy::expect_used))]
@@ -11,10 +12,9 @@ use serde::Serialize;
 use baseline::{BaselineController, BaselineResult};
 use faults::FaultInjector;
 use kernels::{Coefficients, Kernel, ReferenceMachine};
-use memsys::SystemMap;
 use rdram::{
-    sink::drain_trace, trace::Trace, AddressMap, CommandRecord, CommandTrace, Cycle, DeviceConfig,
-    DeviceStats, MemoryImage, SharedSink, WORDS_PER_PACKET,
+    sink::drain_trace, trace::Trace, CommandRecord, CommandTrace, Cycle, DeviceConfig, DeviceStats,
+    MemoryImage, SharedSink, WORDS_PER_PACKET,
 };
 use smc::{MsuConfig, MsuStats, SmcController};
 use telemetry::SharedTelemetry;
@@ -48,9 +48,9 @@ pub struct RunResult {
     /// Packet trace, when tracing was enabled.
     #[serde(skip)]
     pub trace: Option<Trace>,
-    /// Every issued command with its start cycle, when
-    /// [`SystemConfig::record_commands`](crate::SystemConfig) was set
-    /// (always captured in conformance-checked runs).
+    /// Every issued command with the cycle the memory system delivered it
+    /// at, when [`SystemConfig::record_commands`](crate::SystemConfig) was
+    /// set (always captured in conformance-checked and telemetered runs).
     #[serde(skip)]
     pub commands: Vec<CommandRecord>,
     /// Collected telemetry (metrics registry, bank/bus timelines, controller
@@ -163,17 +163,18 @@ fn seed(mem: &mut MemoryImage, kernel: Kernel, bases: &[u64], n: u64, stride: u6
 
 /// Run `n` iterations of `kernel` at `stride` on the configured system.
 ///
-/// Simulations move real data: when `cfg.verify` is set (the default), the
-/// resulting memory image is compared bit-exactly against the kernel's
-/// scalar reference, proving that dynamic access reordering did not change
-/// the computation.
+/// The SMC moves real data: when `cfg.verify` is set (the default), an SMC
+/// run's memory image is compared bit-exactly against the kernel's scalar
+/// reference, proving that dynamic access reordering did not change the
+/// computation.
 ///
 /// # Errors
 ///
 /// [`SimError::Config`] for an invalid device or address map, and — under
 /// fault injection — [`SimError::Controller`] for livelocks, protocol
 /// violations, or exhausted retry budgets, or [`SimError::Budget`] if the
-/// faults slow the run past its cycle budget.
+/// faults slow the run past its cycle budget. A failed audit is
+/// [`SimError::Conformance`] or [`SimError::Audit`], in every build.
 ///
 /// # Panics
 ///
@@ -186,231 +187,265 @@ pub fn run_kernel(
     stride: u64,
     cfg: &SystemConfig,
 ) -> Result<RunResult, SimError> {
-    cfg.device
-        .validate()
-        .map_err(|e| SimError::Config(format!("invalid device config: {e}")))?;
-    let inner_map = AddressMap::new(cfg.memory.interleave(cfg.line_bytes), &cfg.device)
-        .map_err(|e| SimError::Config(format!("invalid address map: {e}")))?;
-    let topo = cfg.topology();
-    topo.validate()
-        .map_err(|e| SimError::Config(format!("invalid topology: {e}")))?;
-    let map = if topo.is_single() {
-        SystemMap::single(inner_map)
-    } else {
-        SystemMap::new(inner_map, &cfg.device, &topo, cfg.placement)
-            .map_err(|e| SimError::Config(format!("invalid placement: {e}")))?
-    };
-    let bases = vector_bases(kernel, n, stride, cfg);
-    let coeffs = Coefficients::default();
+    Session::new(kernel, n, stride, cfg)?.run()?.finish()
+}
 
-    let mut device_cfg = cfg.device.clone();
-    device_cfg.trace_enabled = cfg.trace;
-    let mut dev = if topo.is_single() {
-        memsys::MemorySystem::single(device_cfg.clone())
-    } else {
-        memsys::MemorySystem::new(device_cfg.clone(), topo)
-    };
-    let mut mem = MemoryImage::new();
-    seed(&mut mem, kernel, &bases, n, stride);
+/// One kernel run: [`new`](Self::new) builds it, [`run`](Self::run)
+/// simulates it and [`finish`](Self::finish) audits it into a [`RunResult`].
+pub(crate) struct Session {
+    kernel: Kernel,
+    n: u64,
+    stride: u64,
+    dev: memsys::MemorySystem,
+    engine: Engine,
+    /// Every command issued, when the run records, checks or replays them.
+    commands: Option<Arc<Mutex<CommandTrace>>>,
+    telemetry: Option<SharedTelemetry>,
+    check_conformance: bool,
+}
 
-    // The device and the controller get clones of one injector, so both
-    // sides of the channel agree on every injected fault.
-    let injector = cfg
-        .faults
-        .as_ref()
-        .filter(|p| !p.is_empty())
-        .map(|p| FaultInjector::new(p, cfg.fault_seed));
-    if let Some(inj) = &injector {
-        dev.set_faults(std::sync::Arc::new(inj.clone()));
-    }
+enum Engine {
+    /// The natural-order controller, a timing model that moves no data,
+    /// and its summary once run.
+    Natural(Box<BaselineController>, Option<BaselineResult>),
+    /// The SMC, the processor model, the memory image they move data
+    /// through, the vector bases to verify it at (when `verify` is on) and
+    /// the cycle at which an unfinished run fails with [`SimError::Budget`].
+    Smc(
+        Box<SmcController>,
+        Box<StreamCpu>,
+        MemoryImage,
+        Option<Vec<u64>>,
+        Cycle,
+    ),
+}
 
-    // Channel-scoped chaos rides a separate injector interpreted by the
-    // memory-system router: brownouts and device failures stretch DATA
-    // delivery, outages defer it to the window's end, and the router keeps
-    // exact per-channel loss accounting. Plans without channel-scoped
-    // clauses leave the system healthy (set_chaos refuses them).
-    if let Some(plan) = cfg.chaos.as_ref().filter(|p| p.has_channel_faults()) {
-        dev.set_chaos(FaultInjector::new(plan, cfg.chaos_seed));
-    }
+impl Session {
+    /// Build `cfg`'s memory system and controller, with the fault injector,
+    /// command trace and telemetry handle it asks for; an SMC run also gets
+    /// the processor model, the seeded memory image and its cycle budget.
+    pub(crate) fn new(
+        kernel: Kernel,
+        n: u64,
+        stride: u64,
+        cfg: &SystemConfig,
+    ) -> Result<Self, SimError> {
+        let (map, mut dev) = cfg.build_memory()?;
+        let bases = vector_bases(kernel, n, stride, cfg);
 
-    // One shared trace observes every command the controller issues; the
-    // conformance checker replays it after the run, and the telemetry layer
-    // replays it into bank/bus timelines.
-    let cmd_trace = (cfg.record_commands || cfg.check_conformance || cfg.telemetry)
-        .then(|| Arc::new(Mutex::new(CommandTrace::new())));
-    let tel = cfg.telemetry.then(SharedTelemetry::new);
-
-    let streams = kernel.stream_descriptors(&bases, n, stride);
-    let useful_words = streams.len() as u64 * n;
-
-    let (cycles, msu_stats, baseline) = match cfg.ordering {
-        AccessOrder::NaturalOrder => {
-            let write_policy = if cfg.write_allocate {
-                baseline::WritePolicy::WriteAllocate
-            } else {
-                baseline::WritePolicy::StoreDirect
-            };
-            let mut ctl =
-                BaselineController::new(streams, map, cfg.memory.line_policy(), cfg.line_bytes)
-                    .with_write_policy(write_policy);
-            if let Some(cache_cfg) = cfg.cache {
-                ctl = ctl.with_cache(cache_cfg);
-            }
-            if let Some(inj) = &injector {
-                ctl.set_faults(inj.clone());
-            }
-            if let Some(trace) = &cmd_trace {
-                ctl.set_trace_sink(SharedSink::from_trace(Arc::clone(trace)));
-            }
-            if let Some(t) = &tel {
-                ctl.set_telemetry(t.clone());
-            }
-            let result = ctl.run_to_completion(&mut dev)?;
-            // The conventional system's data path is order-preserving per
-            // element, so its results are by construction the reference's;
-            // apply them so the image reflects the completed computation.
-            ReferenceMachine::new(kernel, coeffs).run(&mut mem, &bases, n, stride);
-            (result.last_data_cycle, None, Some(result))
+        // The device and the controller get clones of one injector, so both
+        // sides of the channel agree on every injected fault.
+        let injector = cfg
+            .faults
+            .as_ref()
+            .filter(|p| !p.is_empty())
+            .map(|p| FaultInjector::new(p, cfg.fault_seed));
+        if let Some(inj) = &injector {
+            dev.set_faults(Arc::new(inj.clone()));
         }
-        AccessOrder::Smc { fifo_depth } => {
-            let msu_cfg = MsuConfig {
-                fifo_depth,
-                policy: cfg.policy,
-                page_policy: cfg.memory.page_policy(),
-                speculative_activate: cfg.speculative,
-                degrade_after: if injector.is_some() {
-                    DEGRADE_AFTER_FAULTY
+
+        // One shared trace observes every command the memory system accepts;
+        // the conformance checker replays it after the run, and the telemetry
+        // layer replays it into bank/bus timelines.
+        let commands = (cfg.record_commands || cfg.check_conformance || cfg.telemetry)
+            .then(|| Arc::new(Mutex::new(CommandTrace::new())));
+        if let Some(trace) = &commands {
+            dev.set_cmd_sink(SharedSink::from_trace(Arc::clone(trace)));
+        }
+        let telemetry = cfg.telemetry.then(SharedTelemetry::new);
+        let streams = kernel.stream_descriptors(&bases, n, stride);
+        let engine = match cfg.ordering {
+            AccessOrder::NaturalOrder => {
+                let write_policy = if cfg.write_allocate {
+                    baseline::WritePolicy::WriteAllocate
                 } else {
-                    0
-                },
-                ..MsuConfig::default()
-            };
-            let mut ctl = SmcController::new(streams, map, msu_cfg);
-            if cfg.refresh {
-                // The timer walks the *global* bank space, one bank per
-                // interval, so every channel's rows meet their deadline.
-                let mut refresh_cfg = cfg.device.clone();
-                refresh_cfg.devices = cfg.device.devices * cfg.channels.max(1);
-                ctl = ctl.with_refresh(rdram::refresh::RefreshTimer::new(&refresh_cfg));
+                    baseline::WritePolicy::StoreDirect
+                };
+                let mut ctl =
+                    BaselineController::new(streams, map, cfg.memory.line_policy(), cfg.line_bytes)
+                        .with_write_policy(write_policy);
+                if let Some(cache_cfg) = cfg.cache {
+                    ctl = ctl.with_cache(cache_cfg);
+                }
+                if let Some(inj) = &injector {
+                    ctl.set_faults(inj.clone());
+                }
+                if let Some(t) = &telemetry {
+                    ctl.set_telemetry(t.clone());
+                }
+                Engine::Natural(Box::new(ctl), None)
             }
-            if let Some(inj) = &injector {
-                ctl.set_faults(inj.clone());
+            AccessOrder::Smc { fifo_depth } => {
+                let msu_cfg = MsuConfig {
+                    fifo_depth,
+                    policy: cfg.policy,
+                    page_policy: cfg.memory.page_policy(),
+                    speculative_activate: cfg.speculative,
+                    degrade_after: injector.as_ref().map_or(0, |_| DEGRADE_AFTER_FAULTY),
+                    ..MsuConfig::default()
+                };
+                let mut ctl = SmcController::new(streams, map, msu_cfg);
+                if cfg.refresh {
+                    // The timer walks the *global* bank space, one bank per
+                    // interval, so every channel's rows meet their deadline.
+                    let mut refresh_cfg = cfg.device.clone();
+                    refresh_cfg.devices = cfg.device.devices * cfg.channels.max(1);
+                    ctl = ctl.with_refresh(rdram::refresh::RefreshTimer::new(&refresh_cfg));
+                }
+                if let Some(inj) = &injector {
+                    ctl.set_faults(inj.clone());
+                }
+                if let Some(t) = &telemetry {
+                    ctl.set_telemetry(t.clone());
+                }
+                let cpu = StreamCpu::new(kernel, Coefficients::default(), n)
+                    .with_access_cycles(cfg.cpu_access_cycles);
+                let mut mem = MemoryImage::new();
+                seed(&mut mem, kernel, &bases, n, stride);
+                // Bounded-duty fault plans can at most quadruple a run; the
+                // watchdog catches genuine livelock long before the budget.
+                let mut budget = 400 * (kernel.total_streams() * n + 1024) + 2_000_000;
+                if injector.is_some() {
+                    budget *= 4;
+                }
+                if let Some(plan) = cfg.chaos.as_ref().filter(|p| p.has_channel_faults()) {
+                    // A brownout stretches every delivery by at most the worst
+                    // cost multiplier, and each outage window can park the
+                    // schedule for its full length (plus the same again while
+                    // the deferred backlog drains).
+                    let (max_mult, window_sum) = plan.chaos_bounds();
+                    budget = budget
+                        .saturating_mul(max_mult)
+                        .saturating_add(2 * window_sum);
+                }
+                let verify_bases = cfg.verify.then_some(bases);
+                Engine::Smc(Box::new(ctl), Box::new(cpu), mem, verify_bases, budget)
             }
-            if let Some(trace) = &cmd_trace {
-                ctl.set_trace_sink(SharedSink::from_trace(Arc::clone(trace)));
-            }
-            if let Some(t) = &tel {
-                ctl.set_telemetry(t.clone());
-            }
-            let mut cpu =
-                StreamCpu::new(kernel, coeffs, n).with_access_cycles(cfg.cpu_access_cycles);
-            let mut now: Cycle = 0;
-            // Bounded-duty fault plans can at most quadruple a run; the
-            // watchdog catches genuine livelock long before the budget.
-            let mut budget = 400 * (useful_words + 1024) + 2_000_000;
-            if injector.is_some() {
-                budget *= 4;
-            }
-            if let Some(plan) = cfg.chaos.as_ref().filter(|p| p.has_channel_faults()) {
-                // A brownout stretches every delivery by at most the worst
-                // cost multiplier, and each outage window can park the
-                // schedule for its full length (plus the same again while
-                // the deferred backlog drains).
-                let (max_mult, window_sum) = plan.chaos_bounds();
-                budget = budget
-                    .saturating_mul(max_mult)
-                    .saturating_add(2 * window_sum);
-            }
-            while !(cpu.done() && ctl.mem_complete()) {
-                ctl.tick(now, &mut dev, &mut mem)?;
-                cpu.tick(now, &mut ctl);
-                now += 1;
-                if now >= budget {
-                    return Err(SimError::Budget {
-                        kernel: kernel.to_string(),
-                        n,
-                        stride,
-                        cycles: budget,
-                    });
+        };
+        Ok(Session {
+            kernel,
+            n,
+            stride,
+            dev,
+            engine,
+            commands,
+            telemetry,
+            check_conformance: cfg.check_conformance,
+        })
+    }
+
+    /// Simulate the run to completion: the natural-order controller steps
+    /// from event to event, the SMC and the processor model every cycle,
+    /// failing with [`SimError::Budget`] past the budget.
+    pub(crate) fn run(mut self) -> Result<Self, SimError> {
+        match &mut self.engine {
+            Engine::Natural(ctl, summary) => *summary = Some(ctl.run_to_completion(&mut self.dev)?),
+            Engine::Smc(ctl, cpu, mem, _, budget) => {
+                let mut now: Cycle = 0;
+                while !(cpu.done() && ctl.mem_complete()) {
+                    ctl.tick(now, &mut self.dev, mem)?;
+                    cpu.tick(now, ctl);
+                    now += 1;
+                    if now >= *budget {
+                        return Err(SimError::Budget {
+                            kernel: self.kernel.to_string(),
+                            n: self.n,
+                            stride: self.stride,
+                            cycles: *budget,
+                        });
+                    }
                 }
             }
-            let cycles = ctl.last_data_cycle().max(cpu.finish_cycle());
-            (cycles, Some(*ctl.msu_stats()), None)
         }
-    };
-
-    let commands = cmd_trace.as_ref().map(drain_trace).unwrap_or_default();
-    if cfg.check_conformance {
-        let violations = check_channels(&device_cfg, cfg.channels, &commands);
-        if let Some(first) = violations.first() {
-            return Err(SimError::Conformance {
-                violations: violations.len(),
-                first: first.to_string(),
-            });
-        }
+        Ok(self)
     }
 
-    if cfg.verify {
-        let mut expect = MemoryImage::new();
-        seed(&mut expect, kernel, &bases, n, stride);
-        ReferenceMachine::new(kernel, coeffs).run(&mut expect, &bases, n, stride);
-        for (v, &base) in bases.iter().enumerate() {
-            for e in 0..kernel.vector_len(v, n, stride) {
-                let addr = base + e * rdram::ELEM_BYTES;
-                assert_eq!(
-                    mem.read_u64(addr),
-                    expect.read_u64(addr),
-                    "kernel {kernel}: vector {v} element {e} diverged from reference"
-                );
+    /// Audit the run and assemble its result. In every build the checker
+    /// replays the command stream when `check_conformance` is set, an SMC
+    /// run's image is verified when `verify` is set (a divergence panics, see
+    /// [`run_kernel`]), and a telemetered run must pass [`audit`].
+    pub(crate) fn finish(mut self) -> Result<RunResult, SimError> {
+        let commands = self.commands.as_ref().map(drain_trace).unwrap_or_default();
+        if self.check_conformance {
+            let violations = check_channels(self.dev.config(), self.dev.channels(), &commands);
+            if let Some(first) = violations.first() {
+                return Err(SimError::Conformance {
+                    violations: violations.len(),
+                    first: first.to_string(),
+                });
             }
         }
-    }
 
-    let mut result = RunResult {
-        kernel,
-        n,
-        stride,
-        cycles,
-        useful_words,
-        device_stats: dev.stats(),
-        msu_stats,
-        baseline,
-        bank_data_cycles: dev.bank_data_cycles().to_vec(),
-        chaos_stats: if dev.has_chaos() {
-            dev.chaos_stats().to_vec()
-        } else {
-            Vec::new()
-        },
-        trace: dev.take_trace(),
-        commands,
-        telemetry: None,
-        t_pack: cfg.device.timing.t_pack,
-    };
-    if let Some(t) = tel {
-        let collected = RunTelemetry::collect(&device_cfg, cfg.channels, &result, t.drain());
-        // Debug builds cross-check the replayed timeline against the
-        // device's own counters: both derive from the same command stream,
-        // so any divergence is a bug in one of the two models. Attribution
-        // must also account for each cycle exactly once.
-        #[cfg(debug_assertions)]
-        {
-            let exact = collected.attribution.check_exact();
-            assert!(exact.is_ok(), "cycle attribution lost cycles: {exact:?}");
-            let mismatches =
-                telemetry::reconcile(&collected.derived_counts(), &result.device_stats);
-            assert!(
-                mismatches.is_empty(),
-                "telemetry replay diverged from device counters: {mismatches:?}"
-            );
-            let attr_mismatches = collected.attribution.reconcile(&result.device_stats);
-            assert!(
-                attr_mismatches.is_empty(),
-                "cycle attribution diverged from device counters: {attr_mismatches:?}"
-            );
+        let (kernel, n, stride) = (self.kernel, self.n, self.stride);
+        let (cycles, msu_stats, baseline) = match self.engine {
+            Engine::Natural(ctl, summary) => (ctl.last_data_cycle(), None, summary),
+            Engine::Smc(ctl, cpu, mem, verify_bases, _) => {
+                if let Some(bases) = &verify_bases {
+                    let mut expect = MemoryImage::new();
+                    seed(&mut expect, kernel, bases, n, stride);
+                    let reference = ReferenceMachine::new(kernel, Coefficients::default());
+                    reference.run(&mut expect, bases, n, stride);
+                    for (v, &base) in bases.iter().enumerate() {
+                        for e in 0..kernel.vector_len(v, n, stride) {
+                            let addr = base + e * rdram::ELEM_BYTES;
+                            assert_eq!(
+                                mem.read_u64(addr),
+                                expect.read_u64(addr),
+                                "kernel {kernel}: vector {v} element {e} diverged from reference"
+                            );
+                        }
+                    }
+                }
+                let cycles = ctl.last_data_cycle().max(cpu.finish_cycle());
+                (cycles, Some(*ctl.msu_stats()), None)
+            }
+        };
+
+        let mut result = RunResult {
+            kernel,
+            n,
+            stride,
+            cycles,
+            useful_words: kernel.total_streams() * n,
+            device_stats: self.dev.stats(),
+            msu_stats,
+            baseline,
+            bank_data_cycles: self.dev.bank_data_cycles().to_vec(),
+            chaos_stats: if self.dev.has_chaos() {
+                self.dev.chaos_stats().to_vec()
+            } else {
+                Vec::new()
+            },
+            trace: self.dev.take_trace(),
+            commands,
+            telemetry: None,
+            t_pack: self.dev.timing().t_pack,
+        };
+        if let Some(t) = self.telemetry {
+            let (device, channels) = (self.dev.config(), self.dev.channels());
+            result.telemetry = Some(RunTelemetry::collect(device, channels, &result, t.drain()));
+            audit(&result)?;
         }
-        result.telemetry = Some(collected);
+        Ok(result)
     }
-    Ok(result)
+}
+
+/// The telemetry audits: a telemetered run's cycle attribution partitions
+/// it exactly, and its timeline replay and attribution agree with the
+/// device's own counters. All three derive from the command stream the
+/// device counted, so any failure is a bug in one of the models.
+fn audit(result: &RunResult) -> Result<(), SimError> {
+    let (Some(tel), stats) = (&result.telemetry, &result.device_stats) else {
+        return Ok(());
+    };
+    let mut failures: Vec<String> = tel.attribution.check_exact().err().into_iter().collect();
+    failures.extend(telemetry::reconcile(&tel.derived_counts(), stats));
+    failures.extend(tel.attribution.reconcile(stats));
+    if failures.is_empty() {
+        Ok(())
+    } else {
+        Err(SimError::Audit(failures.join("; ")))
+    }
 }
 
 /// Audit a command stream against the per-channel timing model, one
@@ -459,6 +494,42 @@ mod tests {
 
     const CLI: MemorySystem = MemorySystem::CacheLineInterleaved;
     const PI: MemorySystem = MemorySystem::PageInterleaved;
+
+    /// A finished daxpy session on `cfg` whose recorded stream also holds an
+    /// ACT the device never saw, one cycle after the run's first ACT.
+    fn doctored(cfg: &SystemConfig) -> Session {
+        let session = Session::new(Kernel::Daxpy, 64, 1, cfg).and_then(Session::run);
+        let session = session.expect("fault-free run");
+        let trace = session.commands.as_ref().expect("commands recorded");
+        let cmd = rdram::Command::activate(0, 0);
+        SharedSink::from_trace(Arc::clone(trace)).record_command(CommandRecord { cycle: 1, cmd });
+        session
+    }
+
+    #[test]
+    fn conformance_violations_surface_as_errors() {
+        let mut cfg = SystemConfig::smc(CLI, 16).with_command_recording();
+        cfg.check_conformance = true;
+        let result = doctored(&cfg).finish();
+        assert!(
+            matches!(result, Err(SimError::Conformance { .. })),
+            "{result:?}"
+        );
+    }
+
+    #[test]
+    fn doctored_runs_fail_the_audit_in_every_build() {
+        for mut cfg in [SystemConfig::smc(CLI, 16), SystemConfig::natural_order(PI)] {
+            cfg.telemetry = true;
+            let mut r = run_kernel(Kernel::Daxpy, 64, 1, &cfg).expect("fault-free, audited run");
+            r.device_stats.activates += 1;
+            cfg.check_conformance = false;
+            for result in [audit(&r), doctored(&cfg).finish().map(drop)] {
+                let failed = matches!(&result, Err(SimError::Audit(m)) if m.contains("activates"));
+                assert!(failed, "{result:?}");
+            }
+        }
+    }
 
     #[test]
     fn smc_copy_long_vectors_exceed_98_percent() {
@@ -595,36 +666,6 @@ mod tests {
         let r = run_kernel(Kernel::Triad, 32, 1, &cfg).expect("fault-free run");
         let trace = r.trace.expect("trace requested");
         assert!(!trace.is_empty());
-    }
-
-    #[test]
-    fn recorded_command_streams_pass_the_checker() {
-        for (cfg, label) in [
-            (SystemConfig::smc(CLI, 32), "smc cli"),
-            (SystemConfig::natural_order(PI), "natural pi"),
-        ] {
-            let cfg = cfg.with_command_recording();
-            let r = run_kernel(Kernel::Daxpy, 128, 1, &cfg).expect("fault-free run");
-            assert!(!r.commands.is_empty(), "{label}: commands recorded");
-            let violations = checker::check(&cfg.device, &r.commands);
-            assert!(violations.is_empty(), "{label}: {violations:?}");
-        }
-    }
-
-    #[test]
-    fn conformance_violations_surface_as_errors() {
-        // Force a device whose replay model disagrees with the schedule by
-        // checking the recorded trace against *tighter* timing than the run
-        // used — the checker must flag it, proving the failure path works.
-        let cfg = SystemConfig::smc(CLI, 16).with_command_recording();
-        let r = run_kernel(Kernel::Copy, 64, 1, &cfg).expect("fault-free run");
-        let mut strict = cfg.device.clone();
-        strict.timing.t_rcd += 4;
-        let violations = checker::check(&strict, &r.commands);
-        assert!(
-            violations.iter().any(|v| v.rule == checker::RuleId::TRcd),
-            "{violations:?}"
-        );
     }
 
     #[test]

@@ -64,10 +64,11 @@ pub fn bank_data_cycles_of(result: &crate::RunResult) -> Vec<(usize, u64)> {
 /// The simulator-backed executor handed to [`tenancy::serve_traced`].
 ///
 /// Each request runs the tenant's kernel through [`crate::run_kernel`]
-/// with commands recorded (for per-bank accounting). Clean configurations
-/// memoize by `(kernel, n, stride)` — identical requests cost one
-/// simulation — while faulty configurations derive a fresh per-request
-/// seed and always run.
+/// and is charged the memory system's measured per-bank DATA-bus cycles
+/// ([`RunResult::bank_data_cycles`](crate::RunResult)). Clean
+/// configurations memoize by `(kernel, n, stride)` — identical requests
+/// cost one simulation — while faulty configurations derive a fresh
+/// per-request seed and always run.
 pub struct SimExecutor {
     base: SystemConfig,
     memo: RefCell<BTreeMap<(String, u64, u64), ServiceReport>>,
@@ -75,12 +76,8 @@ pub struct SimExecutor {
 }
 
 impl SimExecutor {
-    /// An executor running requests on `base`. The base config's
-    /// `record_commands` is forced on so per-bank packet counts are always
-    /// available.
+    /// An executor running requests on `base`.
     pub fn new(base: SystemConfig) -> Self {
-        let mut base = base;
-        base.record_commands = true;
         Self {
             base,
             memo: RefCell::new(BTreeMap::new()),

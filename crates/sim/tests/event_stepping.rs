@@ -7,10 +7,7 @@ use std::sync::{Arc, Mutex};
 use baseline::{BaselineController, BaselineResult, WritePolicy};
 use faults::{FaultInjector, FaultPlan};
 use kernels::Kernel;
-use memsys::SystemMap;
-use rdram::{
-    sink::drain_trace, AddressMap, CommandRecord, CommandTrace, Cycle, DeviceStats, SharedSink,
-};
+use rdram::{sink::drain_trace, CommandRecord, CommandTrace, Cycle, DeviceStats, SharedSink};
 use sim::{vector_bases, MemorySystem, SystemConfig};
 use smc::{SmcError, DEFAULT_WATCHDOG_CYCLES};
 use telemetry::{Event, SharedTelemetry};
@@ -26,10 +23,10 @@ struct Outcome {
     events: Vec<Event>,
 }
 
-/// A controller and memory system built the way `run_kernel` builds them
-/// for `cfg`, with at most `mshrs` line transfers in flight, a watchdog
-/// threshold of `watchdog` cycles, a command trace and a telemetry handle
-/// attached.
+/// A controller wired the way `run_kernel` wires it for `cfg`, on the
+/// memory system `SystemConfig::build_memory` builds, with at most `mshrs`
+/// line transfers in flight, a watchdog threshold of `watchdog` cycles, a
+/// command trace and a telemetry handle attached.
 struct Rig {
     ctl: BaselineController,
     dev: memsys::MemorySystem,
@@ -48,20 +45,7 @@ impl Rig {
         mshrs: usize,
         watchdog: Cycle,
     ) -> Self {
-        let inner = AddressMap::new(cfg.memory.interleave(cfg.line_bytes), &cfg.device)
-            .expect("valid address map");
-        let topo = cfg.topology();
-        let (map, mut dev) = if topo.is_single() {
-            (
-                SystemMap::single(inner),
-                memsys::MemorySystem::single(cfg.device.clone()),
-            )
-        } else {
-            (
-                SystemMap::new(inner, &cfg.device, &topo, cfg.placement).expect("valid placement"),
-                memsys::MemorySystem::new(cfg.device.clone(), topo),
-            )
-        };
+        let (map, mut dev) = cfg.build_memory().expect("valid system");
         let streams = kernel.stream_descriptors(&vector_bases(kernel, n, stride, cfg), n, stride);
         let write_policy = if cfg.write_allocate {
             WritePolicy::WriteAllocate
@@ -81,9 +65,6 @@ impl Rig {
             let inj = FaultInjector::new(plan, cfg.fault_seed);
             dev.set_faults(Arc::new(inj.clone()));
             ctl.set_faults(inj);
-        }
-        if let Some(plan) = &cfg.chaos {
-            dev.set_chaos(FaultInjector::new(plan, cfg.chaos_seed));
         }
         let trace = Arc::new(Mutex::new(CommandTrace::new()));
         ctl.set_trace_sink(SharedSink::from_trace(Arc::clone(&trace)));

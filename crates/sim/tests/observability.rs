@@ -6,7 +6,7 @@
 
 use kernels::Kernel;
 use proptest::prelude::*;
-use sim::{run_kernel, MemorySystem, SystemConfig};
+use sim::{run_kernel, MemorySystem, SimError, SystemConfig};
 
 const CLI: MemorySystem = MemorySystem::CacheLineInterleaved;
 const PI: MemorySystem = MemorySystem::PageInterleaved;
@@ -21,24 +21,22 @@ fn configs(mem: MemorySystem) -> [(SystemConfig, &'static str); 2] {
 #[test]
 fn attribution_is_exact_across_the_paper_matrix() {
     // Acceptance matrix: 4 kernels x 2 orderings x 2 organizations. For
-    // every cell the six categories must sum to the run's cycle count
-    // exactly (zero tolerance), the per-bank breakdown must reconcile
-    // with the global one, and the data/turnaround categories must agree
-    // with the device's own counters.
+    // every cell the attribution must cover the run's cycle count; the
+    // run's own audits (an error on failure) hold the six categories to
+    // that count exactly (zero tolerance), the per-bank breakdown to the
+    // global one, and the data/turnaround categories to the device's own
+    // counters.
     for mem in [CLI, PI] {
         for kernel in Kernel::PAPER_SUITE {
             for (cfg, label) in configs(mem) {
                 let cfg = cfg.with_telemetry();
-                let r = run_kernel(kernel, 128, 1, &cfg).expect("fault-free run");
-                let tel = r.telemetry.as_ref().expect("telemetry requested");
-                let attr = &tel.attribution;
-                assert_eq!(attr.total(), r.cycles, "{kernel} {label} {mem:?}");
-                attr.check_exact()
+                let r = run_kernel(kernel, 128, 1, &cfg)
                     .unwrap_or_else(|e| panic!("{kernel} {label} {mem:?}: {e}"));
-                let mismatches = attr.reconcile(&r.device_stats);
-                assert!(
-                    mismatches.is_empty(),
-                    "{kernel} {label} {mem:?}: {mismatches:?}"
+                let tel = r.telemetry.as_ref().expect("telemetry requested");
+                assert_eq!(
+                    tel.attribution.total(),
+                    r.cycles,
+                    "{kernel} {label} {mem:?}"
                 );
             }
         }
@@ -48,9 +46,10 @@ fn attribution_is_exact_across_the_paper_matrix() {
 #[test]
 fn attribution_is_exact_under_128_seed_fault_storms() {
     // A fault storm perturbs scheduling, injects stalls, and forces
-    // retries; the exact-partition invariant must survive every seed.
-    // Runs that die structurally (retry exhaustion under a hostile seed)
-    // are allowed — the invariant applies to every run that completes.
+    // retries; the exact-partition invariant, which the run audits, must
+    // survive every seed. Runs that die structurally (retry exhaustion
+    // under a hostile seed) are allowed; any other error, a failed audit
+    // included, fails the test.
     let plan = "nack:100:8;stall:97:3;busy:*:211:5";
     let mut completed = 0u32;
     let mut retry_cycles = 0u64;
@@ -61,15 +60,14 @@ fn attribution_is_exact_under_128_seed_fault_storms() {
                 seed,
             )
             .with_telemetry();
-        let Ok(r) = run_kernel(Kernel::Daxpy, 64, 1, &cfg) else {
-            continue;
+        let r = match run_kernel(Kernel::Daxpy, 64, 1, &cfg) {
+            Ok(r) => r,
+            Err(SimError::Controller(_)) => continue,
+            Err(e) => panic!("seed {seed}: {e}"),
         };
         completed += 1;
         let tel = r.telemetry.as_ref().expect("telemetry requested");
         assert_eq!(tel.attribution.total(), r.cycles, "seed {seed}");
-        tel.attribution
-            .check_exact()
-            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         retry_cycles += tel.attribution.global().retry;
     }
     assert!(
@@ -85,8 +83,9 @@ fn attribution_is_exact_under_128_seed_fault_storms() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random kernel/length/stride/depth/organization: the partition is
-    /// exact for every configuration, not just the paper's cells.
+    /// Random kernel/length/stride/depth/organization: the run's audits
+    /// hold the partition exact for every configuration, not just the
+    /// paper's cells.
     #[test]
     fn attribution_partitions_random_configurations(
         kernel_idx in 0usize..Kernel::PAPER_SUITE.len(),
@@ -98,11 +97,9 @@ proptest! {
         let mem = if pi { PI } else { CLI };
         let kernel = Kernel::PAPER_SUITE[kernel_idx];
         let cfg = SystemConfig::smc(mem, fifo).with_telemetry();
-        let r = run_kernel(kernel, n, stride, &cfg).expect("fault-free run");
+        let r = run_kernel(kernel, n, stride, &cfg).expect("fault-free, audited run");
         let tel = r.telemetry.as_ref().expect("telemetry requested");
         prop_assert_eq!(tel.attribution.total(), r.cycles);
-        prop_assert!(tel.attribution.check_exact().is_ok());
-        prop_assert!(tel.attribution.reconcile(&r.device_stats).is_empty());
     }
 }
 

@@ -409,9 +409,8 @@ impl CycleAttribution {
     /// Cross-check the attribution against the device's own statistics:
     /// data cycles must equal `data_busy_cycles` and turnaround gaps must
     /// equal `turnarounds`. Returns one line per mismatch; empty means the
-    /// accountings agree exactly. (Faulty runs perturb the replay's DATA
-    /// accounting the same way they perturb hit accounting, so callers
-    /// apply this to clean runs — mirroring the timeline reconcile.)
+    /// accountings agree exactly, under injected faults and chaos too: both
+    /// read the same delivered command stream.
     pub fn reconcile(&self, stats: &DeviceStats) -> Vec<String> {
         let pairs: [(&str, u64, u64); 2] = [
             ("data_cycles", self.global.data, stats.data_busy_cycles),

@@ -46,7 +46,7 @@ fn main() {
     }
     println!("{}", table.render());
     println!(
-        "Every simulated run moves real data and is verified bit-exactly\n\
+        "Every SMC run moves real data and is verified bit-exactly\n\
          against the kernel's scalar reference."
     );
 }

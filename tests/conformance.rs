@@ -7,7 +7,6 @@
 //! bandwidth numbers are only meaningful if the command streams behind them
 //! respect every Figure 2 constraint.
 
-use checker::check;
 use faults::FaultPlan;
 use kernels::Kernel;
 use memsys::Placement;
@@ -16,22 +15,17 @@ use sim::{run_kernel, MemorySystem, SystemConfig};
 const CLI: MemorySystem = MemorySystem::CacheLineInterleaved;
 const PI: MemorySystem = MemorySystem::PageInterleaved;
 
-/// Run every paper kernel on `cfg` and assert its recorded command stream
-/// is non-empty and violation-free.
+/// Run every paper kernel on `cfg` with the conformance checker on, in
+/// every build, and assert that each run recorded commands and passed it.
 fn assert_conformant(base: &SystemConfig, label: &str) {
     for kernel in Kernel::PAPER_SUITE {
-        let cfg = base.clone().with_command_recording();
+        let mut cfg = base.clone().with_command_recording();
+        cfg.check_conformance = true;
         let r = run_kernel(kernel, 256, 1, &cfg)
             .unwrap_or_else(|e| panic!("{label} {kernel}: run failed: {e}"));
         assert!(
             !r.commands.is_empty(),
             "{label} {kernel}: no commands recorded"
-        );
-        let violations = check(&cfg.device, &r.commands);
-        assert!(
-            violations.is_empty(),
-            "{label} {kernel}: {}",
-            checker::report(&violations)
         );
     }
 }
@@ -87,10 +81,10 @@ fn faulted_runs_stay_conformant() {
 }
 
 /// Every run on a grid of faulted and chaos configurations passes all four
-/// run audits, called here explicitly so release builds check them too:
-/// the per-channel timing checker, the exact cycle partition of the
-/// attribution, and both reconciliations of the telemetry replay against
-/// the device's own counters.
+/// run audits, which `run_kernel` makes in every build once conformance
+/// checking and telemetry are on: the per-channel timing checker, the exact
+/// cycle partition of the attribution, and both reconciliations of the
+/// telemetry replay against the device's own counters.
 #[test]
 fn every_audit_holds_under_faults_and_chaos() {
     // (label, channels, device fault plan, channel chaos plan)
@@ -122,7 +116,6 @@ fn every_audit_holds_under_faults_and_chaos() {
                     let label = format!("{kernel} {memory:?} {:?} {plan}", base.ordering);
                     let mut cfg = base
                         .clone()
-                        .with_command_recording()
                         .with_telemetry()
                         .with_channels(channels)
                         .with_placement(Placement::ChannelInterleaved { block_bytes: 1024 });
@@ -132,23 +125,10 @@ fn every_audit_holds_under_faults_and_chaos() {
                     if !chaos.is_empty() {
                         cfg = cfg.with_chaos(FaultPlan::parse(chaos).expect("valid plan"), 7);
                     }
+                    cfg.check_conformance = true;
                     let r = run_kernel(kernel, 256, 1, &cfg)
                         .unwrap_or_else(|e| panic!("{label}: run failed: {e}"));
-
-                    let violations = sim::check_channels(&cfg.device, channels, &r.commands);
-                    assert!(
-                        violations.is_empty(),
-                        "{label}: {}",
-                        checker::report(&violations)
-                    );
-                    let tel = r.telemetry.as_ref().expect("telemetry requested");
-                    if let Err(e) = tel.attribution.check_exact() {
-                        panic!("{label}: cycle attribution lost cycles: {e}");
-                    }
-                    let replay = telemetry::reconcile(&tel.derived_counts(), &r.device_stats);
-                    assert!(replay.is_empty(), "{label}: replay diverged: {replay:?}");
-                    let attr = tel.attribution.reconcile(&r.device_stats);
-                    assert!(attr.is_empty(), "{label}: attribution diverged: {attr:?}");
+                    assert!(r.telemetry.is_some(), "{label}: telemetry collected");
 
                     nacks += r.msu_stats.map_or(0, |s| s.data_nacks)
                         + r.baseline.as_ref().map_or(0, |b| b.data_nacks);
