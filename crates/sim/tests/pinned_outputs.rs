@@ -72,6 +72,23 @@ fn counter_outputs_match_the_pinned_bytes() {
         &[("--metrics-out", "copy-smc-chaos.metrics.jsonl")],
         None,
     );
+    // Device faults on the SMC: busy-window holds, bank degradation and
+    // refresh deferral in the MSU, plus stalls and NACK retries.
+    check(
+        "daxpy-smc-pi-faults",
+        "--kernel daxpy --n 1024 --memory pi --order smc --fifo 32 --refresh \
+         --faults nack:50:8;busy:*:256:16;stall:1024:32 --fault-seed 7",
+        &[("--metrics-out", "daxpy-smc-pi-faults.metrics.jsonl")],
+        None,
+    );
+    // The same faults on the natural-order controller.
+    check(
+        "daxpy-natural-pi-faults",
+        "--kernel daxpy --n 1024 --memory pi --order natural \
+         --faults nack:50:8;busy:*:256:16;stall:1024:32 --fault-seed 7",
+        &[("--metrics-out", "daxpy-natural-pi-faults.metrics.jsonl")],
+        None,
+    );
     // A chaotic serve: every fault and recovery counter is nonzero.
     check(
         "serve-chaos",
