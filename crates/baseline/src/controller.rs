@@ -9,13 +9,12 @@ use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
 
-use faults::FaultInjector;
 use memsys::{MemorySystem, SystemMap};
-use rdram::{Command, Cycle, Location, SharedSink, ELEM_BYTES, PACKET_BYTES};
+use rdram::{Command, Cycle, Location, ELEM_BYTES, PACKET_BYTES};
 use smc::{
     LivelockReport, SmcError, StreamDescriptor, StreamKind, Watchdog, DEFAULT_WATCHDOG_CYCLES,
 };
-use telemetry::{Event, SharedTelemetry};
+use telemetry::Event;
 
 /// Page management applied to each cacheline burst.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -110,15 +109,14 @@ pub struct BaselineController {
     max_in_flight: usize,
     /// (hits, misses, writebacks) of the modeled cache, if any.
     cache_stats: Option<(u64, u64, u64)>,
-    faults: FaultInjector,
     data_nacks: u64,
     /// Keyed on (commands the memory system accepted, queued ops, ops in
     /// flight, completed line transfers).
     watchdog: Watchdog<(u64, usize, usize, u64)>,
     last_issued: Option<(Command, Cycle)>,
-    trace_sink: Option<SharedSink>,
-    telemetry: Option<SharedTelemetry>,
-    /// NACK count at the previous tick; the telemetry emitter turns the
+    /// Controller events, while recording them.
+    events: Option<Vec<Event>>,
+    /// NACK count at the previous tick; the event emitter turns the
     /// per-tick delta into events.
     prev_nacks: u64,
     /// Ticks executed, one per call to [`tick`](Self::tick).
@@ -178,39 +176,28 @@ impl BaselineController {
             idle_cycles: 0,
             max_in_flight: 4,
             cache_stats: None,
-            faults: FaultInjector::inert(),
             data_nacks: 0,
             watchdog: Watchdog::new(DEFAULT_WATCHDOG_CYCLES),
             last_issued: None,
-            trace_sink: None,
-            telemetry: None,
+            events: None,
             prev_nacks: 0,
             ticks: 0,
             wake: 0,
         }
     }
 
-    /// Observe every command this controller drives into the device: the
-    /// sink is installed on the device at the next [`tick`](Self::tick), so
-    /// line-transfer and retry commands all reach it. Used by the `checker`
-    /// crate's timing-conformance analyzer.
-    pub fn set_trace_sink(&mut self, sink: SharedSink) {
-        self.trace_sink = Some(sink);
+    /// Record events from the next [`tick`](Self::tick) on: one [`Event`]
+    /// per fault-recovery incident (injected stall cycles, DATA NACKs) and
+    /// per watchdog trip, until [`take_events`](Self::take_events) collects
+    /// them. Without it the per-tick cost is a single `Option` check.
+    pub fn record_events(&mut self) {
+        self.events.get_or_insert_with(Vec::new);
     }
 
-    /// Attach a telemetry handle. From the next [`tick`](Self::tick) on,
-    /// the controller emits one [`Event`] per fault-recovery incident
-    /// (injected stall cycles, DATA NACKs) and per watchdog trip. When no
-    /// handle is attached the per-tick cost is a single `Option` check.
-    pub fn set_telemetry(&mut self, tel: SharedTelemetry) {
-        self.telemetry = Some(tel);
-    }
-
-    /// Subject the controller to an injected fault timeline. Install the
-    /// same injector (same plan and seed) on the device so both sides agree
-    /// on when banks are busy.
-    pub fn set_faults(&mut self, faults: FaultInjector) {
-        self.faults = faults;
+    /// The events recorded so far, in emission order, leaving the record
+    /// empty. Empty when not recording.
+    pub fn take_events(&mut self) -> Vec<Event> {
+        self.events.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
     /// Replace the forward-progress watchdog threshold (cycles without
@@ -519,7 +506,9 @@ impl BaselineController {
     }
 
     /// Advance one cycle: admit ready transfers and issue at most one
-    /// command packet.
+    /// command packet, unless the memory system's fault timeline
+    /// ([`MemorySystem::faults`]) stalls the controller this cycle. The
+    /// watchdog watches stalled cycles too.
     ///
     /// # Errors
     ///
@@ -534,30 +523,25 @@ impl BaselineController {
     )]
     pub fn tick(&mut self, now: Cycle, dev: &mut MemorySystem) -> Result<(), SmcError> {
         self.ticks += 1;
-        if let Some(sink) = &self.trace_sink {
-            if !dev.has_cmd_sink() {
-                dev.set_cmd_sink(sink.clone());
-            }
-        }
-        if self.faults.stalled(now) {
+        if dev.faults().stalled(now) {
             if !self.done() {
                 self.idle_cycles += 1;
-                if let Some(tel) = &self.telemetry {
-                    tel.record(Event::InjectedStall { cycle: now });
+                if let Some(events) = &mut self.events {
+                    events.push(Event::InjectedStall { cycle: now });
                 }
             }
             self.wake = now.saturating_add(1);
-            return Ok(());
-        }
-        self.step(now, dev)?;
-        if let Some(tel) = &self.telemetry {
-            for _ in self.prev_nacks..self.data_nacks {
-                tel.record(Event::DataNack {
-                    cycle: now,
-                    bank: self.last_issued.map(|(c, _)| c.bank()),
-                });
+        } else {
+            self.step(now, dev)?;
+            if let Some(events) = &mut self.events {
+                for _ in self.prev_nacks..self.data_nacks {
+                    events.push(Event::DataNack {
+                        cycle: now,
+                        bank: self.last_issued.map(|(c, _)| c.bank()),
+                    });
+                }
+                self.prev_nacks = self.data_nacks;
             }
-            self.prev_nacks = self.data_nacks;
         }
         if self.done() {
             self.watchdog.idle(now);
@@ -570,8 +554,8 @@ impl BaselineController {
             self.line_transfers,
         );
         if let Some(stalled_for) = self.watchdog.observe(now, key) {
-            if let Some(tel) = &self.telemetry {
-                tel.record(Event::WatchdogTrip {
+            if let Some(events) = &mut self.events {
+                events.push(Event::WatchdogTrip {
                     cycle: now,
                     stalled_for,
                 });
@@ -746,8 +730,8 @@ impl BaselineController {
                 };
                 self.last_data_cycle = self.last_data_cycle.max(data.end);
                 let bank = self.in_flight[k].loc.bank;
-                if self
-                    .faults
+                if dev
+                    .faults()
                     .nack_data(bank, data.end, self.in_flight[k].retries)
                 {
                     // The bus cycles are spent but no data moved: retry the
@@ -756,7 +740,7 @@ impl BaselineController {
                     self.data_nacks += 1;
                     self.in_flight[k].retries += 1;
                     let retries = self.in_flight[k].retries;
-                    if retries > self.faults.nack_retry_limit() {
+                    if retries > dev.faults().nack_retry_limit() {
                         return Err(SmcError::RetryExhausted {
                             bank,
                             addr: self.in_flight[k].op.line_addr + p * PACKET_BYTES,
@@ -854,7 +838,7 @@ impl BaselineController {
         if dev.has_chaos() {
             return next;
         }
-        let stall = self.faults.next_stall(next).unwrap_or(Cycle::MAX);
+        let stall = dev.faults().next_stall(next).unwrap_or(Cycle::MAX);
         self.wake.min(stall).min(self.watchdog.deadline()).max(next)
     }
 
@@ -1099,12 +1083,10 @@ mod tests {
         use faults::{FaultInjector, FaultPlan};
         let (mut dev, map) = cli();
         let plan = FaultPlan::parse("busy:*:1:1").unwrap();
-        let inj = FaultInjector::new(&plan, 7);
-        dev.set_faults(std::sync::Arc::new(inj.clone()));
+        dev.set_faults(FaultInjector::new(&plan, 7));
         let streams = vec![StreamDescriptor::read("x", 0, 1, 64)];
         let mut ctl =
             BaselineController::new(streams, map, LinePolicy::ClosedPage, 32).with_watchdog(500);
-        ctl.set_faults(inj);
         match ctl.run_to_completion(&mut dev) {
             Err(SmcError::Livelock(report)) => {
                 // Admission at cycle 0 is the last progress; the stall
@@ -1122,11 +1104,9 @@ mod tests {
         use faults::{FaultInjector, FaultPlan};
         let (mut dev, map) = cli();
         let plan = FaultPlan::parse("nack:300:10").unwrap();
-        let inj = FaultInjector::new(&plan, 11);
-        dev.set_faults(std::sync::Arc::new(inj.clone()));
+        dev.set_faults(FaultInjector::new(&plan, 11));
         let streams = vec![StreamDescriptor::read("x", 0, 1, 256)];
         let mut ctl = BaselineController::new(streams, map, LinePolicy::ClosedPage, 32);
-        ctl.set_faults(inj);
         let r = ctl.run_to_completion(&mut dev).expect("retries recover");
         assert!(r.data_nacks > 0, "plan should have injected NACKs");
         assert_eq!(r.line_transfers, 64, "every line still completes");
@@ -1137,11 +1117,9 @@ mod tests {
         use faults::{FaultInjector, FaultPlan};
         let (mut dev, map) = cli();
         let plan = FaultPlan::parse("stall:100:20").unwrap();
-        let inj = FaultInjector::new(&plan, 3);
-        dev.set_faults(std::sync::Arc::new(inj.clone()));
+        dev.set_faults(FaultInjector::new(&plan, 3));
         let streams = vec![StreamDescriptor::read("x", 0, 1, 64)];
         let mut ctl = BaselineController::new(streams, map, LinePolicy::ClosedPage, 32);
-        ctl.set_faults(inj);
         let r = ctl
             .run_to_completion(&mut dev)
             .expect("stalls only slow us");
@@ -1150,16 +1128,13 @@ mod tests {
     }
 
     #[test]
-    fn trace_sink_observes_every_issued_command() {
-        use rdram::{CommandTrace, SharedSink};
-        use std::sync::{Arc, Mutex};
+    fn the_memory_system_records_every_issued_command() {
         let (mut dev, map) = cli();
-        let trace = Arc::new(Mutex::new(CommandTrace::new()));
+        dev.record_commands();
         let streams = vec![StreamDescriptor::read("x", 0, 1, 64)];
         let mut ctl = BaselineController::new(streams, map, LinePolicy::ClosedPage, 32);
-        ctl.set_trace_sink(SharedSink::from_trace(Arc::clone(&trace)));
         let _ = ctl.run_to_completion(&mut dev).expect("fault-free run");
-        let recs = rdram::sink::drain_trace(&trace);
+        let recs = dev.take_commands();
         let stats = dev.stats();
         assert_eq!(
             recs.len() as u64,

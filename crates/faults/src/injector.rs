@@ -5,7 +5,7 @@
 #![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
-use rdram::{ChannelFaults, Cycle};
+use rdram::Cycle;
 
 use crate::{FaultClause, FaultPlan};
 
@@ -19,8 +19,7 @@ const FIXPOINT_BOUND: u32 = 10_000;
 /// A [`FaultPlan`] bound to a seed.
 ///
 /// Every query is a pure function of the plan, the seed, and the query
-/// arguments, so clones held by the device model, the MSU, and the baseline
-/// controller always agree, and a `(plan, seed)` pair replays identically.
+/// arguments, so a `(plan, seed)` pair replays identically.
 #[derive(Debug, Clone, Default)]
 pub struct FaultInjector {
     clauses: Vec<FaultClause>,
@@ -220,10 +219,17 @@ impl FaultInjector {
             .max()
             .unwrap_or(1)
     }
-}
 
-impl ChannelFaults for FaultInjector {
-    fn free_at(&self, bank: usize, mut t: Cycle) -> Cycle {
+    /// The first cycle `>= t` at which `bank` is free of every busy and
+    /// storm window.
+    ///
+    /// Monotone in `t` (`free_at(bank, a) <= free_at(bank, b)` for
+    /// `a <= b`) and idempotent (`free_at(bank, free_at(bank, t)) ==
+    /// free_at(bank, t)`). [`Cycle::MAX`] means "never": a permanently
+    /// wedged bank, or windows that tile (almost) all of time. Schedulers
+    /// that gate on it then starve, which the controllers' watchdogs turn
+    /// into a livelock error.
+    pub fn free_at(&self, bank: usize, mut t: Cycle) -> Cycle {
         if self.clauses.is_empty() {
             return t;
         }
@@ -296,7 +302,6 @@ fn mix(seed: u64, a: u64, b: u64, c: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdram::ChannelFaults;
 
     fn injector(spec: &str) -> FaultInjector {
         FaultInjector::new(&FaultPlan::parse(spec).unwrap(), 42)

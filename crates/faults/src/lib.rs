@@ -6,16 +6,19 @@
 //! bounded retries, and injected controller stalls. A [`FaultInjector`]
 //! binds a plan to a seed and answers, as a pure function of `(clause,
 //! seed, cycle, bank)`, whether each fault fires. Because every decision is
-//! derived by hashing rather than by mutating generator state, the injector
-//! is `Clone` and can be consulted independently by the device model
-//! ([`rdram::ChannelFaults`]), the SMC's MSU, and the baseline controller
-//! without any shared-state coordination — replaying a `(plan, seed)` pair
-//! reproduces the exact same fault timeline every time.
+//! derived by hashing rather than by mutating generator state, replaying a
+//! `(plan, seed)` pair reproduces the exact same fault timeline every time.
+//! One injector serves a whole run: the `memsys` crate's memory system
+//! owns it, folds its busy windows into command timing, and lends it to
+//! the controllers for stalls, NACKs and retry limits.
 //!
 //! # Spec grammar
 //!
-//! Plans parse from compact `;`-separated clause specs (the CLI's
-//! `--faults` argument):
+//! Plans parse from compact `;`-separated clause specs. These are the
+//! device-level clauses of the CLI's `--faults` argument; the
+//! channel-scoped ones ([`FaultClause::is_channel_scoped`]: `brownout`,
+//! `outage`, `devfail`) make up its `--chaos` argument, and each flag
+//! rejects the other's clauses:
 //!
 //! ```text
 //! busy:<bank|*>:<period>:<len>   bank (or all banks) unavailable for the

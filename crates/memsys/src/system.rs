@@ -6,12 +6,11 @@
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 use faults::FaultInjector;
 use rdram::{
-    AccessPlan, ChannelFaults, ColOp, Command, CommandPort, CommandRecord, Cycle, DeviceConfig,
-    DeviceStats, Location, Outcome, ProtocolError, Rdram, RowOp, SharedSink, Timing,
+    AccessPlan, ColOp, Command, CommandPort, CommandRecord, Cycle, DeviceConfig, DeviceStats,
+    Location, Outcome, ProtocolError, Rdram, RowOp, Timing,
 };
 use serde::{Deserialize, Serialize};
 
@@ -164,20 +163,6 @@ pub fn split_by_channel(
     out
 }
 
-/// Maps a channel's local bank indices onto the global fault timeline, so
-/// one injector (speaking global banks) drives every channel's device.
-#[derive(Debug)]
-struct OffsetFaults {
-    base: usize,
-    inner: Arc<dyn ChannelFaults>,
-}
-
-impl ChannelFaults for OffsetFaults {
-    fn free_at(&self, bank: usize, t: Cycle) -> Cycle {
-        self.inner.free_at(self.base.saturating_add(bank), t)
-    }
-}
-
 /// N independent Direct Rambus channels behind one command interface.
 ///
 /// Commands carry *global* bank indices (see [`SystemMap`](crate::SystemMap));
@@ -193,6 +178,11 @@ impl ChannelFaults for OffsetFaults {
 /// COL/DATA scheduling is untouched. [`earliest`](MemorySystem::earliest)
 /// folds the shift in, so the usual earliest-then-issue discipline stays
 /// valid.
+///
+/// The system also owns the run's device-fault timeline (see
+/// [`set_faults`](MemorySystem::set_faults)) and, on request, the record of
+/// every command it accepts (see
+/// [`record_commands`](MemorySystem::record_commands)).
 #[derive(Debug)]
 pub struct MemorySystem {
     topo: Topology,
@@ -201,11 +191,17 @@ pub struct MemorySystem {
     /// DATA-bus cycles charged to each global bank, the measured currency
     /// the tenancy regulator's per-bank budgets are denominated in.
     bank_data_cycles: Vec<Cycle>,
-    /// Multi-channel command observer; records globally-banked commands.
-    /// Single-channel systems install the sink on the device instead.
-    sink: Option<SharedSink>,
-    /// Label awaiting the next issued command (multi-channel tracing).
+    /// Every accepted command with its global bank and delivery cycle,
+    /// while recording.
+    record: Option<Vec<CommandRecord>>,
+    /// Label awaiting the next issued command.
     pending_label: Option<String>,
+    /// Device-level faults, speaking global banks: busy and storm windows
+    /// folded into [`earliest`](MemorySystem::earliest) and
+    /// [`issue_at`](MemorySystem::issue_at), and the stalls, NACKs and
+    /// retry limits the controllers read through
+    /// [`faults`](MemorySystem::faults). Inert unless attached.
+    faults: FaultInjector,
     /// Channel-scoped chaos injector, if a plan with channel clauses is
     /// attached. `None` keeps the delivery path byte-identical to the
     /// chaos-free build.
@@ -252,8 +248,9 @@ impl MemorySystem {
             channels,
             banks_per_channel,
             topo,
-            sink: None,
+            record: None,
             pending_label: None,
+            faults: FaultInjector::inert(),
             chaos: None,
             commands: 0,
         }
@@ -379,49 +376,33 @@ impl MemorySystem {
         &self.bank_data_cycles
     }
 
-    /// Attach a command sink. On a single channel the sink goes straight
-    /// onto the device (bit-identical to the single-device model); on a
-    /// multi-channel system the router records each accepted command with
-    /// its global bank.
-    pub fn set_cmd_sink(&mut self, sink: SharedSink) {
-        if self.channels.len() == 1 {
-            self.channels[0].set_cmd_sink(sink);
-        } else {
-            self.sink = Some(sink);
-        }
+    /// Record every command accepted from now on, with its global bank
+    /// and the cycle it was delivered at (its launch cycle unless a chaos
+    /// plan deferred or stretched it), until
+    /// [`take_commands`](MemorySystem::take_commands) collects them.
+    pub fn record_commands(&mut self) {
+        self.record.get_or_insert_with(Vec::new);
     }
 
-    /// Whether a command sink is attached.
-    pub fn has_cmd_sink(&self) -> bool {
-        self.sink.is_some() || self.channels[0].has_cmd_sink()
+    /// The commands recorded so far, in issue order (not necessarily sorted
+    /// by cycle: refresh maintenance may commit commands at future cycles),
+    /// leaving the record empty. Empty when not recording.
+    pub fn take_commands(&mut self) -> Vec<CommandRecord> {
+        self.record.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
-    /// Detach the command sink, if any.
-    pub fn clear_cmd_sink(&mut self) {
-        self.sink = None;
-        for dev in &mut self.channels {
-            dev.clear_cmd_sink();
-        }
+    /// Attach the run's device-fault timeline, speaking global banks. Its
+    /// busy and storm windows delay [`earliest`](MemorySystem::earliest)
+    /// and bound what [`issue_at`](MemorySystem::issue_at) accepts; the
+    /// controllers read its stalls, NACKs and retry limits through
+    /// [`faults`](MemorySystem::faults), so every side sees one timeline.
+    pub fn set_faults(&mut self, faults: FaultInjector) {
+        self.faults = faults;
     }
 
-    /// Attach an injected-fault model speaking *global* bank indices.
-    /// Each channel's device sees the same timeline through a local→global
-    /// bank offset, so controller and devices agree on busy windows.
-    #[expect(
-        clippy::arithmetic_side_effects,
-        reason = "a channel base bank: below the global bank count"
-    )]
-    pub fn set_faults(&mut self, faults: Arc<dyn ChannelFaults>) {
-        if self.channels.len() == 1 {
-            self.channels[0].set_faults(faults);
-            return;
-        }
-        for (ch, dev) in self.channels.iter_mut().enumerate() {
-            dev.set_faults(Arc::new(OffsetFaults {
-                base: ch * self.banks_per_channel,
-                inner: Arc::clone(&faults),
-            }));
-        }
+    /// The device-fault timeline (inert unless one was attached).
+    pub fn faults(&self) -> &FaultInjector {
+        &self.faults
     }
 
     /// Attach a channel-scoped chaos injector. Brownout and failed-device
@@ -508,11 +489,7 @@ impl MemorySystem {
     /// [`Rdram::set_label`]); the router forwards it to whichever channel
     /// that command lands on.
     pub fn set_label(&mut self, label: impl Into<String>) {
-        if self.channels.len() == 1 {
-            self.channels[0].set_label(label);
-        } else {
-            self.pending_label = Some(label.into());
-        }
+        self.pending_label = Some(label.into());
     }
 
     /// Take ownership of channel 0's recorded packet trace, if tracing is
@@ -580,17 +557,17 @@ impl MemorySystem {
             reason = "banks_per_channel is at least 1: every channel is a validated device with a bank"
         )]
         let local = rebase(cmd, bank % self.banks_per_channel);
+        let accept_at = |t: Cycle| self.faults.free_at(bank, dev.earliest(&local, t));
         let shift = self.shift_of(ch, cmd);
         if self.chaos.is_none() {
             if shift == 0 {
-                return dev.earliest(&local, now);
+                return accept_at(now);
             }
             // The device must accept the command at launch + shift; the
             // launch cycle is its acceptance cycle pulled back by the shift
             // (never before `now`, since device earliest never precedes its
             // own `now` argument).
-            return dev
-                .earliest(&local, now.saturating_add(shift))
+            return accept_at(now.saturating_add(shift))
                 .saturating_sub(shift)
                 .max(now);
         }
@@ -605,7 +582,7 @@ impl MemorySystem {
         let mut launch = now;
         for _ in 0..CHAOS_EARLIEST_BOUND {
             let arrival = self.chaos_delivery(ch, cmd, launch).arrival;
-            let accept = dev.earliest(&local, arrival);
+            let accept = accept_at(arrival);
             if accept == arrival {
                 return launch;
             }
@@ -623,8 +600,10 @@ impl MemorySystem {
     /// # Errors
     ///
     /// The owning channel's [`ProtocolError`] (bank indices in errors are
-    /// channel-local), or [`ProtocolError::NoSuchBank`] with the global
-    /// bank when no channel owns it.
+    /// channel-local; a delivery inside a busy window of the fault
+    /// timeline is [`ProtocolError::TooEarly`]), or
+    /// [`ProtocolError::NoSuchBank`] with the global bank when no channel
+    /// owns it.
     #[expect(
         clippy::arithmetic_side_effects,
         reason = "banks_per_channel is at least 1: every channel is a validated device with a bank; the accepted-command count grows by one per command, bounded by the run length"
@@ -643,6 +622,18 @@ impl MemorySystem {
         let arrival = delivery.arrival;
         if let Some(label) = self.pending_label.take() {
             self.channels[ch].set_label(label);
+        }
+        if !self.faults.is_empty() {
+            let earliest = self
+                .faults
+                .free_at(bank, self.channels[ch].earliest(&local, 0));
+            if arrival < earliest {
+                return Err(ProtocolError::TooEarly {
+                    cmd: local,
+                    requested: arrival,
+                    earliest,
+                });
+            }
         }
         let outcome = self.channels[ch].issue_at(&local, arrival)?;
         self.commands += 1;
@@ -677,8 +668,8 @@ impl MemorySystem {
         if let Some(data) = outcome.data {
             self.bank_data_cycles[bank] = self.bank_data_cycles[bank].saturating_add(data.len());
         }
-        if let Some(sink) = &self.sink {
-            sink.record_command(CommandRecord {
+        if let Some(record) = &mut self.record {
+            record.push(CommandRecord {
                 cycle: arrival,
                 cmd: *cmd,
             });
@@ -848,16 +839,20 @@ mod tests {
     }
 
     #[test]
-    fn multi_channel_sink_records_global_banks() {
-        use std::sync::{Arc, Mutex};
-        let trace = Arc::new(Mutex::new(rdram::CommandTrace::new()));
+    fn the_record_holds_global_banks_and_delivery_cycles() {
         let mut sys = two_channel();
-        sys.set_cmd_sink(SharedSink::from_trace(Arc::clone(&trace)));
         let act = Command::activate(8, 3);
         MemorySystem::issue_at(&mut sys, &act, 0).unwrap();
-        let recs = rdram::sink::drain_trace(&trace);
+        assert!(sys.take_commands().is_empty(), "nothing recorded yet");
+        sys.record_commands();
+        MemorySystem::issue_at(&mut sys, &Command::precharge(8), 40).unwrap();
+        // A rejected command is not recorded.
+        assert!(MemorySystem::issue_at(&mut sys, &Command::precharge(8), 80).is_err());
+        let recs = sys.take_commands();
         assert_eq!(recs.len(), 1);
-        assert_eq!(recs[0].cmd.bank(), 8, "sink sees the global bank");
+        assert_eq!(recs[0].cmd, Command::precharge(8), "the global bank");
+        assert_eq!(recs[0].cycle, 40);
+        assert!(sys.take_commands().is_empty(), "taking empties the record");
     }
 
     #[test]
@@ -882,25 +877,30 @@ mod tests {
     }
 
     #[test]
-    fn global_faults_reach_channel_local_devices() {
-        #[derive(Debug)]
-        struct Busy0To100;
-        impl ChannelFaults for Busy0To100 {
-            fn free_at(&self, bank: usize, t: Cycle) -> Cycle {
-                // Global bank 8 (channel 1, local 0) busy until 100.
-                if bank == 8 && t < 100 {
-                    100
-                } else {
-                    t
-                }
-            }
-        }
+    fn busy_windows_speak_global_banks_and_bound_issue() {
         let mut sys = two_channel();
-        sys.set_faults(Arc::new(Busy0To100));
+        // Global bank 8 (channel 1, local 0) is busy for [0, 100) of every
+        // 1000 cycles.
+        sys.set_faults(FaultInjector::new(
+            &faults::FaultPlan::parse("busy:8:1000:100").unwrap(),
+            7,
+        ));
         let blocked = Command::activate(8, 0);
         assert_eq!(MemorySystem::earliest(&sys, &blocked, 0), 100);
         let clear = Command::activate(0, 0);
         assert_eq!(MemorySystem::earliest(&sys, &clear, 0), 0);
+        // A delivery inside the window is refused with the channel-local
+        // command and the window's end.
+        let err = MemorySystem::issue_at(&mut sys, &blocked, 50).unwrap_err();
+        assert_eq!(
+            err,
+            ProtocolError::TooEarly {
+                cmd: Command::activate(0, 0),
+                requested: 50,
+                earliest: 100
+            }
+        );
+        MemorySystem::issue_at(&mut sys, &blocked, 100).unwrap();
     }
 
     #[test]

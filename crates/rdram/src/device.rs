@@ -5,13 +5,10 @@
 #![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
-use std::sync::Arc;
-
-use crate::sink::{CommandRecord, SharedSink};
 use crate::trace::{Trace, TraceEvent, TraceKind, TraceUnit};
 use crate::{
-    Bank, Bus, ChannelFaults, ColOp, Command, Cycle, DataBus, DeviceConfig, DeviceStats, Dir,
-    Interval, Location, ProtocolError, RowOp, SenseAmps, Timing,
+    Bank, Bus, ColOp, Command, Cycle, DataBus, DeviceConfig, DeviceStats, Dir, Interval, Location,
+    ProtocolError, RowOp, SenseAmps, Timing,
 };
 
 /// Result of issuing a command.
@@ -108,10 +105,6 @@ pub struct Rdram {
     stats: DeviceStats,
     trace: Option<Trace>,
     next_label: Option<String>,
-    /// Injected unavailability; folded into `earliest` when attached.
-    faults: Option<Arc<dyn ChannelFaults>>,
-    /// Observer for every successfully issued command (conformance audits).
-    cmd_sink: Option<SharedSink>,
 }
 
 impl Rdram {
@@ -140,32 +133,8 @@ impl Rdram {
             stats: DeviceStats::default(),
             trace,
             next_label: None,
-            faults: None,
-            cmd_sink: None,
             cfg,
         }
-    }
-
-    /// Attach a command sink; every command accepted by
-    /// [`issue_at`](Rdram::issue_at) from this point on is reported to it.
-    pub fn set_cmd_sink(&mut self, sink: SharedSink) {
-        self.cmd_sink = Some(sink);
-    }
-
-    /// Detach the command sink, if any.
-    pub fn clear_cmd_sink(&mut self) {
-        self.cmd_sink = None;
-    }
-
-    /// Whether a command sink is currently attached.
-    pub fn has_cmd_sink(&self) -> bool {
-        self.cmd_sink.is_some()
-    }
-
-    /// Attach an injected-fault model; its busy windows are folded into
-    /// [`earliest`](Rdram::earliest) from this point on.
-    pub fn set_faults(&mut self, faults: Arc<dyn ChannelFaults>) {
-        self.faults = Some(faults);
     }
 
     /// The device's timing parameters.
@@ -261,7 +230,7 @@ impl Rdram {
     /// would still be rejected.
     pub fn earliest(&self, cmd: &Command, now: Cycle) -> Cycle {
         let t = &self.cfg.timing;
-        let base = match cmd {
+        match cmd {
             Command::Row(RowOp::Activate { bank, .. }) => {
                 let b = &self.banks[*bank];
                 let trr = self.last_act_dev[self.device_of(*bank)]
@@ -287,10 +256,6 @@ impl Rdram {
                     .max(b.earliest_col())
                     .max(data_bound)
             }
-        };
-        match &self.faults {
-            Some(f) => f.free_at(cmd.bank(), base),
-            None => base,
         }
     }
 
@@ -307,22 +272,11 @@ impl Rdram {
     /// * [`ProtocolError::BankAlreadyOpen`] — ACT to an open bank.
     /// * [`ProtocolError::AdjacentBankOpen`] — double-bank conflict.
     /// * [`ProtocolError::BankClosed`] — COL or PRER to a closed bank.
-    pub fn issue_at(&mut self, cmd: &Command, start: Cycle) -> Result<Outcome, ProtocolError> {
-        let outcome = self.issue_at_inner(cmd, start)?;
-        if let Some(sink) = &self.cmd_sink {
-            sink.record_command(CommandRecord {
-                cycle: start,
-                cmd: *cmd,
-            });
-        }
-        Ok(outcome)
-    }
-
     #[expect(
         clippy::arithmetic_side_effects,
         reason = "event counters, one increment per issued packet, bounded by the run length"
     )]
-    fn issue_at_inner(&mut self, cmd: &Command, start: Cycle) -> Result<Outcome, ProtocolError> {
+    pub fn issue_at(&mut self, cmd: &Command, start: Cycle) -> Result<Outcome, ProtocolError> {
         let bank = cmd.bank();
         if bank >= self.banks.len() {
             return Err(ProtocolError::NoSuchBank {

@@ -65,7 +65,6 @@ mod bus;
 mod config;
 mod device;
 mod error;
-mod faults;
 pub mod legacy;
 mod packet;
 pub mod refresh;
@@ -81,9 +80,8 @@ pub use bus::{Bus, DataBus};
 pub use config::DeviceConfig;
 pub use device::{AccessPlan, CommandPort, Outcome, Rdram};
 pub use error::ProtocolError;
-pub use faults::ChannelFaults;
 pub use packet::{ColOp, Command, Dir, Interval, RowOp};
-pub use sink::{CommandRecord, CommandTrace, SharedSink, TraceSink};
+pub use sink::CommandRecord;
 pub use stats::DeviceStats;
 pub use storage::MemoryImage;
 pub use timing::{Timing, CYCLE_NS, ELEM_BYTES, PACKET_BYTES, WORDS_PER_PACKET};

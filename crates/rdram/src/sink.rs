@@ -1,14 +1,12 @@
-//! Observation hooks for the command stream a controller issues.
+//! The record of one issued command.
 //!
 //! The packet-level [`trace`](crate::trace) module records bus occupancy for
-//! rendering timing diagrams; this module records the *commands themselves*
-//! so external tools — most importantly the `checker` crate's
-//! timing-conformance analyzer — can replay and audit the schedule. Every
-//! successful [`Rdram::issue_at`](crate::Rdram::issue_at) call reports a
-//! [`CommandRecord`] to the attached sink, so MSU-scheduled, baseline,
-//! speculative, and refresh commands are all observable through one hook.
-
-use std::sync::{Arc, Mutex};
+//! rendering timing diagrams; a [`CommandRecord`] records the *command
+//! itself*, so external tools — most importantly the `checker` crate's
+//! timing-conformance analyzer — can replay and audit the schedule. The
+//! `memsys` crate's memory system keeps one per accepted command, so
+//! MSU-scheduled, baseline, speculative, and refresh commands are all
+//! recorded in one place.
 
 use serde::{Deserialize, Serialize};
 
@@ -23,140 +21,9 @@ pub struct CommandRecord {
     pub cmd: Command,
 }
 
-/// Receiver for issued commands.
-///
-/// Implementations must be cheap: the device calls
-/// [`record_command`](TraceSink::record_command) on every issued command.
-pub trait TraceSink {
-    /// Observe one successfully issued command.
-    fn record_command(&mut self, rec: CommandRecord);
-}
-
-/// A growable in-memory command trace; the standard [`TraceSink`].
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CommandTrace {
-    records: Vec<CommandRecord>,
-}
-
-impl CommandTrace {
-    /// An empty trace.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The recorded commands, in issue order (not necessarily sorted by
-    /// cycle: refresh maintenance may commit commands at future cycles).
-    pub fn records(&self) -> &[CommandRecord] {
-        &self.records
-    }
-
-    /// Number of recorded commands.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Consume the trace, yielding the raw records.
-    pub fn into_records(self) -> Vec<CommandRecord> {
-        self.records
-    }
-}
-
-impl TraceSink for CommandTrace {
-    fn record_command(&mut self, rec: CommandRecord) {
-        self.records.push(rec);
-    }
-}
-
-/// A cloneable, shareable handle to a [`TraceSink`].
-///
-/// The device, the controller that drives it, and the harness that later
-/// reads the trace all need access to one sink; this wraps it in
-/// `Arc<Mutex<..>>` so a single [`CommandTrace`] can be observed from all
-/// three places. Locking is poison-tolerant: a panic elsewhere never turns
-/// trace recording into a second panic.
-#[derive(Clone)]
-pub struct SharedSink(Arc<Mutex<dyn TraceSink + Send>>);
-
-impl SharedSink {
-    /// Wrap a sink for sharing.
-    pub fn new<S: TraceSink + Send + 'static>(sink: S) -> Self {
-        SharedSink(Arc::new(Mutex::new(sink)))
-    }
-
-    /// Share an existing `Arc<Mutex<CommandTrace>>` (the common case: the
-    /// harness keeps one handle to read the trace back after the run).
-    pub fn from_trace(trace: Arc<Mutex<CommandTrace>>) -> Self {
-        SharedSink(trace)
-    }
-
-    /// Forward one record to the underlying sink.
-    pub fn record_command(&self, rec: CommandRecord) {
-        let mut guard = match self.0.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        guard.record_command(rec);
-    }
-}
-
-impl std::fmt::Debug for SharedSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("SharedSink(..)")
-    }
-}
-
-/// Drain a shared [`CommandTrace`] handle, returning the records collected
-/// so far and leaving the trace empty.
-pub fn drain_trace(trace: &Arc<Mutex<CommandTrace>>) -> Vec<CommandRecord> {
-    let mut guard = match trace.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    std::mem::take(&mut *guard).into_records()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn command_trace_collects_in_order() {
-        let mut trace = CommandTrace::new();
-        assert!(trace.is_empty());
-        trace.record_command(CommandRecord {
-            cycle: 4,
-            cmd: Command::activate(0, 1),
-        });
-        trace.record_command(CommandRecord {
-            cycle: 0,
-            cmd: Command::read(0, 0),
-        });
-        assert_eq!(trace.len(), 2);
-        assert_eq!(trace.records()[0].cycle, 4);
-        assert_eq!(trace.records()[1].cycle, 0);
-    }
-
-    #[test]
-    fn shared_sink_feeds_one_underlying_trace() {
-        let trace = Arc::new(Mutex::new(CommandTrace::new()));
-        let sink = SharedSink::from_trace(Arc::clone(&trace));
-        let clone = sink.clone();
-        sink.record_command(CommandRecord {
-            cycle: 1,
-            cmd: Command::precharge(3),
-        });
-        clone.record_command(CommandRecord {
-            cycle: 2,
-            cmd: Command::activate(3, 7),
-        });
-        assert_eq!(drain_trace(&trace).len(), 2);
-        assert!(drain_trace(&trace).is_empty());
-    }
 
     #[test]
     fn records_round_trip_through_serde() {

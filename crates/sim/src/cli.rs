@@ -1034,6 +1034,14 @@ mod tests {
         assert!(parse(&args("--faults bogus:1:2"))
             .unwrap_err()
             .contains("bad fault clause"));
+        // A clause in the other plan is an error that names its flag.
+        for (line, flag) in [
+            ("--faults outage:1:0:5000", "--faults: "),
+            ("--chaos nack:500:8", "--chaos: "),
+        ] {
+            let err = parse(&args(&format!("--channels 2 {line}"))).unwrap_err();
+            assert!(err.starts_with(flag), "{line}: {err}");
+        }
         // Checked on one channel too, where it would have no effect.
         assert!(parse(&args("--placement warp"))
             .unwrap_err()

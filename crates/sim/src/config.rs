@@ -145,9 +145,10 @@ pub struct SystemConfig {
     /// natural-order controller is a timing model that moves none, so
     /// natural-order runs have nothing to verify).
     pub verify: bool,
-    /// Fault-injection plan, applied identically to the device and the
-    /// controller (both evaluate the same deterministic schedule). `None`
-    /// or an empty plan runs clean.
+    /// Fault-injection plan: device-level clauses (busy windows, refresh
+    /// storms, DATA NACKs, controller stalls), attached to the memory
+    /// system, which times commands by it and lends it to the controller.
+    /// `None` or an empty plan runs clean.
     pub faults: Option<faults::FaultPlan>,
     /// Seed for the fault injector's pseudo-random draws.
     pub fault_seed: u64,
@@ -252,9 +253,8 @@ impl SystemConfig {
 
     /// The address map and memory system this configuration describes:
     /// the device, address map, topology and placement validated, packet
-    /// tracing per [`Self::trace`], and the channel-scoped clauses of
-    /// [`Self::chaos`] attached. Device-level faults are left to the
-    /// caller, which shares one injector with its controller.
+    /// tracing per [`Self::trace`], the device-level [`Self::faults`] plan
+    /// and the channel-scoped clauses of [`Self::chaos`] attached.
     ///
     /// # Errors
     ///
@@ -277,6 +277,9 @@ impl SystemConfig {
         let mut device = self.device.clone();
         device.trace_enabled = self.trace;
         let mut dev = memsys::MemorySystem::new(device, topo);
+        if let Some(plan) = self.faults.as_ref().filter(|p| !p.is_empty()) {
+            dev.set_faults(FaultInjector::new(plan, self.fault_seed));
+        }
         if let Some(plan) = &self.chaos {
             dev.set_chaos(FaultInjector::new(plan, self.chaos_seed));
         }

@@ -1,10 +1,11 @@
 //! Telemetry collection and rendering for simulated runs.
 //!
 //! When [`SystemConfig::telemetry`](crate::SystemConfig) is set,
-//! [`run_kernel`](crate::run_kernel) attaches a [`telemetry`] event channel
-//! to the controller, records every issued command, and — after the run —
-//! assembles a [`RunTelemetry`]: the populated metrics [`Registry`], the
-//! replayed [`Timeline`], and the raw controller [`Event`] stream. The
+//! [`run_kernel`](crate::run_kernel) has the memory system record every
+//! issued command and the controller record its [`Event`]s, takes both back
+//! after the run, and assembles a [`RunTelemetry`]: the populated metrics
+//! [`Registry`], the replayed [`Timeline`], and the raw controller event
+//! stream. The
 //! reporting helpers here turn those into JSONL dumps, text tables, and
 //! Perfetto traces; nothing in this module runs on the simulation hot path.
 

@@ -5,19 +5,14 @@
 #![cfg_attr(not(test), forbid(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), forbid(clippy::panic, clippy::todo, clippy::unimplemented))]
 
-use std::sync::{Arc, Mutex};
-
 use serde::Serialize;
 
 use baseline::{BaselineController, BaselineResult};
-use faults::FaultInjector;
 use kernels::{Coefficients, Kernel, ReferenceMachine};
 use rdram::{
-    sink::drain_trace, trace::Trace, CommandRecord, CommandTrace, Cycle, DeviceConfig, DeviceStats,
-    MemoryImage, SharedSink, WORDS_PER_PACKET,
+    trace::Trace, CommandRecord, Cycle, DeviceConfig, DeviceStats, MemoryImage, WORDS_PER_PACKET,
 };
 use smc::{MsuConfig, MsuStats, SmcController};
-use telemetry::SharedTelemetry;
 
 use crate::metrics::RunTelemetry;
 use crate::{vector_bases, AccessOrder, SimError, StreamCpu, SystemConfig};
@@ -198,9 +193,10 @@ pub(crate) struct Session {
     stride: u64,
     dev: memsys::MemorySystem,
     engine: Engine,
-    /// Every command issued, when the run records, checks or replays them.
-    commands: Option<Arc<Mutex<CommandTrace>>>,
-    telemetry: Option<SharedTelemetry>,
+    /// Every command issued, taken from the memory system once the run
+    /// ends (empty unless the run records, checks or replays them).
+    commands: Vec<CommandRecord>,
+    telemetry: bool,
     check_conformance: bool,
 }
 
@@ -221,9 +217,11 @@ enum Engine {
 }
 
 impl Session {
-    /// Build `cfg`'s memory system and controller, with the fault injector,
-    /// command trace and telemetry handle it asks for; an SMC run also gets
-    /// the processor model, the seeded memory image and its cycle budget.
+    /// Build `cfg`'s memory system, with its faults attached and its
+    /// command record on when the run records, checks or replays commands,
+    /// and its controller, recording events when the run collects
+    /// telemetry; an SMC run also gets the processor model, the seeded
+    /// memory image and its cycle budget.
     pub(crate) fn new(
         kernel: Kernel,
         n: u64,
@@ -232,27 +230,12 @@ impl Session {
     ) -> Result<Self, SimError> {
         let (map, mut dev) = cfg.build_memory()?;
         let bases = vector_bases(kernel, n, stride, cfg);
-
-        // The device and the controller get clones of one injector, so both
-        // sides of the channel agree on every injected fault.
-        let injector = cfg
-            .faults
-            .as_ref()
-            .filter(|p| !p.is_empty())
-            .map(|p| FaultInjector::new(p, cfg.fault_seed));
-        if let Some(inj) = &injector {
-            dev.set_faults(Arc::new(inj.clone()));
+        let faulty = !dev.faults().is_empty();
+        // The conformance checker replays the command record after the run,
+        // and the telemetry layer replays it into bank/bus timelines.
+        if cfg.record_commands || cfg.check_conformance || cfg.telemetry {
+            dev.record_commands();
         }
-
-        // One shared trace observes every command the memory system accepts;
-        // the conformance checker replays it after the run, and the telemetry
-        // layer replays it into bank/bus timelines.
-        let commands = (cfg.record_commands || cfg.check_conformance || cfg.telemetry)
-            .then(|| Arc::new(Mutex::new(CommandTrace::new())));
-        if let Some(trace) = &commands {
-            dev.set_cmd_sink(SharedSink::from_trace(Arc::clone(trace)));
-        }
-        let telemetry = cfg.telemetry.then(SharedTelemetry::new);
         let streams = kernel.stream_descriptors(&bases, n, stride);
         let engine = match cfg.ordering {
             AccessOrder::NaturalOrder => {
@@ -267,11 +250,8 @@ impl Session {
                 if let Some(cache_cfg) = cfg.cache {
                     ctl = ctl.with_cache(cache_cfg);
                 }
-                if let Some(inj) = &injector {
-                    ctl.set_faults(inj.clone());
-                }
-                if let Some(t) = &telemetry {
-                    ctl.set_telemetry(t.clone());
+                if cfg.telemetry {
+                    ctl.record_events();
                 }
                 Engine::Natural(Box::new(ctl), None)
             }
@@ -281,7 +261,7 @@ impl Session {
                     policy: cfg.policy,
                     page_policy: cfg.memory.page_policy(),
                     speculative_activate: cfg.speculative,
-                    degrade_after: injector.as_ref().map_or(0, |_| DEGRADE_AFTER_FAULTY),
+                    degrade_after: if faulty { DEGRADE_AFTER_FAULTY } else { 0 },
                     ..MsuConfig::default()
                 };
                 let mut ctl = SmcController::new(streams, map, msu_cfg);
@@ -292,11 +272,8 @@ impl Session {
                     refresh_cfg.devices = cfg.device.devices * cfg.channels.max(1);
                     ctl = ctl.with_refresh(rdram::refresh::RefreshTimer::new(&refresh_cfg));
                 }
-                if let Some(inj) = &injector {
-                    ctl.set_faults(inj.clone());
-                }
-                if let Some(t) = &telemetry {
-                    ctl.set_telemetry(t.clone());
+                if cfg.telemetry {
+                    ctl.record_events();
                 }
                 let cpu = StreamCpu::new(kernel, Coefficients::default(), n)
                     .with_access_cycles(cfg.cpu_access_cycles);
@@ -305,7 +282,7 @@ impl Session {
                 // Bounded-duty fault plans can at most quadruple a run; the
                 // watchdog catches genuine livelock long before the budget.
                 let mut budget = 400 * (kernel.total_streams() * n + 1024) + 2_000_000;
-                if injector.is_some() {
+                if faulty {
                     budget *= 4;
                 }
                 if let Some(plan) = cfg.chaos.as_ref().filter(|p| p.has_channel_faults()) {
@@ -328,15 +305,16 @@ impl Session {
             stride,
             dev,
             engine,
-            commands,
-            telemetry,
+            commands: Vec::new(),
+            telemetry: cfg.telemetry,
             check_conformance: cfg.check_conformance,
         })
     }
 
     /// Simulate the run to completion: the natural-order controller steps
     /// from event to event, the SMC and the processor model every cycle,
-    /// failing with [`SimError::Budget`] past the budget.
+    /// failing with [`SimError::Budget`] past the budget. The memory
+    /// system's command record then moves to the session.
     pub(crate) fn run(mut self) -> Result<Self, SimError> {
         match &mut self.engine {
             Engine::Natural(ctl, summary) => *summary = Some(ctl.run_to_completion(&mut self.dev)?),
@@ -357,6 +335,7 @@ impl Session {
                 }
             }
         }
+        self.commands = self.dev.take_commands();
         Ok(self)
     }
 
@@ -365,7 +344,7 @@ impl Session {
     /// run's image is verified when `verify` is set (a divergence panics, see
     /// [`run_kernel`]), and a telemetered run must pass [`audit`].
     pub(crate) fn finish(mut self) -> Result<RunResult, SimError> {
-        let commands = self.commands.as_ref().map(drain_trace).unwrap_or_default();
+        let commands = std::mem::take(&mut self.commands);
         if self.check_conformance {
             let violations = check_channels(self.dev.config(), self.dev.channels(), &commands);
             if let Some(first) = violations.first() {
@@ -377,9 +356,11 @@ impl Session {
         }
 
         let (kernel, n, stride) = (self.kernel, self.n, self.stride);
-        let (cycles, msu_stats, baseline) = match self.engine {
-            Engine::Natural(ctl, summary) => (ctl.last_data_cycle(), None, summary),
-            Engine::Smc(ctl, cpu, mem, verify_bases, _) => {
+        let (cycles, msu_stats, baseline, events) = match self.engine {
+            Engine::Natural(mut ctl, summary) => {
+                (ctl.last_data_cycle(), None, summary, ctl.take_events())
+            }
+            Engine::Smc(mut ctl, cpu, mem, verify_bases, _) => {
                 if let Some(bases) = &verify_bases {
                     let mut expect = MemoryImage::new();
                     seed(&mut expect, kernel, bases, n, stride);
@@ -397,7 +378,7 @@ impl Session {
                     }
                 }
                 let cycles = ctl.last_data_cycle().max(cpu.finish_cycle());
-                (cycles, Some(*ctl.msu_stats()), None)
+                (cycles, Some(*ctl.msu_stats()), None, ctl.take_events())
             }
         };
 
@@ -421,9 +402,9 @@ impl Session {
             telemetry: None,
             t_pack: self.dev.timing().t_pack,
         };
-        if let Some(t) = self.telemetry {
+        if self.telemetry {
             let (device, channels) = (self.dev.config(), self.dev.channels());
-            result.telemetry = Some(RunTelemetry::collect(device, channels, &result, t.drain()));
+            result.telemetry = Some(RunTelemetry::collect(device, channels, &result, events));
             audit(&result)?;
         }
         Ok(result)
@@ -499,10 +480,10 @@ mod tests {
     /// ACT the device never saw, one cycle after the run's first ACT.
     fn doctored(cfg: &SystemConfig) -> Session {
         let session = Session::new(Kernel::Daxpy, 64, 1, cfg).and_then(Session::run);
-        let session = session.expect("fault-free run");
-        let trace = session.commands.as_ref().expect("commands recorded");
+        let mut session = session.expect("fault-free run");
+        assert!(!session.commands.is_empty(), "commands recorded");
         let cmd = rdram::Command::activate(0, 0);
-        SharedSink::from_trace(Arc::clone(trace)).record_command(CommandRecord { cycle: 1, cmd });
+        session.commands.push(CommandRecord { cycle: 1, cmd });
         session
     }
 
@@ -714,6 +695,22 @@ mod tests {
         assert_eq!(inert.cycles, healthy.cycles);
         assert!(inert.chaos_stats.is_empty());
         assert!(inert.chaos_total().is_clean());
+    }
+
+    #[test]
+    fn a_permanent_stall_is_a_livelock_on_both_orderings() {
+        // A controller that may never issue trips its watchdog at the
+        // default deadline, on a stalled cycle.
+        let stall = faults::FaultPlan::parse("stall:1:1").unwrap();
+        for cfg in [SystemConfig::smc(CLI, 32), SystemConfig::natural_order(CLI)] {
+            let cfg = cfg.with_faults(stall.clone(), 0);
+            match run_kernel(Kernel::Copy, 64, 1, &cfg) {
+                Err(SimError::Controller(smc::SmcError::Livelock(report))) => {
+                    assert_eq!((report.now, report.stalled_for), (50_000, 50_000));
+                }
+                other => panic!("{:?}: expected a livelock, got {other:?}", cfg.ordering),
+            }
+        }
     }
 
     #[test]

@@ -47,14 +47,23 @@ pub fn job_for(point: &RunPoint) -> Result<(Kernel, SystemConfig), String> {
         }
     }
     .with_alignment(alignment);
+    // The memory system's fault timeline takes the device-level clauses
+    // and its chaos router the channel-scoped ones; a clause in the other
+    // plan would do nothing.
     if !point.faults.is_empty() {
         let plan = faults::FaultPlan::parse(&point.faults)
             .map_err(|e| format!("bad fault spec `{}`: {e}", point.faults))?;
+        if let Some(c) = plan.clauses.iter().find(|c| c.is_channel_scoped()) {
+            return Err(format!("`{c}` is a channel clause: it belongs in `chaos`"));
+        }
         config = config.with_faults(plan, point.fault_seed);
     }
     if !point.chaos.is_empty() {
         let plan = faults::FaultPlan::parse(&point.chaos)
             .map_err(|e| format!("bad chaos spec `{}`: {e}", point.chaos))?;
+        if let Some(c) = plan.clauses.iter().find(|c| !c.is_channel_scoped()) {
+            return Err(format!("`{c}` is a device clause: it belongs in `faults`"));
+        }
         config = config.with_chaos(plan, point.fault_seed);
     }
     if point.devices_per_channel > 1 {
@@ -186,6 +195,26 @@ mod tests {
             ..good.clone()
         };
         assert!(job_for(&bad_faults).unwrap_err().contains("fault spec"));
+        // Each plan takes only its own clauses, and the error names the
+        // misplaced clause and the plan it belongs in.
+        let channel_fault = RunPoint {
+            faults: "nack:50:4;outage:1:0:5000".into(),
+            ..good.clone()
+        };
+        let err = job_for(&channel_fault).unwrap_err();
+        assert!(
+            err.contains("`outage:1:0:5000`") && err.contains("`chaos`"),
+            "{err}"
+        );
+        let device_chaos = RunPoint {
+            chaos: "brownout:0:0:100:2;nack:500:8".into(),
+            ..good.clone()
+        };
+        let err = job_for(&device_chaos).unwrap_err();
+        assert!(
+            err.contains("`nack:500:8`") && err.contains("`faults`"),
+            "{err}"
+        );
         // Errors surface as structured outcomes, not panics.
         assert!(matches!(run_point(&bad_kernel), Outcome::Error(_)));
     }

@@ -2,15 +2,13 @@
 //! tests hold it to the per-cycle loop it replaced, and pin the host work
 //! it does.
 
-use std::sync::{Arc, Mutex};
-
 use baseline::{BaselineController, BaselineResult, WritePolicy};
-use faults::{FaultInjector, FaultPlan};
+use faults::FaultPlan;
 use kernels::Kernel;
-use rdram::{sink::drain_trace, CommandRecord, CommandTrace, Cycle, DeviceStats, SharedSink};
+use rdram::{CommandRecord, Cycle, DeviceStats};
 use sim::{vector_bases, MemorySystem, SystemConfig};
 use smc::{SmcError, DEFAULT_WATCHDOG_CYCLES};
-use telemetry::{Event, SharedTelemetry};
+use telemetry::Event;
 
 /// Everything a natural-order run leaves behind.
 #[derive(Debug, PartialEq)]
@@ -24,14 +22,12 @@ struct Outcome {
 }
 
 /// A controller wired the way `run_kernel` wires it for `cfg`, on the
-/// memory system `SystemConfig::build_memory` builds, with at most `mshrs`
-/// line transfers in flight, a watchdog threshold of `watchdog` cycles, a
-/// command trace and a telemetry handle attached.
+/// memory system `SystemConfig::build_memory` builds (faults and chaos
+/// attached), with at most `mshrs` line transfers in flight, a watchdog
+/// threshold of `watchdog` cycles, and commands and events recorded.
 struct Rig {
     ctl: BaselineController,
     dev: memsys::MemorySystem,
-    trace: Arc<Mutex<CommandTrace>>,
-    tel: SharedTelemetry,
     streams: usize,
     n: u64,
 }
@@ -61,20 +57,11 @@ impl Rig {
         if let Some(cache) = cfg.cache {
             ctl = ctl.with_cache(cache);
         }
-        if let Some(plan) = &cfg.faults {
-            let inj = FaultInjector::new(plan, cfg.fault_seed);
-            dev.set_faults(Arc::new(inj.clone()));
-            ctl.set_faults(inj);
-        }
-        let trace = Arc::new(Mutex::new(CommandTrace::new()));
-        ctl.set_trace_sink(SharedSink::from_trace(Arc::clone(&trace)));
-        let tel = SharedTelemetry::new();
-        ctl.set_telemetry(tel.clone());
+        dev.record_commands();
+        ctl.record_events();
         Rig {
             ctl,
             dev,
-            trace,
-            tel,
             streams: stream_count,
             n,
         }
@@ -92,7 +79,7 @@ impl Rig {
         self.ctl.run_to_completion(&mut self.dev)
     }
 
-    fn outcome(self, result: Result<BaselineResult, SmcError>) -> (Outcome, u64) {
+    fn outcome(mut self, result: Result<BaselineResult, SmcError>) -> (Outcome, u64) {
         let arrivals = (0..self.streams)
             .flat_map(|s| (0..self.n).map(move |e| (s, e)))
             .map(|(s, e)| self.ctl.elem_arrival(s, e))
@@ -101,8 +88,8 @@ impl Rig {
             result: result.map_err(|e| format!("{e:?}")),
             device_stats: self.dev.stats(),
             arrivals,
-            commands: drain_trace(&self.trace),
-            events: self.tel.drain(),
+            commands: self.dev.take_commands(),
+            events: self.ctl.take_events(),
         };
         (outcome, self.ctl.ticks())
     }
@@ -226,15 +213,18 @@ fn vaxpy_steps_match_the_per_cycle_loop() {
 }
 
 /// Banks busy for 1,024 of every 4,096 cycles starve a 500-cycle watchdog
-/// on the first window: it trips at its deadline, or at the first cycle
-/// after a stall window that covers the deadline. Permanently busy banks
-/// make every earliest start `Cycle::MAX`.
+/// on the first window: it trips at its deadline, 500 cycles after the last
+/// progress. Permanently busy banks make every earliest start `Cycle::MAX`,
+/// and a permanent stall never lets the controller step; the watchdog
+/// watches stalled cycles too, so it trips at the deadline inside a stall
+/// window.
 #[test]
 fn livelocks_trip_where_the_per_cycle_loop_trips() {
     let plans = [
         "busy:*:4096:1024",
         "busy:*:4096:1024;stall:450:100",
         "busy:*:1:1",
+        "stall:1:1",
     ];
     for memory in [
         MemorySystem::CacheLineInterleaved,
@@ -247,6 +237,7 @@ fn livelocks_trip_where_the_per_cycle_loop_trips() {
                 let (got, _, _) = check_point(kernel, 64, 1, &cfg, 4, 500);
                 let error = got.result.expect_err("the watchdog must trip");
                 assert!(error.starts_with("Livelock"), "{spec}: {error}");
+                assert!(error.contains("stalled_for: 500,"), "{spec}: {error}");
             }
         }
     }

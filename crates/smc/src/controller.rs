@@ -5,10 +5,9 @@
 #![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
-use faults::FaultInjector;
 use memsys::{MemorySystem, SystemMap};
-use rdram::{Cycle, MemoryImage, SharedSink};
-use telemetry::{Event, SharedTelemetry};
+use rdram::{Cycle, MemoryImage};
+use telemetry::Event;
 
 use crate::{
     LivelockReport, Msu, MsuConfig, MsuStats, Sbu, SmcError, StreamDescriptor, Watchdog,
@@ -31,9 +30,9 @@ pub struct SmcController {
     /// either side of every FIFO). A FIFO's occupancy moves only when one
     /// of its element counts does, so the key misses no progress.
     watchdog: Watchdog<(u64, u64)>,
-    trace_sink: Option<SharedSink>,
-    telemetry: Option<SharedTelemetry>,
-    /// MSU statistics at the previous tick; the telemetry emitter turns
+    /// Controller events, while recording them.
+    events: Option<Vec<Event>>,
+    /// MSU statistics at the previous tick; the event emitter turns
     /// per-tick deltas into events without touching the scheduler.
     prev_stats: MsuStats,
     prev_refreshes: u64,
@@ -52,29 +51,26 @@ impl SmcController {
             sbu: Sbu::new(streams, cfg.fifo_depth),
             msu: Msu::new(map, cfg),
             watchdog: Watchdog::new(DEFAULT_WATCHDOG_CYCLES),
-            trace_sink: None,
-            telemetry: None,
+            events: None,
             prev_stats: MsuStats::default(),
             prev_refreshes: 0,
             prev_occupancy: Vec::new(),
         }
     }
 
-    /// Observe every command this controller drives into the device: the
-    /// sink is installed on the device at the next [`tick`](Self::tick), so
-    /// MSU-scheduled, speculative, and refresh commands all reach it. Used
-    /// by the `checker` crate's timing-conformance analyzer.
-    pub fn set_trace_sink(&mut self, sink: SharedSink) {
-        self.trace_sink = Some(sink);
+    /// Record events from the next [`tick`](Self::tick) on: one [`Event`]
+    /// per observable change — FIFO depth samples, service switches,
+    /// fault-recovery incidents, refreshes, and watchdog trips — until
+    /// [`take_events`](Self::take_events) collects them. Without it the
+    /// per-tick cost is a single `Option` check.
+    pub fn record_events(&mut self) {
+        self.events.get_or_insert_with(Vec::new);
     }
 
-    /// Attach a telemetry handle. From the next [`tick`](Self::tick) on,
-    /// the controller emits one [`Event`] per observable change: FIFO depth
-    /// samples, service switches, fault-recovery incidents, refreshes, and
-    /// watchdog trips. When no handle is attached the per-tick cost is a
-    /// single `Option` check.
-    pub fn set_telemetry(&mut self, tel: SharedTelemetry) {
-        self.telemetry = Some(tel);
+    /// The events recorded so far, in emission order, leaving the record
+    /// empty. Empty when not recording.
+    pub fn take_events(&mut self) -> Vec<Event> {
+        self.events.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
     /// Replace the forward-progress watchdog threshold (cycles without
@@ -87,13 +83,6 @@ impl SmcController {
     pub fn with_watchdog(mut self, limit: Cycle) -> Self {
         self.watchdog = Watchdog::new(limit);
         self
-    }
-
-    /// Subject the controller to an injected fault timeline. Install the
-    /// same injector (same plan and seed) on the device so both sides agree
-    /// on when banks are busy.
-    pub fn set_faults(&mut self, faults: FaultInjector) {
-        self.msu.set_faults(faults);
     }
 
     /// Honour DRAM refresh obligations (see
@@ -142,14 +131,9 @@ impl SmcController {
         dev: &mut MemorySystem,
         mem: &mut MemoryImage,
     ) -> Result<(), SmcError> {
-        if let Some(sink) = &self.trace_sink {
-            if !dev.has_cmd_sink() {
-                dev.set_cmd_sink(sink.clone());
-            }
-        }
         self.msu.tick(now, dev, mem, &mut self.sbu)?;
-        if self.telemetry.is_some() {
-            self.emit_telemetry(now);
+        if self.events.is_some() {
+            self.emit_events(now);
         }
         if self.mem_complete() {
             self.watchdog.idle(now);
@@ -166,8 +150,8 @@ impl SmcController {
             .map(|st| st.mem_next_elem + st.cpu_elems)
             .sum();
         if let Some(stalled_for) = self.watchdog.observe(now, (dev.commands_accepted(), moved)) {
-            if let Some(tel) = &self.telemetry {
-                tel.record(Event::WatchdogTrip {
+            if let Some(events) = &mut self.events {
+                events.push(Event::WatchdogTrip {
                     cycle: now,
                     stalled_for,
                 });
@@ -177,44 +161,44 @@ impl SmcController {
         Ok(())
     }
 
-    /// Diff the MSU's statistics against the previous tick and emit one
-    /// event per change. Only called with a telemetry handle attached.
-    fn emit_telemetry(&mut self, now: Cycle) {
+    /// Diff the MSU's statistics against the previous tick and record one
+    /// event per change. Only called while recording events.
+    fn emit_events(&mut self, now: Cycle) {
         let stats = *self.msu.stats();
         let prev = self.prev_stats;
         let refreshes = self.msu.refreshes_issued();
-        if let Some(tel) = &self.telemetry {
+        if let Some(events) = &mut self.events {
             if stats.fifo_switches > prev.fifo_switches {
-                tel.record(Event::FifoSwitch {
+                events.push(Event::FifoSwitch {
                     cycle: now,
                     fifo: self.msu.current_fifo().unwrap_or(0),
                 });
             }
             for _ in prev.data_nacks..stats.data_nacks {
-                tel.record(Event::DataNack {
+                events.push(Event::DataNack {
                     cycle: now,
                     bank: self.msu.last_issued().map(|(c, _)| c.bank()),
                 });
             }
             for _ in prev.injected_stall_cycles..stats.injected_stall_cycles {
-                tel.record(Event::InjectedStall { cycle: now });
+                events.push(Event::InjectedStall { cycle: now });
             }
             if stats.degraded_banks > prev.degraded_banks {
-                tel.record(Event::BankDegraded {
+                events.push(Event::BankDegraded {
                     cycle: now,
                     total: stats.degraded_banks,
                 });
             }
             for _ in prev.speculative_activates..stats.speculative_activates {
-                tel.record(Event::SpeculativeActivate { cycle: now });
+                events.push(Event::SpeculativeActivate { cycle: now });
             }
             for _ in self.prev_refreshes..refreshes {
-                tel.record(Event::Refresh { cycle: now });
+                events.push(Event::Refresh { cycle: now });
             }
             for (fifo, f) in self.sbu.iter().enumerate() {
                 let occupancy = f.state().occupancy;
                 if self.prev_occupancy.get(fifo) != Some(&occupancy) {
-                    tel.record(Event::FifoDepth {
+                    events.push(Event::FifoDepth {
                         cycle: now,
                         fifo,
                         occupancy: occupancy as u64,
@@ -409,15 +393,13 @@ mod tests {
         let (mut dev, mut mem, map) = setup(Interleave::Page);
         // Every bank busy on every cycle: the MSU can never issue anything.
         let plan = FaultPlan::parse("busy:*:1:1").unwrap();
-        let inj = FaultInjector::new(&plan, 7);
-        dev.set_faults(std::sync::Arc::new(inj.clone()));
+        dev.set_faults(FaultInjector::new(&plan, 7));
         let mut ctl = SmcController::new(
             vec![StreamDescriptor::read("x", 0, 1, 64)],
             map,
             MsuConfig::default(),
         )
         .with_watchdog(500);
-        ctl.set_faults(inj);
         let mut err = None;
         for now in 0..5_000 {
             if let Err(e) = ctl.tick(now, &mut dev, &mut mem) {
@@ -448,14 +430,12 @@ mod tests {
             mem.write_u64(i * 8, 5000 + i);
         }
         let plan = FaultPlan::parse("nack:300:10").unwrap();
-        let inj = FaultInjector::new(&plan, 11);
-        dev.set_faults(std::sync::Arc::new(inj.clone()));
+        dev.set_faults(FaultInjector::new(&plan, 11));
         let mut ctl = SmcController::new(
             vec![StreamDescriptor::read("x", 0, 1, n)],
             map,
             MsuConfig::default(),
         );
-        ctl.set_faults(inj);
         let mut got = Vec::new();
         let mut now = 0;
         while got.len() < n as usize {
@@ -481,14 +461,12 @@ mod tests {
         // Bank 0 spends half of every 64-cycle window busy; with a low
         // degradation threshold the MSU demotes it quickly.
         let plan = FaultPlan::parse("busy:0:64:32").unwrap();
-        let inj = FaultInjector::new(&plan, 3);
-        dev.set_faults(std::sync::Arc::new(inj.clone()));
+        dev.set_faults(FaultInjector::new(&plan, 3));
         let cfg = MsuConfig {
             degrade_after: 8,
             ..MsuConfig::default()
         };
         let mut ctl = SmcController::new(vec![StreamDescriptor::read("x", 0, 1, n)], map, cfg);
-        ctl.set_faults(inj);
         let mut popped = 0u64;
         let mut now = 0;
         while popped < n {
@@ -512,14 +490,12 @@ mod tests {
             mem.write_u64(i * 8, i);
         }
         let plan = FaultPlan::parse("stall:100:20").unwrap();
-        let inj = FaultInjector::new(&plan, 1);
-        dev.set_faults(std::sync::Arc::new(inj.clone()));
+        dev.set_faults(FaultInjector::new(&plan, 1));
         let mut ctl = SmcController::new(
             vec![StreamDescriptor::read("x", 0, 1, n)],
             map,
             MsuConfig::default(),
         );
-        ctl.set_faults(inj);
         let mut popped = 0u64;
         let mut now = 0;
         while popped < n {
@@ -535,21 +511,18 @@ mod tests {
     }
 
     #[test]
-    fn trace_sink_observes_every_issued_command() {
-        use rdram::{CommandTrace, SharedSink};
-        use std::sync::{Arc, Mutex};
+    fn the_memory_system_records_every_issued_command() {
         let (mut dev, mut mem, map) = setup(Interleave::Page);
         let n = 32u64;
         for i in 0..n {
             mem.write_u64(i * 8, i);
         }
-        let trace = Arc::new(Mutex::new(CommandTrace::new()));
+        dev.record_commands();
         let mut ctl = SmcController::new(
             vec![StreamDescriptor::read("x", 0, 1, n)],
             map,
             MsuConfig::default(),
         );
-        ctl.set_trace_sink(SharedSink::from_trace(Arc::clone(&trace)));
         let mut popped = 0u64;
         let mut now = 0;
         while popped < n {
@@ -560,7 +533,7 @@ mod tests {
             now += 1;
             assert!(now < 100_000);
         }
-        let recs = rdram::sink::drain_trace(&trace);
+        let recs = dev.take_commands();
         let stats = dev.stats();
         assert_eq!(
             recs.len() as u64,

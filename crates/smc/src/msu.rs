@@ -155,7 +155,6 @@ pub struct Msu {
     last_spec: Option<(usize, u64)>,
     refresh: Option<rdram::refresh::RefreshTimer>,
     stats: MsuStats,
-    faults: FaultInjector,
     /// Consecutive injected conflicts per bank (degradation trigger).
     /// Ordered so any iteration is deterministic.
     fault_streaks: BTreeMap<usize, u32>,
@@ -198,18 +197,10 @@ impl Msu {
             last_spec: None,
             refresh: None,
             stats: MsuStats::default(),
-            faults: FaultInjector::inert(),
             fault_streaks: BTreeMap::new(),
             degraded: BTreeSet::new(),
             last_issued: None,
         }
-    }
-
-    /// Subject this MSU to an injected fault timeline. The same injector
-    /// (same plan, same seed) must be installed on the device so both sides
-    /// agree on when banks are busy.
-    pub fn set_faults(&mut self, faults: FaultInjector) {
-        self.faults = faults;
     }
 
     /// The most recent command this MSU issued, with its cycle.
@@ -278,7 +269,9 @@ impl Msu {
     /// Advance one cycle: admit ready accesses into the window and issue at
     /// most one command packet per bus. Each memory channel has its own
     /// ROW and COL buses, so an N-channel system can launch up to N ROW
-    /// and N COL packets in one cycle.
+    /// and N COL packets in one cycle. The memory system's fault timeline
+    /// ([`MemorySystem::faults`]) stalls the MSU, NACKs its DATA packets
+    /// and holds its commands in busy windows.
     ///
     /// # Errors
     ///
@@ -296,7 +289,7 @@ impl Msu {
         mem: &mut MemoryImage,
         sbu: &mut Sbu,
     ) -> Result<(), SmcError> {
-        if self.faults.stalled(now) {
+        if dev.faults().stalled(now) {
             self.stats.injected_stall_cycles += 1;
             return Ok(());
         }
@@ -328,7 +321,7 @@ impl Msu {
         let (bank, _) = timer.peek();
         let bank_busy = self.slots.iter().any(|s| s.loc.bank == bank)
             || self.spec.is_some_and(|sp| sp.bank == bank)
-            || self.faults.bank_busy(bank, now);
+            || dev.faults().bank_busy(bank, now);
         if bank_busy {
             return Ok(());
         }
@@ -393,7 +386,7 @@ impl Msu {
             }
             let cmd = self.command_for(k, sbu);
             if dev.earliest(&cmd, now) > now {
-                self.note_hold(cmd.bank(), now);
+                self.note_hold(dev.faults(), cmd.bank(), now);
                 k += 1;
                 continue;
             }
@@ -436,7 +429,7 @@ impl Msu {
                 Stage::Unresolved | Stage::Col => unreachable!("filtered above"),
             };
             if dev.earliest(&cmd, now) > now {
-                self.note_hold(bank, now);
+                self.note_hold(dev.faults(), bank, now);
                 continue;
             }
             dev.issue_at(&cmd, now)?;
@@ -456,8 +449,8 @@ impl Msu {
     /// injected busy window (rather than ordinary timing pressure), extend
     /// the bank's conflict streak; enough consecutive conflicts demote the
     /// bank to closed-page service.
-    fn note_hold(&mut self, bank: usize, now: Cycle) {
-        if self.faults.bank_busy(bank, now) {
+    fn note_hold(&mut self, faults: &FaultInjector, bank: usize, now: Cycle) {
+        if faults.bank_busy(bank, now) {
             self.note_fault_conflict(bank);
         }
     }
@@ -681,11 +674,14 @@ impl Msu {
                     ));
                 };
                 let bank = self.slots[k].loc.bank;
-                if self.faults.nack_data(bank, data.end, self.slots[k].retries) {
+                if dev
+                    .faults()
+                    .nack_data(bank, data.end, self.slots[k].retries)
+                {
                     self.stats.data_nacks += 1;
                     self.slots[k].retries += 1;
                     let retries = self.slots[k].retries;
-                    if retries > self.faults.nack_retry_limit() {
+                    if retries > dev.faults().nack_retry_limit() {
                         return Err(SmcError::RetryExhausted {
                             bank,
                             addr: self.slots[k].access.packet_addr,

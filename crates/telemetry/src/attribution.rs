@@ -513,20 +513,18 @@ impl CycleAttribution {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdram::sink::drain_trace;
-    use rdram::{Command, CommandRecord, CommandTrace, Rdram, SharedSink};
-    use std::sync::{Arc, Mutex};
+    use rdram::{Command, CommandRecord, Rdram};
 
     fn drive(cmds: &[Command]) -> (DeviceConfig, Vec<CommandRecord>, DeviceStats) {
         let cfg = DeviceConfig::default();
         let mut dev = Rdram::new(cfg.clone());
-        let trace = Arc::new(Mutex::new(CommandTrace::new()));
-        dev.set_cmd_sink(SharedSink::from_trace(Arc::clone(&trace)));
+        let mut records = Vec::new();
         for cmd in cmds {
-            let s = dev.earliest(cmd, 0);
-            dev.issue_at(cmd, s).expect("legal command");
+            let cycle = dev.earliest(cmd, 0);
+            dev.issue_at(cmd, cycle).expect("legal command");
+            records.push(CommandRecord { cycle, cmd: *cmd });
         }
-        (cfg, drain_trace(&trace), *dev.stats())
+        (cfg, records, *dev.stats())
     }
 
     fn attribution_of(cmds: &[Command]) -> (CycleAttribution, DeviceStats) {

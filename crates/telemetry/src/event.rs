@@ -1,13 +1,11 @@
 //! Controller-side telemetry events.
 //!
-//! The device's command stream (via [`rdram::sink::TraceSink`]) already
-//! captures everything the *device* does; these events capture what the
-//! *controllers* decide — FIFO service switches, per-stream FIFO depth
-//! samples, fault-recovery incidents, and watchdog trips — without touching
-//! the schedulers themselves: controllers diff their own statistics once
-//! per tick and emit an event per change.
-
-use std::sync::{Arc, Mutex};
+//! The memory system's command record already captures everything the
+//! *device* does; these events capture what the *controllers* decide — FIFO
+//! service switches, per-stream FIFO depth samples, fault-recovery
+//! incidents, and watchdog trips — without touching the schedulers
+//! themselves: controllers diff their own statistics once per tick and keep
+//! an event per change, which the harness takes back after the run.
 
 use rdram::Cycle;
 
@@ -85,106 +83,21 @@ impl Event {
     }
 }
 
-/// A growable in-memory event log.
-#[derive(Debug, Clone, Default)]
-pub struct EventLog {
-    events: Vec<Event>,
-}
-
-impl EventLog {
-    /// An empty log.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append one event.
-    pub fn record(&mut self, e: Event) {
-        self.events.push(e);
-    }
-
-    /// The recorded events, in emission order.
-    pub fn events(&self) -> &[Event] {
-        &self.events
-    }
-
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Consume the log, yielding the raw events.
-    pub fn into_events(self) -> Vec<Event> {
-        self.events
-    }
-}
-
-/// A cloneable, shareable telemetry handle.
-///
-/// Both controllers and the harness that reads the log back need access to
-/// one [`EventLog`]; like [`rdram::SharedSink`], locking is
-/// poison-tolerant so a panic elsewhere never turns telemetry into a
-/// second panic.
-#[derive(Clone, Debug, Default)]
-pub struct SharedTelemetry(Arc<Mutex<EventLog>>);
-
-impl SharedTelemetry {
-    /// A handle to a fresh, empty event log.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append one event to the shared log.
-    pub fn record(&self, e: Event) {
-        let mut guard = match self.0.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        guard.record(e);
-    }
-
-    /// Drain the shared log, returning the events collected so far and
-    /// leaving it empty.
-    pub fn drain(&self) -> Vec<Event> {
-        let mut guard = match self.0.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        std::mem::take(&mut *guard).into_events()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn shared_handles_feed_one_log() {
-        let tel = SharedTelemetry::new();
-        let clone = tel.clone();
-        tel.record(Event::FifoSwitch { cycle: 10, fifo: 1 });
-        clone.record(Event::InjectedStall { cycle: 11 });
-        let events = tel.drain();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].cycle(), 10);
-        assert_eq!(events[1].cycle(), 11);
-        assert!(tel.drain().is_empty());
-    }
-
-    #[test]
-    fn log_accumulates_in_order() {
-        let mut log = EventLog::new();
-        assert!(log.is_empty());
-        log.record(Event::Refresh { cycle: 5 });
-        log.record(Event::WatchdogTrip {
-            cycle: 9,
-            stalled_for: 4,
-        });
-        assert_eq!(log.len(), 2);
-        assert_eq!(log.events()[1].cycle(), 9);
+    fn every_event_reports_its_cycle() {
+        let events = [
+            Event::FifoSwitch { cycle: 10, fifo: 1 },
+            Event::InjectedStall { cycle: 11 },
+            Event::WatchdogTrip {
+                cycle: 12,
+                stalled_for: 4,
+            },
+        ];
+        let cycles: Vec<Cycle> = events.iter().map(Event::cycle).collect();
+        assert_eq!(cycles, [10, 11, 12]);
     }
 }

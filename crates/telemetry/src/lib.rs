@@ -5,8 +5,8 @@
 //! counters alone cannot attribute a bandwidth loss to its cause. This
 //! crate adds the missing observability layer, designed around one rule:
 //! **zero cost when disabled**. Nothing here sits on the simulator's hot
-//! path; everything is derived from the [`rdram::sink::TraceSink`] command
-//! stream the device already exposes, plus lightweight controller events.
+//! path; everything is derived from the [`rdram::CommandRecord`] stream the
+//! memory system records, plus lightweight controller events.
 //!
 //! The pieces:
 //!
@@ -15,9 +15,9 @@
 //! * [`registry`] — an integer-only metrics [`Registry`]
 //!   (counters, gauges, log2-bucketed histograms), consistent with the
 //!   repository's integer-cycle lint. Serializes to JSONL.
-//! * [`event`] — controller-side events (FIFO depth samples, scheduling
-//!   decisions, fault-recovery and watchdog incidents) behind a cloneable,
-//!   poison-tolerant [`SharedTelemetry`] handle.
+//! * [`event`] — controller-side [`Event`]s (FIFO depth samples,
+//!   scheduling decisions, fault-recovery and watchdog incidents), which
+//!   each controller keeps and hands back after the run.
 //! * [`timeline`] — replays a recorded command stream against the device's
 //!   timing to reconstruct per-bank state residency
 //!   (idle/activating/open/precharging) and ROW/COL/DATA bus occupancy
@@ -50,6 +50,6 @@ pub mod timeline;
 
 pub use attribution::{CategoryTotals, CycleAttribution, CycleCategory};
 pub use catalog::{MetricDef, MetricId, MetricKind, CATALOG};
-pub use event::{Event, EventLog, SharedTelemetry};
+pub use event::Event;
 pub use registry::{Log2Histogram, Registry};
 pub use timeline::{reconcile, BankState, BusOp, BusSpan, DerivedCounts, Span, Timeline};

@@ -1,7 +1,7 @@
 //! Cycle-resolved timeline reconstruction from a recorded command stream.
 //!
-//! The device reports every accepted command through its
-//! [`rdram::TraceSink`] seam; this module *replays* that stream against the
+//! The memory system records every accepted command as an
+//! [`rdram::CommandRecord`]; this module *replays* that stream against the
 //! same timing rules the device enforces ([`rdram::Bank`],
 //! [`rdram::DataBus`]) to reconstruct what each bank and bus was doing on
 //! every cycle — without adding a single instruction to the simulation hot
@@ -197,8 +197,8 @@ pub struct Timeline {
 }
 
 impl Timeline {
-    /// Replay `records` (as produced by [`rdram::CommandTrace`]) against the
-    /// timing in `cfg`.
+    /// Replay `records` (one channel's command record) against the timing
+    /// in `cfg`.
     ///
     /// Records arrive in issue order; per bus that order is also
     /// reservation order, and per bank it is chronological — both
@@ -466,22 +466,20 @@ pub fn reconcile(derived: &DerivedCounts, stats: &DeviceStats) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdram::sink::drain_trace;
-    use rdram::{CommandTrace, Rdram, SharedSink};
-    use std::sync::{Arc, Mutex};
+    use rdram::Rdram;
 
     /// Drive a device through `cmds` (at each command's earliest legal
-    /// cycle) with a sink attached; return the trace and final stats.
+    /// cycle); return the commands as issued and the final stats.
     fn drive(cmds: &[Command]) -> (DeviceConfig, Vec<CommandRecord>, DeviceStats) {
         let cfg = DeviceConfig::default();
         let mut dev = Rdram::new(cfg.clone());
-        let trace = Arc::new(Mutex::new(CommandTrace::new()));
-        dev.set_cmd_sink(SharedSink::from_trace(Arc::clone(&trace)));
+        let mut records = Vec::new();
         for cmd in cmds {
-            let s = dev.earliest(cmd, 0);
-            dev.issue_at(cmd, s).expect("legal command");
+            let cycle = dev.earliest(cmd, 0);
+            dev.issue_at(cmd, cycle).expect("legal command");
+            records.push(CommandRecord { cycle, cmd: *cmd });
         }
-        (cfg, drain_trace(&trace), *dev.stats())
+        (cfg, records, *dev.stats())
     }
 
     #[test]
