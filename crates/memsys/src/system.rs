@@ -308,15 +308,6 @@ impl MemorySystem {
         &self.channels[ch]
     }
 
-    /// Mutable access to channel `ch`'s device.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ch` is out of range.
-    pub fn device_mut(&mut self, ch: usize) -> &mut Rdram {
-        &mut self.channels[ch]
-    }
-
     /// The timing parameters every channel runs under.
     pub fn timing(&self) -> &Timing {
         self.channels[0].timing()
@@ -494,8 +485,8 @@ impl MemorySystem {
 
     /// Take ownership of channel 0's recorded packet trace, if tracing is
     /// enabled (the paper's timing-diagram figures run single-channel;
-    /// other channels' traces are reachable via
-    /// [`device_mut`](MemorySystem::device_mut)).
+    /// other channels' traces stay readable through
+    /// [`device`](MemorySystem::device)).
     pub fn take_trace(&mut self) -> Option<rdram::trace::Trace> {
         self.channels[0].take_trace()
     }
