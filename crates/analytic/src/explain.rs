@@ -76,35 +76,14 @@ pub fn explain_smc(
     w: &Workload,
     fifo_depth: u64,
 ) -> SmcExplanation {
-    let t = &sys.timing;
-    let fill_cycles = if w.reads == 0 {
-        0.0
-    } else {
-        (w.reads - 1) as f64 * fifo_depth as f64 * t.t_pack as f64 / rdram::WORDS_PER_PACKET as f64
-    };
-    let first_access_cycles = match org {
-        Organization::CacheLineInterleaved => t.t_rac as f64,
-        Organization::PageInterleaved => (t.t_rac + t.t_rp) as f64,
-    };
-    let tours = if w.writes == 0 || w.streams() < 2 {
-        0.0
-    } else {
-        w.length as f64 * (w.streams() - 1) as f64 / (fifo_depth as f64 * w.streams() as f64)
-    };
     SmcExplanation {
         workload: *w,
         org,
         fifo_depth,
         busy_cycles: sys.smc_busy_cycles(w),
         useful_cycles: sys.smc_useful_cycles(w),
-        startup: StartupBreakdown {
-            fill_cycles,
-            first_access_cycles,
-        },
-        turnaround: TurnaroundBreakdown {
-            tours,
-            per_tour: t.t_rw as f64,
-        },
+        startup: sys.smc_startup_terms(org, w, fifo_depth),
+        turnaround: sys.smc_turnaround_terms(w, fifo_depth),
         startup_bound: sys.smc_startup_bound(org, w, fifo_depth),
         asymptotic_bound: sys.smc_asymptotic_bound(w, fifo_depth),
         combined: sys.smc_combined_bound(org, w, fifo_depth),

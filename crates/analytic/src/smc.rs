@@ -20,6 +20,7 @@
 
 use rdram::WORDS_PER_PACKET;
 
+use crate::explain::{StartupBreakdown, TurnaroundBreakdown};
 use crate::{cache::StreamSystem, Organization};
 
 /// Stream population of a computation: how many streams are read and
@@ -81,37 +82,62 @@ impl StreamSystem {
         (w.streams() * w.length) as f64 * self.timing.t_pack as f64 / WORDS_PER_PACKET as f64
     }
 
-    /// Startup delay `Δ1` (Eq. 5.16 for CLI, 5.17 for PI): the wait for the
-    /// first element of the last read-stream while `s_r − 1` earlier
-    /// read-FIFOs of depth `f` are filled, plus the first access's page-miss
-    /// latency (and the initial precharge on PI).
-    pub fn smc_startup_delay(&self, org: Organization, w: &Workload, fifo_depth: u64) -> f64 {
+    /// The terms of the startup delay `Δ1` (Eq. 5.16 for CLI, 5.17 for
+    /// PI): the wait for the first element of the last read-stream while
+    /// `s_r − 1` earlier read-FIFOs of depth `f` are filled, plus the first
+    /// access's page-miss latency (and the initial precharge on PI).
+    pub fn smc_startup_terms(
+        &self,
+        org: Organization,
+        w: &Workload,
+        fifo_depth: u64,
+    ) -> StartupBreakdown {
         w.check();
         assert!(fifo_depth >= 1, "FIFO depth must be positive");
         let t = &self.timing;
-        let fill = if w.reads == 0 {
+        let fill_cycles = if w.reads == 0 {
             0.0
         } else {
             (w.reads - 1) as f64 * fifo_depth as f64 * t.t_pack as f64 / WORDS_PER_PACKET as f64
         };
-        let first = match org {
+        let first_access_cycles = match org {
             Organization::CacheLineInterleaved => t.t_rac as f64,
             Organization::PageInterleaved => (t.t_rac + t.t_rp) as f64,
         };
-        fill + first
+        StartupBreakdown {
+            fill_cycles,
+            first_access_cycles,
+        }
     }
 
-    /// Total bus-turnaround delay `Δ2` (Eq. 5.18): `tRW` once per service
-    /// tour, `L_s (s−1) / (f s)` tours for the whole computation. Zero when
-    /// nothing is written (the bus never reverses).
-    pub fn smc_turnaround_delay(&self, w: &Workload, fifo_depth: u64) -> f64 {
+    /// Startup delay `Δ1`: the total of [`smc_startup_terms`](Self::smc_startup_terms).
+    pub fn smc_startup_delay(&self, org: Organization, w: &Workload, fifo_depth: u64) -> f64 {
+        self.smc_startup_terms(org, w, fifo_depth).total()
+    }
+
+    /// The terms of the bus-turnaround delay `Δ2` (Eq. 5.18): `tRW` once
+    /// per service tour, `L_s (s−1) / (f s)` tours for the whole
+    /// computation. No tours when nothing is written (the bus never
+    /// reverses).
+    pub fn smc_turnaround_terms(&self, w: &Workload, fifo_depth: u64) -> TurnaroundBreakdown {
         w.check();
         assert!(fifo_depth >= 1, "FIFO depth must be positive");
-        if w.writes == 0 || w.streams() < 2 {
-            return 0.0;
+        let tours = if w.writes == 0 || w.streams() < 2 {
+            0.0
+        } else {
+            let s = w.streams() as f64;
+            w.length as f64 * (s - 1.0) / (fifo_depth as f64 * s)
+        };
+        TurnaroundBreakdown {
+            tours,
+            per_tour: self.timing.t_rw as f64,
         }
-        let s = w.streams() as f64;
-        self.timing.t_rw as f64 * w.length as f64 * (s - 1.0) / (fifo_depth as f64 * s)
+    }
+
+    /// Total bus-turnaround delay `Δ2`: the total of
+    /// [`smc_turnaround_terms`](Self::smc_turnaround_terms).
+    pub fn smc_turnaround_delay(&self, w: &Workload, fifo_depth: u64) -> f64 {
+        self.smc_turnaround_terms(w, fifo_depth).total()
     }
 
     /// The startup-delay bound as percent of peak (Eq. 5.15 with `Δ1`).

@@ -41,7 +41,6 @@ pub enum WritePolicy {
 /// One cacheline transfer in the natural-order schedule.
 #[derive(Debug, Clone)]
 struct LineOp {
-    stream: usize,
     line_addr: u64,
     /// Direction of the transfer on the DATA bus.
     dir: StreamKind,
@@ -267,7 +266,6 @@ impl BaselineController {
         let mut owner: std::collections::BTreeMap<u64, usize> = std::collections::BTreeMap::new();
         let writeback = |queue: &mut VecDeque<LineOp>, line_addr: u64, i: u64| {
             queue.push_back(LineOp {
-                stream: 0,
                 line_addr,
                 dir: StreamKind::Write,
                 trigger_iter: i,
@@ -292,7 +290,6 @@ impl BaselineController {
                             writeback(&mut queue, victim, i);
                         }
                         queue.push_back(LineOp {
-                            stream: s,
                             line_addr: line,
                             // Every miss fetches (write-allocate).
                             dir: StreamKind::Read,
@@ -345,9 +342,8 @@ impl BaselineController {
         let mut queue: VecDeque<LineOp> = VecDeque::with_capacity(ops as usize);
         let mut current_line: Vec<Option<u64>> = vec![None; streams.len()];
         let mut open_op: Vec<Option<usize>> = vec![None; streams.len()];
-        let writeback = |queue: &mut VecDeque<LineOp>, s: usize, line: u64, i: u64| {
+        let writeback = |queue: &mut VecDeque<LineOp>, line: u64, i: u64| {
             queue.push_back(LineOp {
-                stream: s,
                 line_addr: line,
                 dir: StreamKind::Write,
                 trigger_iter: i,
@@ -370,14 +366,13 @@ impl BaselineController {
                     // store stream.
                     if allocate && desc.kind == StreamKind::Write {
                         if let Some(prev) = current_line[s] {
-                            writeback(&mut queue, s, prev, i);
+                            writeback(&mut queue, prev, i);
                         }
                     }
                     let is_store = desc.kind == StreamKind::Write;
                     let mut elements = Vec::with_capacity(per_line[s]);
                     elements.push((s, i));
                     queue.push_back(LineOp {
-                        stream: s,
                         line_addr: line,
                         // Write-allocate stores fetch the line first.
                         dir: if is_store && allocate {
@@ -400,7 +395,7 @@ impl BaselineController {
             for (s, desc) in streams.iter().enumerate() {
                 if desc.kind == StreamKind::Write {
                     if let Some(line) = current_line[s] {
-                        writeback(&mut queue, s, line, n - 1);
+                        writeback(&mut queue, line, n - 1);
                     }
                 }
             }
@@ -699,22 +694,6 @@ impl BaselineController {
         dev: &mut MemorySystem,
     ) -> Result<(), SmcError> {
         let stage = self.in_flight[k].stage;
-        // Label the op's ROW ACT (or first COL on a page hit) for the
-        // timing-diagram figures. The device keeps a label only while it
-        // records a packet trace, so build one only then.
-        if dev.config().trace_enabled && matches!(stage, Stage::Activate | Stage::Col(0)) {
-            let f = &self.in_flight[k];
-            let verb = match (f.op.dir, f.op.gated) {
-                (StreamKind::Read, false) => "ld",
-                (StreamKind::Read, true) => "st-fetch",
-                (StreamKind::Write, true) => "st",
-                (StreamKind::Write, false) => "wb",
-            };
-            dev.set_label(format!(
-                "{verb} {}[{}]",
-                self.streams[f.op.stream].name, f.op.trigger_iter
-            ));
-        }
         let outcome = dev.issue_at(&cmd, now)?;
         self.last_issued = Some((cmd, now));
         match stage {

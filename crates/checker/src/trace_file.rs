@@ -99,7 +99,6 @@ fn parse_device(v: &Value, path: &str) -> Result<DeviceConfig, ParseError> {
         page_bytes: u64_field(v, path, "page_bytes")?,
         rows_per_bank: u64_field(v, path, "rows_per_bank")?,
         double_bank: bool_field(v, path, "double_bank")?,
-        trace_enabled: bool_field(v, path, "trace_enabled")?,
     })
 }
 
@@ -263,6 +262,19 @@ mod tests {
         let e = TraceFile::from_str(&json.replace("\"channels\": 1", "\"channels\": 0"))
             .expect_err("zero channels");
         assert_eq!(e.path, "$.channels");
+    }
+
+    #[test]
+    fn files_written_with_a_device_trace_flag_still_parse() {
+        // Trace files from before the device dropped its packet trace carry
+        // a `trace_enabled` flag in the device; the reader ignores it.
+        let trace = sample();
+        let old = trace.to_json().replace(
+            "\"double_bank\": false",
+            "\"double_bank\": false,\n    \"trace_enabled\": false",
+        );
+        assert_ne!(old, trace.to_json(), "the flag was spliced in");
+        assert_eq!(TraceFile::from_str(&old).expect("old file parses"), trace);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!   exact sums.
 //!
 //! A single-channel system is a transparent passthrough: every command,
-//! statistic, and trace record is bit-identical to driving the underlying
+//! statistic, and command record is bit-identical to driving the underlying
 //! [`rdram::Rdram`] directly, which is what keeps the committed campaign
 //! goldens stable when the topology axes sit at their defaults.
 //!

@@ -194,8 +194,6 @@ pub struct MemorySystem {
     /// Every accepted command with its global bank and delivery cycle,
     /// while recording.
     record: Option<Vec<CommandRecord>>,
-    /// Label awaiting the next issued command.
-    pending_label: Option<String>,
     /// Device-level faults, speaking global banks: busy and storm windows
     /// folded into [`earliest`](MemorySystem::earliest) and
     /// [`issue_at`](MemorySystem::issue_at), and the stalls, NACKs and
@@ -249,7 +247,6 @@ impl MemorySystem {
             banks_per_channel,
             topo,
             record: None,
-            pending_label: None,
             faults: FaultInjector::inert(),
             chaos: None,
             commands: 0,
@@ -298,8 +295,7 @@ impl MemorySystem {
         bank / self.banks_per_channel
     }
 
-    /// Channel `ch`'s device, for per-channel inspection (stats, buses,
-    /// traces).
+    /// Channel `ch`'s device, for per-channel inspection (stats, buses).
     ///
     /// # Panics
     ///
@@ -476,21 +472,6 @@ impl MemorySystem {
         }
     }
 
-    /// Attach a label to the events of the next issued command (see
-    /// [`Rdram::set_label`]); the router forwards it to whichever channel
-    /// that command lands on.
-    pub fn set_label(&mut self, label: impl Into<String>) {
-        self.pending_label = Some(label.into());
-    }
-
-    /// Take ownership of channel 0's recorded packet trace, if tracing is
-    /// enabled (the paper's timing-diagram figures run single-channel;
-    /// other channels' traces stay readable through
-    /// [`device`](MemorySystem::device)).
-    pub fn take_trace(&mut self) -> Option<rdram::trace::Trace> {
-        self.channels[0].take_trace()
-    }
-
     /// Extra delivery delay `cmd` pays to reach channel `ch`: the
     /// topology's ROW penalty for row commands, zero for column traffic.
     fn shift_of(&self, ch: usize, cmd: &Command) -> Cycle {
@@ -611,9 +592,6 @@ impl MemorySystem {
         let local = rebase(cmd, bank % self.banks_per_channel);
         let delivery = self.chaos_delivery(ch, cmd, start);
         let arrival = delivery.arrival;
-        if let Some(label) = self.pending_label.take() {
-            self.channels[ch].set_label(label);
-        }
         if !self.faults.is_empty() {
             let earliest = self
                 .faults

@@ -40,10 +40,6 @@ pub struct DeviceConfig {
     /// Model the "double bank" adjacency constraint of 16-bank cores, where
     /// two adjacent banks share sense amps and cannot be open simultaneously.
     pub double_bank: bool,
-    /// Record a packet-level trace of every bus reservation (needed to
-    /// regenerate the paper's Figures 5 and 6; off by default because traces
-    /// grow with every issued command).
-    pub trace_enabled: bool,
 }
 
 impl DeviceConfig {
@@ -104,7 +100,6 @@ impl Default for DeviceConfig {
             page_bytes: 1024,
             rows_per_bank: 1024,
             double_bank: false,
-            trace_enabled: false,
         }
     }
 }

@@ -5,7 +5,6 @@
 #![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
-use crate::trace::{Trace, TraceEvent, TraceKind, TraceUnit};
 use crate::{
     Bank, Bus, ColOp, Command, Cycle, DataBus, DeviceConfig, DeviceStats, Dir, Interval, Location,
     ProtocolError, RowOp, SenseAmps, Timing,
@@ -103,8 +102,6 @@ pub struct Rdram {
     /// Start of the most recent ACT per device (`tRR` is a per-device rule).
     last_act_dev: Vec<Option<Cycle>>,
     stats: DeviceStats,
-    trace: Option<Trace>,
-    next_label: Option<String>,
 }
 
 impl Rdram {
@@ -123,7 +120,6 @@ impl Rdram {
         if let Err(e) = cfg.validate() {
             panic!("invalid device configuration: {e}");
         }
-        let trace = cfg.trace_enabled.then(Trace::new);
         Rdram {
             banks: vec![Bank::new(); cfg.total_banks()],
             row_bus: Bus::new(),
@@ -131,8 +127,6 @@ impl Rdram {
             data_bus: DataBus::new(),
             last_act_dev: vec![None; cfg.devices],
             stats: DeviceStats::default(),
-            trace,
-            next_label: None,
             cfg,
         }
     }
@@ -169,24 +163,6 @@ impl Rdram {
     /// The DATA bus (for turnaround and utilization inspection).
     pub fn data_bus(&self) -> &DataBus {
         &self.data_bus
-    }
-
-    /// The recorded packet trace, if tracing is enabled.
-    pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
-    }
-
-    /// Take ownership of the recorded trace, leaving an empty one in place.
-    pub fn take_trace(&mut self) -> Option<Trace> {
-        self.trace.as_mut().map(std::mem::take)
-    }
-
-    /// Attach a label (e.g. `"ld x[0]"`) to the events of the next issued
-    /// command. Labels appear in rendered timing diagrams.
-    pub fn set_label(&mut self, label: impl Into<String>) {
-        if self.trace.is_some() {
-            self.next_label = Some(label.into());
-        }
     }
 
     /// What ROW work is needed before a COL access can reach `loc`.
@@ -293,7 +269,6 @@ impl Rdram {
             });
         }
         let t = self.cfg.timing;
-        let label = self.next_label.take();
         match cmd {
             Command::Row(RowOp::Activate { bank, row }) => {
                 if let SenseAmps::Open { row: open } = self.banks[*bank].amps() {
@@ -319,15 +294,6 @@ impl Rdram {
                 let dev = self.device_of(*bank);
                 self.last_act_dev[dev] = Some(start);
                 self.stats.activates += 1;
-                self.record(TraceEvent {
-                    interval: packet,
-                    unit: TraceUnit::RowBus,
-                    kind: TraceKind::Activate {
-                        bank: *bank,
-                        row: *row,
-                    },
-                    label,
-                });
                 Ok(Outcome {
                     cmd_packet: packet,
                     data: None,
@@ -341,12 +307,6 @@ impl Rdram {
                 self.row_bus.reserve(packet);
                 self.banks[*bank].record_precharge(start, &t);
                 self.stats.precharges += 1;
-                self.record(TraceEvent {
-                    interval: packet,
-                    unit: TraceUnit::RowBus,
-                    kind: TraceKind::Precharge { bank: *bank },
-                    label,
-                });
                 Ok(Outcome {
                     cmd_packet: packet,
                     data: None,
@@ -356,7 +316,7 @@ impl Rdram {
                 if self.banks[op.bank()].open_row().is_none() {
                     return Err(ProtocolError::BankClosed { bank: op.bank() });
                 }
-                Ok(self.issue_col(*op, *auto_precharge, start, label))
+                Ok(self.issue_col(*op, *auto_precharge, start))
             }
         }
     }
@@ -365,13 +325,7 @@ impl Rdram {
         clippy::arithmetic_side_effects,
         reason = "event counters, one increment per issued packet, bounded by the run length; busy cycles sum non-overlapping DATA packets"
     )]
-    fn issue_col(
-        &mut self,
-        op: ColOp,
-        auto_precharge: bool,
-        start: Cycle,
-        label: Option<String>,
-    ) -> Outcome {
+    fn issue_col(&mut self, op: ColOp, auto_precharge: bool, start: Cycle) -> Outcome {
         let t = self.cfg.timing;
         let bank = op.bank();
         let dir = op.dir();
@@ -403,23 +357,6 @@ impl Rdram {
         self.stats.turnarounds = self.data_bus.turnarounds();
         self.stats.data_busy_cycles += data.len();
 
-        let col_kind = match dir {
-            Dir::Read => TraceKind::ColRead { bank },
-            Dir::Write => TraceKind::ColWrite { bank },
-        };
-        self.record(TraceEvent {
-            interval: packet,
-            unit: TraceUnit::ColBus,
-            kind: col_kind,
-            label: label.clone(),
-        });
-        self.record(TraceEvent {
-            interval: data,
-            unit: TraceUnit::DataBus,
-            kind: TraceKind::Data { dir, bank },
-            label,
-        });
-
         if auto_precharge {
             // The PREX field of the COLX packet closes the page without
             // occupying the ROW bus; the precharge begins at the earliest
@@ -427,23 +364,11 @@ impl Rdram {
             let p = self.banks[bank].earliest_precharge(&t).max(start);
             self.banks[bank].record_precharge(p, &t);
             self.stats.auto_precharges += 1;
-            self.record(TraceEvent {
-                interval: Interval::with_len(p, t.t_rp),
-                unit: TraceUnit::RowBus,
-                kind: TraceKind::AutoPrecharge { bank },
-                label: None,
-            });
         }
 
         Outcome {
             cmd_packet: packet,
             data: Some(data),
-        }
-    }
-
-    fn record(&mut self, event: TraceEvent) {
-        if let Some(trace) = &mut self.trace {
-            trace.push(event);
         }
     }
 
@@ -741,32 +666,6 @@ mod tests {
         let e = dev.earliest(&pre, 0);
         assert_eq!(e, c + dev.timing().t_pack - dev.timing().t_cpol);
         dev.issue_at(&pre, e).unwrap();
-    }
-
-    #[test]
-    fn trace_records_when_enabled() {
-        let cfg = DeviceConfig {
-            trace_enabled: true,
-            ..DeviceConfig::default()
-        };
-        let mut dev = Rdram::new(cfg);
-        dev.set_label("ld x[0]");
-        issue(&mut dev, Command::activate(0, 0), 0);
-        issue(&mut dev, Command::read(0, 0), 0);
-        let trace = dev.trace().unwrap();
-        assert_eq!(trace.len(), 3); // ACT + COL + DATA
-        assert_eq!(trace.events()[0].label.as_deref(), Some("ld x[0]"));
-        let taken = dev.take_trace().unwrap();
-        assert_eq!(taken.len(), 3);
-        assert!(dev.trace().unwrap().is_empty());
-    }
-
-    #[test]
-    fn trace_absent_when_disabled() {
-        let mut dev = device();
-        issue(&mut dev, Command::activate(0, 0), 0);
-        assert!(dev.trace().is_none());
-        assert!(dev.take_trace().is_none());
     }
 
     #[test]

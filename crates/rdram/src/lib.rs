@@ -17,8 +17,6 @@
 //! * **CLI** (cacheline) and **PI** (page) address interleaving, see
 //!   [`AddressMap`];
 //! * open-page and closed-page policies via per-access auto-precharge;
-//! * an optional packet-level [`trace`] used to regenerate the paper's
-//!   Figures 5 and 6;
 //! * a byte-accurate [`MemoryImage`] so simulations can move real data, and
 //! * the paper's Figure 1 catalogue of conventional DRAM timing parameters
 //!   and the Rambus generations of its Section 2.2, in [`legacy`] (the
@@ -72,7 +70,6 @@ pub mod sink;
 mod stats;
 mod storage;
 mod timing;
-pub mod trace;
 
 pub use address::{AddressMap, Interleave, Location};
 pub use bank::{Bank, SenseAmps};

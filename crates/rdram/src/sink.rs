@@ -1,12 +1,11 @@
 //! The record of one issued command.
 //!
-//! The packet-level [`trace`](crate::trace) module records bus occupancy for
-//! rendering timing diagrams; a [`CommandRecord`] records the *command
-//! itself*, so external tools — most importantly the `checker` crate's
-//! timing-conformance analyzer — can replay and audit the schedule. The
-//! `memsys` crate's memory system keeps one per accepted command, so
-//! MSU-scheduled, baseline, speculative, and refresh commands are all
-//! recorded in one place.
+//! A [`CommandRecord`] records the *command itself*, so external tools —
+//! the `checker` crate's timing-conformance analyzer, the `telemetry`
+//! crate's timeline replay and its timing-diagram renderer — can replay and
+//! audit the schedule. The `memsys` crate's memory system keeps one per
+//! accepted command, so MSU-scheduled, baseline, speculative, and refresh
+//! commands are all recorded in one place.
 
 use serde::{Deserialize, Serialize};
 

@@ -288,7 +288,9 @@ run parameters (one per campaign axis, same names and values):
   chaos       ';'-separated channel-fault clauses from
               brownout:<ch>:<from>:<len>:<mult>, outage:<ch>:<from>:<len>
               and devfail:<ch>:<dev>:<from>:<mult>; in a serve the windows
-              slide to each request's submission",
+              slide to each request's submission. A faults or chaos clause
+              naming a bank, channel or device the system lacks fails the
+              run",
         kernels.join("|")
     ));
     out
@@ -1046,6 +1048,31 @@ mod tests {
         assert!(parse(&args("--placement warp"))
             .unwrap_err()
             .starts_with("--placement: "));
+        // A clause aimed at a bank, device or channel the system lacks
+        // parses (each flag is probed on a one-channel point), then fails
+        // the run, naming the clause, instead of running inert.
+        let run = "--kernel copy --n 256 --memory cli --order smc --fifo 32";
+        let two = "--channels 2 --placement interleaved:1024";
+        for (line, clause) in [
+            ("--faults busy:99:100:50", "`busy:99:100:50`"),
+            ("--chaos devfail:0:3:0:4", "`devfail:0:3:0:4`"),
+            (
+                &format!("{two} --chaos outage:2:0:5000"),
+                "`outage:2:0:5000`",
+            ),
+        ] {
+            let job = parse(&args(&format!("{run} {line}"))).unwrap();
+            let err = execute(&job).unwrap_err();
+            assert!(err.contains(clause), "{line}: {err}");
+            assert!(err.contains("which the system lacks"), "{line}: {err}");
+        }
+        let job = parse(&args(&format!("{run} {two} --chaos outage:1:0:5000"))).unwrap();
+        assert!(execute(&job).is_ok(), "channel 1 of 2 exists");
+        let err = run_serve_cmd(&args(&format!(
+            "--tenants ls:1:copy:64 {two} --chaos outage:2:0:500"
+        )))
+        .unwrap_err();
+        assert!(err.contains("`outage:2:0:500`"), "{err}");
     }
 
     #[test]

@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 
 use analytic::Organization;
 use baseline::LinePolicy;
-use faults::FaultInjector;
+use faults::{FaultClause, FaultInjector};
 use memsys::{Placement, SystemMap, Topology};
 use rdram::{AddressMap, Cycle, DeviceConfig, Interleave};
 use smc::{PagePolicy, Policy};
@@ -126,8 +126,6 @@ pub struct SystemConfig {
     /// conflict misses and dirty evictions) instead of the paper's
     /// idealized per-stream line buffers.
     pub cache: Option<baseline::cache::CacheConfig>,
-    /// Record a packet trace (needed for the timing-diagram figures).
-    pub trace: bool,
     /// Record every issued command with the cycle the memory system
     /// delivered it at (its launch cycle unless a chaos plan deferred or
     /// stretched it), exposing the stream on
@@ -177,9 +175,9 @@ pub struct SystemConfig {
     /// channel-scoped clauses — runs healthy and is provably inert.
     #[serde(default)]
     pub chaos: Option<faults::FaultPlan>,
-    /// Seed forwarded to the chaos injector (channel-scoped clauses are
-    /// deterministic windows, but the injector carries one for its
-    /// duty-cycle draws).
+    /// Seed the chaos injector is built with. Every channel clause is a
+    /// deterministic window that draws nothing from it, so today two runs
+    /// differing only in this seed are identical.
     #[serde(default)]
     pub chaos_seed: u64,
 }
@@ -208,7 +206,6 @@ impl SystemConfig {
             refresh: false,
             write_allocate: false,
             cache: None,
-            trace: false,
             record_commands: false,
             check_conformance: cfg!(debug_assertions),
             verify: true,
@@ -252,13 +249,15 @@ impl SystemConfig {
     }
 
     /// The address map and memory system this configuration describes:
-    /// the device, address map, topology and placement validated, packet
-    /// tracing per [`Self::trace`], the device-level [`Self::faults`] plan
-    /// and the channel-scoped clauses of [`Self::chaos`] attached.
+    /// the device, address map, topology and placement validated, and the
+    /// device-level [`Self::faults`] plan and the channel-scoped clauses of
+    /// [`Self::chaos`] attached.
     ///
     /// # Errors
     ///
-    /// [`SimError::Config`] naming the first invalid part.
+    /// [`SimError::Config`] naming the first invalid part, or the first
+    /// fault or chaos clause aimed at a bank, channel or device the system
+    /// lacks (such a clause would run silently inert).
     pub fn build_memory(&self) -> Result<(SystemMap, memsys::MemorySystem), SimError> {
         let invalid = |what: &str, e: String| SimError::Config(format!("invalid {what}: {e}"));
         self.device
@@ -274,9 +273,16 @@ impl SystemConfig {
             SystemMap::new(inner, &self.device, &topo, self.placement)
                 .map_err(|e| invalid("placement", e))?
         };
-        let mut device = self.device.clone();
-        device.trace_enabled = self.trace;
-        let mut dev = memsys::MemorySystem::new(device, topo);
+        for (plan, kind) in [(&self.faults, "fault"), (&self.chaos, "chaos")] {
+            for clause in plan.iter().flat_map(|p| &p.clauses) {
+                if let Some(missing) = self.missing_target(clause) {
+                    return Err(SimError::Config(format!(
+                        "{kind} clause `{clause}` names {missing}"
+                    )));
+                }
+            }
+        }
+        let mut dev = memsys::MemorySystem::new(self.device.clone(), topo);
         if let Some(plan) = self.faults.as_ref().filter(|p| !p.is_empty()) {
             dev.set_faults(FaultInjector::new(plan, self.fault_seed));
         }
@@ -284,6 +290,34 @@ impl SystemConfig {
             dev.set_chaos(FaultInjector::new(plan, self.chaos_seed));
         }
         Ok((map, dev))
+    }
+
+    /// The bank, channel or device `clause` names that this system lacks,
+    /// if any.
+    fn missing_target(&self, clause: &FaultClause) -> Option<String> {
+        let (what, index, count) = match *clause {
+            FaultClause::BankBusy {
+                bank: Some(bank), ..
+            } => ("bank", bank, self.channels * self.device.total_banks()),
+            FaultClause::ChannelBrownout { channel, .. }
+            | FaultClause::ChannelOutage { channel, .. } => ("channel", channel, self.channels),
+            FaultClause::DeviceFail {
+                channel, device, ..
+            } => {
+                if channel >= self.channels {
+                    ("channel", channel, self.channels)
+                } else {
+                    ("device", device, self.device.devices)
+                }
+            }
+            FaultClause::BankBusy { bank: None, .. }
+            | FaultClause::DataNack { .. }
+            | FaultClause::RefreshStorm { .. }
+            | FaultClause::Stall { .. } => return None,
+        };
+        let per = if what == "device" { " per channel" } else { "" };
+        (index >= count)
+            .then(|| format!("{what} {index}, which the system lacks ({what}s{per}: {count})"))
     }
 
     /// Replace the vector alignment.
@@ -301,12 +335,6 @@ impl SystemConfig {
     /// Enable speculative next-page activation in the MSU.
     pub fn with_speculation(mut self) -> Self {
         self.speculative = true;
-        self
-    }
-
-    /// Enable packet tracing.
-    pub fn with_trace(mut self) -> Self {
-        self.trace = true;
         self
     }
 
@@ -376,11 +404,11 @@ mod tests {
             .with_alignment(Alignment::Aligned)
             .with_policy(Policy::BankAware)
             .with_speculation()
-            .with_trace();
+            .with_command_recording();
         assert_eq!(cfg.ordering, AccessOrder::Smc { fifo_depth: 32 });
         assert_eq!(cfg.alignment, Alignment::Aligned);
         assert_eq!(cfg.policy, Policy::BankAware);
-        assert!(cfg.speculative && cfg.trace && cfg.verify);
+        assert!(cfg.speculative && cfg.record_commands && cfg.verify);
     }
 
     #[test]

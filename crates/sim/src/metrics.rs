@@ -50,16 +50,12 @@ impl RunTelemetry {
         run: &RunResult,
         events: Vec<Event>,
     ) -> Self {
-        let channels = channels.max(1);
         let banks_per_channel = device.total_banks();
-        let timelines: Vec<Timeline> = if channels > 1 {
+        let timelines: Vec<Timeline> =
             memsys::split_by_channel(&run.commands, channels, banks_per_channel)
                 .iter()
                 .map(|local| Timeline::from_commands(device, local))
-                .collect()
-        } else {
-            vec![Timeline::from_commands(device, &run.commands)]
-        };
+                .collect();
         // The scalar counters come from the binding table (see
         // `counters.rs`); bank residency, event counts and the
         // histograms are filled here.
@@ -105,40 +101,36 @@ impl RunTelemetry {
         // total is `channels x cycles`. Fault incidents naming a bank are
         // routed to its channel; incidents with no bank land on channel 0
         // so they are counted exactly once.
-        let attribution = if channels > 1 {
-            let parts: Vec<CycleAttribution> = timelines
-                .iter()
-                .enumerate()
-                .map(|(ch, tl)| {
-                    let local_events: Vec<Event> = events
-                        .iter()
-                        .filter_map(|e| match *e {
-                            Event::InjectedStall { cycle } => {
-                                (ch == 0).then_some(Event::InjectedStall { cycle })
-                            }
-                            Event::DataNack { cycle, bank } => match bank {
-                                Some(b) if b / banks_per_channel == ch => Some(Event::DataNack {
-                                    cycle,
-                                    bank: Some(b % banks_per_channel),
-                                }),
-                                Some(_) => None,
-                                None => (ch == 0).then_some(Event::DataNack { cycle, bank: None }),
-                            },
-                            Event::FifoDepth { .. }
-                            | Event::FifoSwitch { .. }
-                            | Event::BankDegraded { .. }
-                            | Event::SpeculativeActivate { .. }
-                            | Event::Refresh { .. }
-                            | Event::WatchdogTrip { .. } => None,
-                        })
-                        .collect();
-                    CycleAttribution::from_run(device, tl, &local_events, run.cycles)
-                })
-                .collect();
-            CycleAttribution::merge(&parts)
-        } else {
-            CycleAttribution::from_run(device, &timelines[0], &events, run.cycles)
-        };
+        let parts: Vec<CycleAttribution> = timelines
+            .iter()
+            .enumerate()
+            .map(|(ch, tl)| {
+                let local_events: Vec<Event> = events
+                    .iter()
+                    .filter_map(|e| match *e {
+                        Event::InjectedStall { cycle } => {
+                            (ch == 0).then_some(Event::InjectedStall { cycle })
+                        }
+                        Event::DataNack { cycle, bank } => match bank {
+                            Some(b) if b / banks_per_channel == ch => Some(Event::DataNack {
+                                cycle,
+                                bank: Some(b % banks_per_channel),
+                            }),
+                            Some(_) => None,
+                            None => (ch == 0).then_some(Event::DataNack { cycle, bank: None }),
+                        },
+                        Event::FifoDepth { .. }
+                        | Event::FifoSwitch { .. }
+                        | Event::BankDegraded { .. }
+                        | Event::SpeculativeActivate { .. }
+                        | Event::Refresh { .. }
+                        | Event::WatchdogTrip { .. } => None,
+                    })
+                    .collect();
+                CycleAttribution::from_run(device, tl, &local_events, run.cycles)
+            })
+            .collect();
+        let attribution = CycleAttribution::merge(&parts);
         Sources {
             attribution: Some(*attribution.global()),
             ..Sources::run(run)

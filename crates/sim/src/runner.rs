@@ -9,9 +9,7 @@ use serde::Serialize;
 
 use baseline::{BaselineController, BaselineResult};
 use kernels::{Coefficients, Kernel, ReferenceMachine};
-use rdram::{
-    trace::Trace, CommandRecord, Cycle, DeviceConfig, DeviceStats, MemoryImage, WORDS_PER_PACKET,
-};
+use rdram::{CommandRecord, Cycle, DeviceConfig, DeviceStats, MemoryImage, WORDS_PER_PACKET};
 use smc::{MsuConfig, MsuStats, SmcController};
 
 use crate::metrics::RunTelemetry;
@@ -40,9 +38,6 @@ pub struct RunResult {
     pub msu_stats: Option<MsuStats>,
     /// Controller summary, for natural-order runs.
     pub baseline: Option<BaselineResult>,
-    /// Packet trace, when tracing was enabled.
-    #[serde(skip)]
-    pub trace: Option<Trace>,
     /// Every issued command with the cycle the memory system delivered it
     /// at, when [`SystemConfig::record_commands`](crate::SystemConfig) was
     /// set (always captured in conformance-checked and telemetered runs).
@@ -397,7 +392,6 @@ impl Session {
             } else {
                 Vec::new()
             },
-            trace: self.dev.take_trace(),
             commands,
             telemetry: None,
             t_pack: self.dev.timing().t_pack,
@@ -639,14 +633,6 @@ mod tests {
             direct < 0.5 * ideal,
             "conflict thrash: {direct} !< half of {ideal}"
         );
-    }
-
-    #[test]
-    fn traces_are_captured_on_request() {
-        let cfg = SystemConfig::natural_order(CLI).with_trace();
-        let r = run_kernel(Kernel::Triad, 32, 1, &cfg).expect("fault-free run");
-        let trace = r.trace.expect("trace requested");
-        assert!(!trace.is_empty());
     }
 
     #[test]

@@ -195,13 +195,16 @@ pub fn validate_mix(mix: &TenantMix) -> Result<(), String> {
 /// incidents for starvation trips and absorbed executor failures), and the
 /// executor's per-channel fault accounting summed over every request
 /// (all-zero when `base` carries no active chaos plan). Tracing never
-/// perturbs the report.
+/// perturbs the report. A mix naming an unknown kernel, or a `base` whose
+/// memory system does not build (a fault clause aimed at a missing bank,
+/// say), fails before the first dispatch.
 pub fn run_serve_chaos(
     mix: &TenantMix,
     cfg: &ServeConfig,
     base: &SystemConfig,
 ) -> Result<(ServeReport, ServeTrace, memsys::ChannelFaultStats), String> {
     validate_mix(mix)?;
+    base.build_memory().map_err(|e| e.to_string())?;
     let exec = SimExecutor::new(base.clone());
     let mut trace = ServeTrace::new();
     let report = serve_traced(mix, cfg, &exec, Some(&mut trace)).map_err(|e| e.to_string())?;

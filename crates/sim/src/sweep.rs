@@ -217,6 +217,14 @@ mod tests {
         );
         // Errors surface as structured outcomes, not panics.
         assert!(matches!(run_point(&bad_kernel), Outcome::Error(_)));
+        // A clause aimed at a bank the system lacks fails the point.
+        let missing_bank = RunPoint {
+            faults: "busy:99:100:50".into(),
+            ..good.clone()
+        };
+        assert!(
+            matches!(run_point(&missing_bank), Outcome::Error(e) if e.contains("`busy:99:100:50`"))
+        );
     }
 
     #[test]

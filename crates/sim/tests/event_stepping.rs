@@ -130,17 +130,23 @@ fn check_point(
     (got, cycles, ticks)
 }
 
-/// Fault plans crossed with every point: none, NACK storms, busy banks
-/// with controller stalls, and one channel-chaos plan.
-fn plans() -> Vec<(Option<FaultPlan>, Option<FaultPlan>)> {
+/// Fault plans crossed with every point on `channels` channels: none, NACK
+/// storms, busy banks with controller stalls, and one channel-chaos plan,
+/// whose channel-1 outage joins only when there is a channel 1.
+fn plans(channels: usize) -> Vec<(Option<FaultPlan>, Option<FaultPlan>)> {
     let plan = |spec: &str| Some(FaultPlan::parse(spec).expect("valid plan"));
+    let outage = if channels > 1 {
+        ";outage:1:200:300"
+    } else {
+        ""
+    };
     vec![
         (None, None),
         (plan("nack:50:8"), None),
         (plan("busy:*:256:16;stall:1024:32"), None),
         (
             None,
-            plan("brownout:0:64:512:3;outage:1:200:300;devfail:0:0:400:2"),
+            plan(&format!("brownout:0:64:512:3{outage};devfail:0:0:400:2")),
         ),
     ]
 }
@@ -158,7 +164,7 @@ fn check_kernel(kernel: Kernel) {
         for stride in [1, 4, 16] {
             for schedule in 0..3 {
                 for channels in [1, 2] {
-                    for (faults, chaos) in plans() {
+                    for (faults, chaos) in plans(channels) {
                         let mut cfg = SystemConfig::natural_order(memory);
                         cfg.write_allocate = schedule == 1;
                         cfg.cache = (schedule == 2).then(baseline::cache::CacheConfig::i860xp);

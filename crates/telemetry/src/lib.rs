@@ -24,6 +24,9 @@
 //!   windows, yielding [`DerivedCounts`] that must
 //!   [`reconcile`] with the device's own
 //!   [`rdram::DeviceStats`] — an end-to-end audit of the accounting.
+//! * [`diagram`] — renders one channel's command record as an ASCII packet
+//!   timing diagram (the paper's Figures 5 and 6), placing each packet
+//!   with the same per-record replay step as [`timeline`].
 //! * [`perfetto`] — exports a timeline as Chrome trace-event JSON loadable
 //!   in `ui.perfetto.dev`, one track per bank, bus, and FIFO, plus a
 //!   structural [`validate`](perfetto::validate) checker.
@@ -42,6 +45,7 @@
 
 pub mod attribution;
 pub mod catalog;
+pub mod diagram;
 pub mod event;
 pub mod exposition;
 pub mod perfetto;

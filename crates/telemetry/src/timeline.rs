@@ -10,7 +10,7 @@
 //! of the accounting: any divergence means either the replay or the device
 //! mis-models the protocol.
 
-use rdram::{Command, CommandRecord, Cycle, DeviceConfig, DeviceStats, Dir, RowOp};
+use rdram::{Command, CommandRecord, Cycle, DeviceConfig, DeviceStats, Dir, RowOp, Timing};
 
 /// What a bank is doing during a [`Span`]. Idle time is represented by the
 /// absence of a span, not a state.
@@ -181,8 +181,117 @@ struct BankReplay {
     row: u64,
     act_start: Cycle,
     last_act: Option<Cycle>,
-    last_col_end: Option<Cycle>,
     cols_since_act: u64,
+}
+
+/// What replaying one command record did.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Step {
+    /// The command packet: ROW bus for ACT and PRER, COL bus for RD and WR.
+    pub(crate) command: BusSpan,
+    /// The DATA packet of a RD or WR.
+    pub(crate) data: Option<BusSpan>,
+    /// First cycle of a COL's auto-precharge, which holds the bank for
+    /// `tRP` cycles without occupying a bus.
+    pub(crate) auto_precharge: Option<Cycle>,
+    /// A COL to a page an earlier COL since its ACT already used.
+    hit: bool,
+    /// A read DATA packet directly after a write one.
+    turnaround: bool,
+    /// Residency of the bank a PRER or auto-precharge closed.
+    closed: [Option<Span>; 3],
+}
+
+/// Replays one channel's command record a record at a time against its
+/// timing: the step [`Timeline::from_commands`] and the
+/// [`diagram`](crate::diagram) renderer share.
+#[derive(Debug, Clone)]
+pub(crate) struct Replay {
+    t: Timing,
+    banks: Vec<BankReplay>,
+    last_data_dir: Option<Dir>,
+}
+
+impl Replay {
+    pub(crate) fn new(cfg: &DeviceConfig) -> Self {
+        Replay {
+            t: cfg.timing,
+            banks: vec![BankReplay::default(); cfg.total_banks()],
+            last_data_dir: None,
+        }
+    }
+
+    /// Replay `rec`, or `None` when its bank lies outside the channel.
+    ///
+    /// Records arrive in issue order; per bus that order is also
+    /// reservation order, and per bank it is chronological — both
+    /// guaranteed by the device, which validates every command before
+    /// reporting it.
+    pub(crate) fn step(&mut self, rec: &CommandRecord) -> Option<Step> {
+        let t = self.t;
+        let c = rec.cycle;
+        let bank = rec.cmd.bank();
+        let b = self.banks.get_mut(bank)?;
+        // A PRER keeps this command op; an ACT or COL replaces it below.
+        let mut step = Step {
+            command: BusSpan {
+                start: c,
+                end: c + t.t_pack,
+                op: BusOp::Precharge { bank },
+            },
+            data: None,
+            auto_precharge: None,
+            hit: false,
+            turnaround: false,
+            closed: [None; 3],
+        };
+        match rec.cmd {
+            Command::Row(RowOp::Activate { row, .. }) => {
+                step.command.op = BusOp::Activate { bank, row };
+                *b = BankReplay {
+                    open: true,
+                    row,
+                    act_start: c,
+                    last_act: Some(c),
+                    cols_since_act: 0,
+                };
+            }
+            Command::Row(RowOp::Precharge { .. }) => {
+                step.closed = close_bank(b, c, t.t_rcd, t.t_rp);
+            }
+            Command::Col { op, auto_precharge } => {
+                let dir = op.dir();
+                let delay = match dir {
+                    Dir::Read => t.read_data_delay(),
+                    Dir::Write => t.write_data_delay(),
+                };
+                step.command.op = match dir {
+                    Dir::Read => BusOp::ColRead { bank },
+                    Dir::Write => BusOp::ColWrite { bank },
+                };
+                step.data = Some(BusSpan {
+                    start: c + delay,
+                    end: c + delay + t.t_pack,
+                    op: BusOp::Data { dir, bank },
+                });
+                step.turnaround = self.last_data_dir == Some(Dir::Write) && dir == Dir::Read;
+                self.last_data_dir = Some(dir);
+                step.hit = b.cols_since_act > 0;
+                b.cols_since_act += 1;
+                if auto_precharge {
+                    // The device starts the hidden precharge at the
+                    // earliest legal cycle after the access: tRAS after
+                    // the ACT, overlapping the COL packet by <= tCPOL.
+                    let tras_bound = b.last_act.map_or(0, |a| a + t.t_ras);
+                    let col_bound = (c + t.t_pack).saturating_sub(t.t_cpol);
+                    let p = tras_bound.max(col_bound).max(c);
+                    step.auto_precharge = Some(p);
+                    step.closed = close_bank(b, p, t.t_rcd, t.t_rp);
+                }
+            }
+        }
+        Some(step)
+    }
 }
 
 /// A full cycle-resolved reconstruction of one run.
@@ -200,126 +309,55 @@ impl Timeline {
     /// Replay `records` (one channel's command record) against the timing
     /// in `cfg`.
     ///
-    /// Records arrive in issue order; per bus that order is also
-    /// reservation order, and per bank it is chronological — both
-    /// guaranteed by the device, which validates every command before
-    /// reporting it. Malformed input (out-of-range banks) is skipped rather
-    /// than panicking: the replay is a diagnostic tool and must never take
-    /// the simulator down.
+    /// Malformed input (out-of-range banks) is skipped rather than
+    /// panicking: the replay is a diagnostic tool and must never take the
+    /// simulator down.
     pub fn from_commands(cfg: &DeviceConfig, records: &[CommandRecord]) -> Self {
-        let t = cfg.timing;
-        let nbanks = cfg.total_banks();
         let mut tl = Timeline {
-            banks: vec![Vec::new(); nbanks],
+            banks: vec![Vec::new(); cfg.total_banks()],
             ..Timeline::default()
         };
-        let mut replay: Vec<BankReplay> = vec![BankReplay::default(); nbanks];
-        let mut last_data_dir: Option<Dir> = None;
-
+        let mut replay = Replay::new(cfg);
         for rec in records {
-            let bank = rec.cmd.bank();
-            if bank >= nbanks {
+            let Some(step) = replay.step(rec) else {
                 continue;
-            }
-            let c = rec.cycle;
-            match rec.cmd {
-                Command::Row(RowOp::Activate { row, .. }) => {
-                    tl.row_bus.push(BusSpan {
-                        start: c,
-                        end: c + t.t_pack,
-                        op: BusOp::Activate { bank, row },
-                    });
-                    let b = &mut replay[bank];
-                    b.open = true;
-                    b.row = row;
-                    b.act_start = c;
-                    b.last_act = Some(c);
-                    b.last_col_end = None;
-                    b.cols_since_act = 0;
-                    tl.counts.activates += 1;
-                    tl.horizon = tl.horizon.max(c + t.t_pack);
-                }
-                Command::Row(RowOp::Precharge { .. }) => {
-                    tl.row_bus.push(BusSpan {
-                        start: c,
-                        end: c + t.t_pack,
-                        op: BusOp::Precharge { bank },
-                    });
-                    tl.counts.precharges += 1;
-                    let spans = close_bank(&mut replay[bank], c, t.t_rcd, t.t_rp);
-                    tl.push_bank_spans(bank, spans);
-                }
-                Command::Col { op, auto_precharge } => {
-                    let dir = op.dir();
-                    tl.col_bus.push(BusSpan {
-                        start: c,
-                        end: c + t.t_pack,
-                        op: match dir {
-                            Dir::Read => BusOp::ColRead { bank },
-                            Dir::Write => BusOp::ColWrite { bank },
-                        },
-                    });
-                    let delay = match dir {
-                        Dir::Read => t.read_data_delay(),
-                        Dir::Write => t.write_data_delay(),
+            };
+            let command = step.command;
+            match step.data {
+                Some(data) => {
+                    tl.col_bus.push(command);
+                    tl.data_bus.push(data);
+                    tl.counts.data_busy_cycles += data.end - data.start;
+                    tl.counts.turnarounds += u64::from(step.turnaround);
+                    let (packets, hits) = if matches!(command.op, BusOp::ColRead { .. }) {
+                        (&mut tl.counts.read_packets, &mut tl.counts.read_hits)
+                    } else {
+                        (&mut tl.counts.write_packets, &mut tl.counts.write_hits)
                     };
-                    tl.data_bus.push(BusSpan {
-                        start: c + delay,
-                        end: c + delay + t.t_pack,
-                        op: BusOp::Data { dir, bank },
-                    });
-                    tl.counts.data_busy_cycles += t.t_pack;
-                    if last_data_dir == Some(Dir::Write) && dir == Dir::Read {
-                        tl.counts.turnarounds += 1;
-                    }
-                    last_data_dir = Some(dir);
-
-                    let is_hit = replay[bank].cols_since_act > 0;
-                    match dir {
-                        Dir::Read => {
-                            tl.counts.read_packets += 1;
-                            if is_hit {
-                                tl.counts.read_hits += 1;
-                            }
-                        }
-                        Dir::Write => {
-                            tl.counts.write_packets += 1;
-                            if is_hit {
-                                tl.counts.write_hits += 1;
-                            }
-                        }
-                    }
-                    {
-                        let b = &mut replay[bank];
-                        b.last_col_end = Some(c + t.t_pack);
-                        b.cols_since_act += 1;
-                    }
-                    tl.horizon = tl.horizon.max(c + delay + t.t_pack);
-
-                    if auto_precharge {
-                        // The device starts the hidden precharge at the
-                        // earliest legal cycle after the access: tRAS after
-                        // the ACT, overlapping the COL packet by <= tCPOL.
-                        let b = replay[bank];
-                        let tras_bound = b.last_act.map_or(0, |a| a + t.t_ras);
-                        let col_bound = (c + t.t_pack).saturating_sub(t.t_cpol);
-                        let p = tras_bound.max(col_bound).max(c);
-                        tl.counts.auto_precharges += 1;
-                        let spans = close_bank(&mut replay[bank], p, t.t_rcd, t.t_rp);
-                        tl.push_bank_spans(bank, spans);
-                    }
+                    *packets += 1;
+                    *hits += u64::from(step.hit);
+                    tl.horizon = tl.horizon.max(data.end);
+                    tl.counts.auto_precharges += u64::from(step.auto_precharge.is_some());
+                }
+                None if matches!(command.op, BusOp::Activate { .. }) => {
+                    tl.row_bus.push(command);
+                    tl.counts.activates += 1;
+                    tl.horizon = tl.horizon.max(command.end);
+                }
+                None => {
+                    tl.row_bus.push(command);
+                    tl.counts.precharges += 1;
                 }
             }
+            tl.push_bank_spans(command.op.bank(), step.closed);
         }
 
         // Banks still open at the end of the stream stay resident until the
         // horizon (they were never precharged).
         let horizon = tl.horizon;
-        for (bank, b) in replay.iter_mut().enumerate() {
-            if b.open {
-                let spans = open_residency(b, horizon, t.t_rcd);
-                tl.push_bank_spans(bank, spans);
-            }
+        for (bank, b) in replay.banks.iter_mut().enumerate() {
+            let spans = open_residency(b, horizon, replay.t.t_rcd);
+            tl.push_bank_spans(bank, spans);
         }
         tl
     }

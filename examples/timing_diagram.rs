@@ -7,7 +7,6 @@
 //! ```
 
 use kernels::Kernel;
-use rdram::trace;
 use sim::experiments::fig56;
 use sim::{run_kernel, MemorySystem, SystemConfig};
 
@@ -17,12 +16,11 @@ fn main() {
 
     // The same stream population through the SMC: triad has the identical
     // 2-read / 1-write signature. Note the bus staying saturated.
-    let cfg = SystemConfig::smc(MemorySystem::CacheLineInterleaved, 32).with_trace();
+    let cfg = SystemConfig::smc(MemorySystem::CacheLineInterleaved, 32).with_command_recording();
     let result = run_kernel(Kernel::Triad, 16, 1, &cfg).expect("fault-free run");
-    let t = result.trace.expect("trace enabled");
     println!(
         "Same loop through the SMC (CLI, 32-deep FIFOs): accesses reordered\n\
          per stream, DATA bus saturated\n\n{}",
-        trace::render(&t, 0, 160.min(t.end_cycle()))
+        telemetry::diagram::render(&cfg.device, &result.commands, &[], 0, 160)
     );
 }

@@ -1,121 +1,47 @@
-//! Protocol invariants checked from recorded packet traces.
+//! Protocol invariants checked on recorded command streams.
 //!
-//! These tests re-verify, from the *outside*, the timing rules the device
-//! enforces internally: bus exclusivity, ACT spacing, activate-to-column
-//! delay, and the write-to-read turnaround — across both controllers and
-//! both memory organizations.
-
-use std::collections::BTreeMap;
+//! Every run here sets `check_conformance`, so `run_kernel` replays its
+//! command record through the `checker` crate's rules in every build and
+//! fails on any violation. Among them are the rules these tests re-verify
+//! from the outside: bus exclusivity (`row-bus-overlap`,
+//! `col-bus-overlap`, `data-bus-overlap`), ACT spacing (`tRR`, `tRC`),
+//! activate-to-column delay (`tRCD`) and the write-to-read `turnaround`,
+//! across both controllers and both memory organizations.
 
 use kernels::Kernel;
-use rdram::trace::{Trace, TraceKind, TraceUnit};
-use rdram::{Dir, Timing};
+use rdram::{Command, CommandRecord};
 use sim::{run_kernel, MemorySystem, SystemConfig};
 
-fn traced(kernel: Kernel, n: u64, cfg: &SystemConfig) -> Trace {
-    let cfg = cfg.clone().with_trace();
-    run_kernel(kernel, n, 1, &cfg)
-        .expect("fault-free run")
-        .trace
-        .expect("trace requested")
-}
-
-fn check_invariants(trace: &Trace, t: &Timing) {
-    let mut lane_end: BTreeMap<&'static str, u64> = BTreeMap::new();
-    let mut last_act_any: Option<u64> = None;
-    let mut last_act_bank: BTreeMap<usize, u64> = BTreeMap::new();
-    let mut col_ok_bank: BTreeMap<usize, u64> = BTreeMap::new();
-    let mut last_write_data_end: Option<u64> = None;
-
-    for e in trace.events() {
-        let lane = match e.unit {
-            TraceUnit::RowBus => "row",
-            TraceUnit::ColBus => "col",
-            TraceUnit::DataBus => "data",
-        };
-        // Auto-precharge events are recorded for visualization only; they
-        // occupy no bus.
-        if !matches!(e.kind, TraceKind::AutoPrecharge { .. }) {
-            let end = lane_end.entry(lane).or_insert(0);
-            assert!(
-                e.interval.start >= *end,
-                "{lane} bus overlap at cycle {}: {e:?}",
-                e.interval.start
-            );
-            *end = e.interval.end;
-        }
-        match e.kind {
-            TraceKind::Activate { bank, .. } => {
-                if let Some(prev) = last_act_any {
-                    assert!(
-                        e.interval.start >= prev + t.t_rr,
-                        "tRR violated: ACTs at {prev} and {}",
-                        e.interval.start
-                    );
-                }
-                if let Some(prev) = last_act_bank.get(&bank) {
-                    assert!(
-                        e.interval.start >= prev + t.t_rc,
-                        "tRC violated on bank {bank}: ACTs at {prev} and {}",
-                        e.interval.start
-                    );
-                }
-                last_act_any = Some(e.interval.start);
-                last_act_bank.insert(bank, e.interval.start);
-                col_ok_bank.insert(bank, e.interval.start + t.t_rcd + 1);
-            }
-            TraceKind::ColRead { bank } | TraceKind::ColWrite { bank } => {
-                let ok = col_ok_bank.get(&bank).copied().unwrap_or(u64::MAX);
-                assert!(
-                    e.interval.start >= ok,
-                    "COL to bank {bank} at {} before ACT+tRCD+1 ({ok})",
-                    e.interval.start
-                );
-            }
-            TraceKind::Data { dir, .. } => {
-                if dir == Dir::Read {
-                    if let Some(wend) = last_write_data_end {
-                        assert!(
-                            e.interval.start >= wend + t.t_rw || e.interval.start + t.t_rw <= wend,
-                            "turnaround violated: write data ended {wend}, read \
-                             data starts {}",
-                            e.interval.start
-                        );
-                    }
-                } else {
-                    last_write_data_end = Some(e.interval.end);
-                }
-            }
-            TraceKind::Precharge { .. } | TraceKind::AutoPrecharge { .. } => {}
-        }
-    }
+/// The command record of a run the conformance checker passed.
+fn audited(kernel: Kernel, n: u64, stride: u64, cfg: &SystemConfig) -> Vec<CommandRecord> {
+    let mut cfg = cfg.clone().with_command_recording();
+    cfg.check_conformance = true;
+    run_kernel(kernel, n, stride, &cfg)
+        .unwrap_or_else(|e| panic!("{kernel} {:?}: {e}", cfg.memory))
+        .commands
 }
 
 #[test]
 fn smc_traces_respect_the_protocol() {
-    let t = Timing::default();
     for memory in [
         MemorySystem::CacheLineInterleaved,
         MemorySystem::PageInterleaved,
     ] {
         for kernel in [Kernel::Copy, Kernel::Daxpy, Kernel::Vaxpy, Kernel::Swap] {
-            let trace = traced(kernel, 128, &SystemConfig::smc(memory, 32));
-            assert!(trace.len() > 100, "{kernel} {memory:?} trace too small");
-            check_invariants(&trace, &t);
+            let commands = audited(kernel, 128, 1, &SystemConfig::smc(memory, 32));
+            assert!(commands.len() > 100, "{kernel} {memory:?} record too small");
         }
     }
 }
 
 #[test]
 fn natural_order_traces_respect_the_protocol() {
-    let t = Timing::default();
     for memory in [
         MemorySystem::CacheLineInterleaved,
         MemorySystem::PageInterleaved,
     ] {
         for kernel in [Kernel::Copy, Kernel::Hydro] {
-            let trace = traced(kernel, 128, &SystemConfig::natural_order(memory));
-            check_invariants(&trace, &t);
+            audited(kernel, 128, 1, &SystemConfig::natural_order(memory));
         }
     }
 }
@@ -142,33 +68,31 @@ mod random {
             aligned in any::<bool>(),
             speculative in any::<bool>(),
         ) {
-            let mut cfg = SystemConfig::smc(memory, depth).with_trace();
+            let mut cfg = SystemConfig::smc(memory, depth);
             if aligned {
                 cfg = cfg.with_alignment(Alignment::Aligned);
             }
             if speculative {
                 cfg = cfg.with_speculation();
             }
-            let trace = sim::run_kernel(kernel, 64, stride, &cfg).expect("fault-free run")
-                .trace
-                .expect("trace requested");
-            check_invariants(&trace, &Timing::default());
+            audited(kernel, 64, stride, &cfg);
         }
     }
 }
 
 #[test]
 fn data_bus_moves_exactly_the_stream_packets() {
-    // Unit-stride daxpy on 256 elements: 3 streams x 128 packets.
-    let trace = traced(
+    // Unit-stride daxpy on 256 elements: 3 streams x 128 packets, one COL
+    // (and so one DATA packet) each.
+    let commands = audited(
         Kernel::Daxpy,
         256,
+        1,
         &SystemConfig::smc(MemorySystem::PageInterleaved, 64),
     );
-    let data_packets = trace
-        .events()
+    let cols = commands
         .iter()
-        .filter(|e| matches!(e.kind, TraceKind::Data { .. }))
+        .filter(|r| matches!(r.cmd, Command::Col { .. }))
         .count();
-    assert_eq!(data_packets, 3 * 128);
+    assert_eq!(cols, 3 * 128);
 }
