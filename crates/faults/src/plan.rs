@@ -237,11 +237,12 @@ impl FaultPlan {
         FaultPlan { clauses }
     }
 
-    /// A pseudo-random channel-scoped chaos plan over `channels` channels:
-    /// one brownout, usually an outage, and occasionally a device failure,
-    /// with windows bounded well below the controllers' livelock watchdog
-    /// so closed-loop soaks always terminate.
-    pub fn chaos_from_seed(seed: u64, channels: usize) -> FaultPlan {
+    /// A pseudo-random channel-scoped chaos plan over `channels` channels
+    /// of `devices` devices each: one brownout, usually an outage, and
+    /// occasionally a device failure, with windows bounded well below the
+    /// controllers' livelock watchdog so closed-loop soaks always
+    /// terminate. Every clause names a channel and device the topology has.
+    pub fn chaos_from_seed(seed: u64, channels: usize, devices: usize) -> FaultPlan {
         let mut h = Hasher::new(seed ^ 0x5bd1_e995_c2b2_ae35);
         let channels = channels.max(1) as u64;
         let mut clauses = vec![FaultClause::ChannelBrownout {
@@ -260,7 +261,7 @@ impl FaultPlan {
         if h.chance(4) {
             clauses.push(FaultClause::DeviceFail {
                 channel: h.range(channels) as usize,
-                device: h.range(4) as usize,
+                device: h.range(devices as u64) as usize,
                 from: 1024 + h.range(4096),
                 mult: 2 + h.range(2),
             });
@@ -691,8 +692,8 @@ mod tests {
     fn chaos_seeds_are_deterministic_and_bounded() {
         let mut distinct = std::collections::BTreeSet::new();
         for seed in 0..128u64 {
-            let a = FaultPlan::chaos_from_seed(seed, 2);
-            assert_eq!(a, FaultPlan::chaos_from_seed(seed, 2));
+            let a = FaultPlan::chaos_from_seed(seed, 2, 4);
+            assert_eq!(a, FaultPlan::chaos_from_seed(seed, 2, 4));
             assert!(a.has_channel_faults());
             distinct.insert(a.to_spec());
             let (mult, windows) = a.chaos_bounds();

@@ -271,7 +271,24 @@ proptest! {
             devices_per_channel: cfg.devices,
             remote_penalty: Vec::new(),
         };
-        let plan = FaultPlan::chaos_from_seed(chaos_seed, channels);
+        let plan = FaultPlan::chaos_from_seed(chaos_seed, channels, topo.devices_per_channel);
+        // Every clause names a channel and device the topology has, so
+        // none of them runs inert.
+        for c in &plan.clauses {
+            let (channel, device) = match *c {
+                faults::FaultClause::ChannelBrownout { channel, .. }
+                | faults::FaultClause::ChannelOutage { channel, .. } => (channel, 0),
+                faults::FaultClause::DeviceFail { channel, device, .. } => (channel, device),
+                faults::FaultClause::BankBusy { .. }
+                | faults::FaultClause::DataNack { .. }
+                | faults::FaultClause::RefreshStorm { .. }
+                | faults::FaultClause::Stall { .. } => unreachable!("a chaos plan has only channel clauses"),
+            };
+            prop_assert!(
+                channel < channels && device < topo.devices_per_channel,
+                "{} names a target the topology lacks", plan.to_spec()
+            );
+        }
         let mut sys = MemorySystem::new(cfg, topo);
         sys.set_chaos(FaultInjector::new(&plan, chaos_seed));
         let banks = sys.total_banks();

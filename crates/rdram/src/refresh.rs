@@ -86,6 +86,11 @@ impl RefreshTimer {
         now >= self.next_due
     }
 
+    /// The first cycle at which [`due`](Self::due) holds.
+    pub fn next_due(&self) -> Cycle {
+        self.next_due
+    }
+
     /// Refreshes performed so far.
     pub fn issued(&self) -> u64 {
         self.issued

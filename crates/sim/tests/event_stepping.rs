@@ -2,6 +2,8 @@
 //! tests hold it to the per-cycle loop it replaced, and pin the host work
 //! it does.
 
+mod common;
+
 use baseline::{BaselineController, BaselineResult, WritePolicy};
 use faults::FaultPlan;
 use kernels::Kernel;
@@ -9,6 +11,8 @@ use rdram::{CommandRecord, Cycle, DeviceStats};
 use sim::{vector_bases, MemorySystem, SystemConfig};
 use smc::{SmcError, DEFAULT_WATCHDOG_CYCLES};
 use telemetry::Event;
+
+use common::plans;
 
 /// Everything a natural-order run leaves behind.
 #[derive(Debug, PartialEq)]
@@ -128,27 +132,6 @@ fn check_point(
         assert_eq!(ticks, cycles, "chaos must step every cycle: {point}");
     }
     (got, cycles, ticks)
-}
-
-/// Fault plans crossed with every point on `channels` channels: none, NACK
-/// storms, busy banks with controller stalls, and one channel-chaos plan,
-/// whose channel-1 outage joins only when there is a channel 1.
-fn plans(channels: usize) -> Vec<(Option<FaultPlan>, Option<FaultPlan>)> {
-    let plan = |spec: &str| Some(FaultPlan::parse(spec).expect("valid plan"));
-    let outage = if channels > 1 {
-        ";outage:1:200:300"
-    } else {
-        ""
-    };
-    vec![
-        (None, None),
-        (plan("nack:50:8"), None),
-        (plan("busy:*:256:16;stall:1024:32"), None),
-        (
-            None,
-            plan(&format!("brownout:0:64:512:3{outage};devfail:0:0:400:2")),
-        ),
-    ]
 }
 
 /// Every point of one kernel: CLI and PI, strides 1, 4 and 16, store-direct,

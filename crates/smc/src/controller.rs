@@ -104,7 +104,7 @@ impl SmcController {
     ///
     /// Panics if `fifo` is a write-stream or already fully consumed.
     pub fn cpu_read(&mut self, fifo: usize, now: Cycle) -> Option<u64> {
-        self.sbu.fifo_mut(fifo).cpu_pop(now)
+        self.sbu.cpu_pop(fifo, now)
     }
 
     /// Processor side: append `value` to write-stream FIFO `fifo`. Returns
@@ -114,7 +114,7 @@ impl SmcController {
     ///
     /// Panics if `fifo` is a read-stream or already fully produced.
     pub fn cpu_write(&mut self, fifo: usize, value: u64, now: Cycle) -> bool {
-        self.sbu.fifo_mut(fifo).cpu_push(value, now)
+        self.sbu.cpu_push(fifo, value, now)
     }
 
     /// Memory side: advance the MSU by one interface-clock cycle.
@@ -139,17 +139,8 @@ impl SmcController {
             self.watchdog.idle(now);
             return Ok(());
         }
-        #[expect(
-            clippy::arithmetic_side_effects,
-            reason = "each FIFO moves at most its stream length of elements, so the sum is bounded by the run"
-        )]
-        let moved = self
-            .sbu
-            .iter()
-            .map(|f| f.state())
-            .map(|st| st.mem_next_elem + st.cpu_elems)
-            .sum();
-        if let Some(stalled_for) = self.watchdog.observe(now, (dev.commands_accepted(), moved)) {
+        let key = (dev.commands_accepted(), self.sbu.moved());
+        if let Some(stalled_for) = self.watchdog.observe(now, key) {
             if let Some(events) = &mut self.events {
                 events.push(Event::WatchdogTrip {
                     cycle: now,
@@ -256,7 +247,7 @@ impl SmcController {
     /// All streams have fully moved between the FIFOs and memory, with
     /// nothing left in the MSU's pipeline.
     pub fn mem_complete(&self) -> bool {
-        self.sbu.all_complete() && self.msu.quiescent()
+        self.msu.quiescent() && self.sbu.all_complete()
     }
 
     /// The Stream Buffer Unit (FIFO states, stream descriptors).
@@ -267,6 +258,21 @@ impl SmcController {
     /// MSU scheduling statistics.
     pub fn msu_stats(&self) -> &MsuStats {
         self.msu.stats()
+    }
+
+    /// Ticks that ran the MSU's scheduling passes. The MSU sleeps through
+    /// the rest (see [`Msu::tick`]), so this counts the host work a run
+    /// cost, not a simulated result.
+    pub fn full_ticks(&self) -> u64 {
+        self.msu.full_ticks()
+    }
+
+    /// Run the MSU's scheduling passes on every tick, never sleeping. The
+    /// results are the same, only slower to reach; equivalence tests hold
+    /// the sleeping MSU to this one.
+    pub fn without_sleep(mut self) -> Self {
+        self.msu.disable_sleep();
+        self
     }
 
     /// End cycle of the last DATA packet the MSU has scheduled.

@@ -128,6 +128,36 @@ impl StreamFifo {
         }
     }
 
+    /// Whether the FIFO sits exactly on the edge of readiness for its next
+    /// memory access: a read FIFO with exactly one packet of room, or a
+    /// write FIFO holding exactly that packet's elements. A CPU pop or push
+    /// moves the FIFO by one element, so it lands here exactly when it
+    /// makes the FIFO ready (a write's elements may still become valid
+    /// later; see [`next_valid_at`](Self::next_valid_at)).
+    pub(crate) fn on_readiness_edge(&self) -> bool {
+        let fits = |elems: usize| {
+            self.next_packet()
+                .is_some_and(|pkt| pkt.elems as usize == elems)
+        };
+        match self.descriptor.kind {
+            StreamKind::Read => {
+                let room = self.depth.saturating_sub(self.slots.len() + self.reserved);
+                room <= PACKET_ELEMS && fits(room)
+            }
+            StreamKind::Write => self.slots.len() <= PACKET_ELEMS && fits(self.slots.len()),
+        }
+    }
+
+    /// For a write-stream, the cycle at which its oldest buffered element
+    /// not yet valid at `now` becomes valid; `None` when every buffered
+    /// element is valid, and always for a read-stream.
+    pub(crate) fn next_valid_at(&self, now: Cycle) -> Option<Cycle> {
+        match self.descriptor.kind {
+            StreamKind::Read => None,
+            StreamKind::Write => self.slots.get(self.available(now)).map(|s| s.ready_at),
+        }
+    }
+
     /// Memory side: admit the next packet access into the MSU pipeline.
     /// For read-streams the elements are *reserved* (they occupy space until
     /// [`fulfill_read`](Self::fulfill_read) delivers them); for

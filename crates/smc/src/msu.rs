@@ -125,6 +125,8 @@ struct Slot {
     fifo: usize,
     access: PacketAccess,
     loc: Location,
+    /// The channel that owns `loc.bank`.
+    ch: usize,
     stage: Stage,
     /// Claimed values for a write access, in its first `access.elems`
     /// words; unused for reads.
@@ -138,6 +140,17 @@ struct Slot {
 struct SpecTarget {
     bank: usize,
     row: u64,
+}
+
+/// What a tick that issued nothing leaves behind. Until `until`, while the
+/// SBU's readiness epoch stands still, every tick would repeat that tick
+/// exactly, so it only counts its idle cycle (see [`Msu::tick`]).
+#[derive(Debug, Clone, Copy)]
+struct Sleep {
+    until: Cycle,
+    epoch: u64,
+    /// Whether each skipped tick is an idle cycle (memory work remains).
+    idle: bool,
 }
 
 /// The Memory Scheduling Unit.
@@ -162,16 +175,24 @@ pub struct Msu {
     degraded: BTreeSet<usize>,
     /// The most recent command issued, for livelock diagnostics.
     last_issued: Option<(Command, Cycle)>,
+    /// Set after a tick that issued nothing, while the MSU may sleep.
+    sleep: Option<Sleep>,
+    /// Whether the MSU may sleep at all (see `disable_sleep`).
+    sleeps: bool,
+    /// Ticks that ran the scheduling passes.
+    full_ticks: u64,
     /// In-flight slots per channel, indexed by channel.
     in_channel: Vec<usize>,
     /// Per-pass scratch, reset at the start of each pass over the slots:
     /// channels whose bus already carried a packet this cycle, banks and
     /// FIFOs with an older slot than the one under inspection, and the
-    /// scheduler's view of every FIFO.
+    /// scheduler's view of every FIFO; and the least `earliest` answer of
+    /// the commands held so far this tick.
     bus_used: Vec<bool>,
     bank_seen: Vec<bool>,
     fifo_seen: Vec<bool>,
     candidates: Vec<FifoCandidate>,
+    wake: Cycle,
 }
 
 impl Msu {
@@ -189,6 +210,7 @@ impl Msu {
             bank_seen: vec![false; map.banks()],
             fifo_seen: Vec::new(),
             candidates: Vec::new(),
+            wake: Cycle::MAX,
             map,
             cfg,
             current: None,
@@ -200,6 +222,9 @@ impl Msu {
             fault_streaks: BTreeMap::new(),
             degraded: BTreeSet::new(),
             last_issued: None,
+            sleep: None,
+            sleeps: true,
+            full_ticks: 0,
         }
     }
 
@@ -235,6 +260,20 @@ impl Msu {
         &self.stats
     }
 
+    /// Ticks that ran the scheduling passes, rather than sleeping or
+    /// sitting out an injected stall: the host work the MSU did.
+    pub(crate) fn full_ticks(&self) -> u64 {
+        self.full_ticks
+    }
+
+    /// Run the scheduling passes on every tick, never sleeping. Sleeping
+    /// changes no result, only host time; this is the reference that
+    /// equivalence tests hold it to.
+    pub(crate) fn disable_sleep(&mut self) {
+        self.sleeps = false;
+        self.sleep = None;
+    }
+
     /// The FIFO currently being serviced.
     pub fn current_fifo(&self) -> Option<usize> {
         self.current
@@ -264,6 +303,7 @@ impl Msu {
         );
         self.current = None;
         self.last_spec = None;
+        self.sleep = None;
     }
 
     /// Advance one cycle: admit ready accesses into the window and issue at
@@ -272,6 +312,18 @@ impl Msu {
     /// and N COL packets in one cycle. The memory system's fault timeline
     /// ([`MemorySystem::faults`]) stalls the MSU, NACKs its DATA packets
     /// and holds its commands in busy windows.
+    ///
+    /// A tick that issues nothing sleeps until a wake cycle: the least of
+    /// the `earliest` answers for the commands it held, the refresh
+    /// timer's next due cycle and the cycle the first not-yet-valid
+    /// buffered write becomes valid. Until then, while `sbu`'s readiness
+    /// epoch stands still, a tick only
+    /// counts its idle cycle. That is exact: the MSU is the only issuer on
+    /// `dev`, and without a command issuing no bank, bus or slot changes,
+    /// so `earliest(cmd, t)` is `max(t, c)` for a fixed `c`; and the
+    /// processor reaches the MSU only by making a FIFO ready, which
+    /// advances the epoch. The MSU never sleeps with a fault timeline or
+    /// chaos plan attached, or with a speculative target pending.
     ///
     /// # Errors
     ///
@@ -289,10 +341,20 @@ impl Msu {
         mem: &mut MemoryImage,
         sbu: &mut Sbu,
     ) -> Result<(), SmcError> {
+        if let Some(sleep) = self.sleep {
+            if now < sleep.until && sbu.readiness_epoch() == sleep.epoch {
+                self.stats.idle_cycles += u64::from(sleep.idle);
+                return Ok(());
+            }
+            self.sleep = None;
+        }
         if dev.faults().stalled(now) {
             self.stats.injected_stall_cycles += 1;
             return Ok(());
         }
+        self.full_ticks += 1;
+        let commands = dev.commands_accepted();
+        self.wake = Cycle::MAX;
         self.service_refresh(now, dev)?;
         self.try_issue_spec(now, dev)?;
         self.admit(now, dev, sbu);
@@ -302,8 +364,23 @@ impl Msu {
         // cycle.
         let col = self.issue_col(now, dev, mem, sbu)?;
         let row = self.issue_row(now, dev)?;
-        if !(col || row || sbu.all_complete()) {
+        let idle = !(col || row || sbu.all_complete());
+        if idle {
             self.stats.idle_cycles += 1;
+        }
+        let may_sleep =
+            self.sleeps && self.spec.is_none() && dev.faults().is_empty() && !dev.has_chaos();
+        if may_sleep && dev.commands_accepted() == commands {
+            let refresh_due = self
+                .refresh
+                .as_ref()
+                .map_or(Cycle::MAX, rdram::refresh::RefreshTimer::next_due);
+            let write_valid = sbu.next_write_valid_at(now).unwrap_or(Cycle::MAX);
+            self.sleep = Some(Sleep {
+                until: self.wake.min(refresh_due).min(write_valid),
+                epoch: sbu.readiness_epoch(),
+                idle,
+            });
         }
         Ok(())
     }
@@ -379,19 +456,28 @@ impl Msu {
                 continue;
             }
             // Each channel's COL bus carries one packet per cycle.
-            let ch = self.map.channel_of_bank(self.slots[k].loc.bank);
+            let ch = self.slots[k].ch;
             if self.bus_used[ch] {
                 k += 1;
                 continue;
             }
-            let cmd = self.command_for(k, sbu);
-            if dev.earliest(&cmd, now) > now {
-                self.note_hold(dev.faults(), cmd.bank(), now);
+            // `earliest` does not read the auto-precharge flag, so the plain
+            // COL answers for both; the flag is decided only on issue.
+            let col = self.col_command(k);
+            let at = dev.earliest(&col, now);
+            if at > now {
+                self.wake = self.wake.min(at);
+                self.note_hold(dev.faults(), col.bank(), now);
                 k += 1;
                 continue;
             }
+            let cmd = if self.should_auto_precharge(k, sbu) {
+                col.with_auto_precharge()
+            } else {
+                col
+            };
             let before = self.slots.len();
-            self.execute(k, cmd, now, dev, mem, sbu)?;
+            self.execute_col(k, cmd, now, dev, mem, sbu)?;
             self.bus_used[ch] = true;
             any = true;
             if self.slots.len() == before {
@@ -419,7 +505,7 @@ impl Msu {
                 continue;
             }
             // Each channel's ROW bus carries one packet per cycle.
-            let ch = self.map.channel_of_bank(bank);
+            let ch = self.slots[k].ch;
             if self.bus_used[ch] {
                 continue;
             }
@@ -428,7 +514,9 @@ impl Msu {
                 Stage::Activate => Command::activate(bank, self.slots[k].loc.row),
                 Stage::Unresolved | Stage::Col => unreachable!("filtered above"),
             };
-            if dev.earliest(&cmd, now) > now {
+            let at = dev.earliest(&cmd, now);
+            if at > now {
+                self.wake = self.wake.min(at);
                 self.note_hold(dev.faults(), bank, now);
                 continue;
             }
@@ -581,13 +669,14 @@ impl Msu {
                 self.current = Some(i);
             }
             let is_write = sbu.fifo(i).descriptor().kind == StreamKind::Write;
-            let Some((access, write_values)) = sbu.fifo_mut(i).admit_next_packet(now) else {
+            let Some((access, write_values)) = sbu.admit(i, now) else {
                 return;
             };
             self.slots.push(Slot {
                 fifo: i,
                 access,
                 loc,
+                ch,
                 stage: Stage::Unresolved,
                 write_values,
                 is_write,
@@ -598,24 +687,13 @@ impl Msu {
         }
     }
 
-    fn command_for(&self, k: usize, sbu: &Sbu) -> Command {
+    /// Slot `k`'s COL command, without auto-precharge.
+    fn col_command(&self, k: usize) -> Command {
         let s = &self.slots[k];
-        match s.stage {
-            Stage::Unresolved => unreachable!("stage resolved before command selection"),
-            Stage::Precharge => Command::precharge(s.loc.bank),
-            Stage::Activate => Command::activate(s.loc.bank, s.loc.row),
-            Stage::Col => {
-                let base = if s.is_write {
-                    Command::write(s.loc.bank, s.loc.col)
-                } else {
-                    Command::read(s.loc.bank, s.loc.col)
-                };
-                if self.should_auto_precharge(k, sbu) {
-                    base.with_auto_precharge()
-                } else {
-                    base
-                }
-            }
+        if s.is_write {
+            Command::write(s.loc.bank, s.loc.col)
+        } else {
+            Command::read(s.loc.bank, s.loc.col)
         }
     }
 
@@ -648,11 +726,14 @@ impl Msu {
         }
     }
 
+    /// Issue slot `k`'s COL command `cmd` and move its data: a write's
+    /// claimed values land in memory, a read's fill its FIFO. An injected
+    /// DATA NACK keeps the slot, to retry once its ROW needs are re-derived.
     #[expect(
         clippy::arithmetic_side_effects,
         reason = "MsuStats counters, one increment per cycle or event, bounded by the run length; a retired slot was counted in its channel at admission, and a packet holds at most PACKET_ELEMS elements"
     )]
-    fn execute(
+    fn execute_col(
         &mut self,
         k: usize,
         cmd: Command,
@@ -663,62 +744,55 @@ impl Msu {
     ) -> Result<(), SmcError> {
         let outcome = dev.issue_at(&cmd, now)?;
         self.note_issued(cmd, now);
-        match self.slots[k].stage {
-            Stage::Unresolved => unreachable!("stage resolved before issue"),
-            Stage::Precharge => self.slots[k].stage = Stage::Activate,
-            Stage::Activate => self.slots[k].stage = Stage::Col,
-            Stage::Col => {
-                let Some(data) = outcome.data else {
-                    return Err(SmcError::Internal(
-                        "COL command completed without a data interval",
-                    ));
-                };
-                let bank = self.slots[k].loc.bank;
-                if dev
-                    .faults()
-                    .nack_data(bank, data.end, self.slots[k].retries)
-                {
-                    self.stats.data_nacks += 1;
-                    self.slots[k].retries += 1;
-                    let retries = self.slots[k].retries;
-                    if retries > dev.faults().nack_retry_limit() {
-                        return Err(SmcError::RetryExhausted {
-                            bank,
-                            addr: self.slots[k].access.packet_addr,
-                            attempts: retries,
-                        });
-                    }
-                    // The bus cycle is spent but no data moved. The COL may
-                    // have auto-precharged the page, so the retry re-derives
-                    // its ROW needs from live bank state.
-                    self.slots[k].stage = Stage::Unresolved;
-                    self.note_fault_conflict(bank);
-                    return Ok(());
-                }
-                let slot = self.slots.remove(k);
-                self.in_channel[self.map.channel_of_bank(slot.loc.bank)] -= 1;
-                let desc = sbu.fifo(slot.fifo).descriptor();
-                if slot.is_write {
-                    for (v, e) in slot.write_values.iter().zip(slot.access.element_range()) {
-                        // Masked write: only the stream's own bytes of the
-                        // 16-byte packet are modified.
-                        mem.write_u64(desc.element_addr(e), *v);
-                    }
-                    self.stats.packets_written += 1;
-                } else {
-                    let mut values = [0; PACKET_ELEMS];
-                    let mut len = 0;
-                    for (v, e) in values.iter_mut().zip(slot.access.element_range()) {
-                        *v = mem.read_u64(desc.element_addr(e));
-                        len += 1;
-                    }
-                    sbu.fifo_mut(slot.fifo)
-                        .fulfill_read(&values[..len], data.end);
-                    self.stats.packets_read += 1;
-                }
-                self.stats.last_data_cycle = self.stats.last_data_cycle.max(data.end);
+        let Some(data) = outcome.data else {
+            return Err(SmcError::Internal(
+                "COL command completed without a data interval",
+            ));
+        };
+        let bank = self.slots[k].loc.bank;
+        if dev
+            .faults()
+            .nack_data(bank, data.end, self.slots[k].retries)
+        {
+            self.stats.data_nacks += 1;
+            self.slots[k].retries += 1;
+            let retries = self.slots[k].retries;
+            if retries > dev.faults().nack_retry_limit() {
+                return Err(SmcError::RetryExhausted {
+                    bank,
+                    addr: self.slots[k].access.packet_addr,
+                    attempts: retries,
+                });
             }
+            // The bus cycle is spent but no data moved. The COL may have
+            // auto-precharged the page, so the retry re-derives its ROW
+            // needs from live bank state.
+            self.slots[k].stage = Stage::Unresolved;
+            self.note_fault_conflict(bank);
+            return Ok(());
         }
+        let slot = self.slots.remove(k);
+        self.in_channel[slot.ch] -= 1;
+        let desc = sbu.fifo(slot.fifo).descriptor();
+        if slot.is_write {
+            for (v, e) in slot.write_values.iter().zip(slot.access.element_range()) {
+                // Masked write: only the stream's own bytes of the 16-byte
+                // packet are modified.
+                mem.write_u64(desc.element_addr(e), *v);
+            }
+            self.stats.packets_written += 1;
+        } else {
+            let mut values = [0; PACKET_ELEMS];
+            let mut len = 0;
+            for (v, e) in values.iter_mut().zip(slot.access.element_range()) {
+                *v = mem.read_u64(desc.element_addr(e));
+                len += 1;
+            }
+            sbu.fifo_mut(slot.fifo)
+                .fulfill_read(&values[..len], data.end);
+            self.stats.packets_read += 1;
+        }
+        self.stats.last_data_cycle = self.stats.last_data_cycle.max(data.end);
         Ok(())
     }
 
@@ -857,13 +931,13 @@ mod tests {
                 match kind {
                     StreamKind::Read => {
                         while sbu.fifo(i).state().cpu_elems < length
-                            && sbu.fifo_mut(i).cpu_pop(now).is_some()
+                            && sbu.cpu_pop(i, now).is_some()
                         {}
                     }
                     StreamKind::Write => {
                         while sbu.fifo(i).state().cpu_elems < length {
                             let v = 2000 + sbu.fifo(i).state().cpu_elems;
-                            if !sbu.fifo_mut(i).cpu_push(v, now) {
+                            if !sbu.cpu_push(i, v, now) {
                                 break;
                             }
                         }
@@ -1122,7 +1196,7 @@ mod tests {
         let mut now = 0;
         while !(sbu.all_complete() && msu.quiescent()) {
             for _ in 0..4 {
-                if sbu.fifo(0).state().cpu_elems >= 1024 || sbu.fifo_mut(0).cpu_pop(now).is_none() {
+                if sbu.fifo(0).state().cpu_elems >= 1024 || sbu.cpu_pop(0, now).is_none() {
                     break;
                 }
             }
