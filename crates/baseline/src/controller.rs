@@ -511,7 +511,8 @@ impl BaselineController {
     /// [`SmcError::RetryExhausted`] if an injected DATA NACK outlasts the
     /// fault plan's retry budget, or [`SmcError::Livelock`] when the
     /// forward-progress watchdog sees no command issued for the watchdog
-    /// threshold.
+    /// threshold, counted from the latest delivery of an accepted command
+    /// ([`MemorySystem::last_delivery`]).
     #[expect(
         clippy::arithmetic_side_effects,
         reason = "tick and idle-cycle counters, one increment per cycle, bounded by the run length"
@@ -548,7 +549,7 @@ impl BaselineController {
             self.in_flight.len(),
             self.line_transfers,
         );
-        if let Some(stalled_for) = self.watchdog.observe(now, key) {
+        if let Some(stalled_for) = self.watchdog.observe(now, key, dev.last_delivery()) {
             if let Some(events) = &mut self.events {
                 events.push(Event::WatchdogTrip {
                     cycle: now,
@@ -646,8 +647,9 @@ impl BaselineController {
             if start <= at {
                 return Ok((k, cmd));
             }
-            // `Cycle::MAX` is a bounded search giving up, which a later
-            // query may not: look again the cycle after.
+            // `Cycle::MAX` is the busy-window fixpoint giving up on windows
+            // that tile (almost) all of time, which a later query may not:
+            // look again the cycle after.
             ready = ready.min(if start == Cycle::MAX {
                 at.saturating_add(1)
             } else {
@@ -809,14 +811,9 @@ impl BaselineController {
     /// The next cycle after the tick at `now` at which a tick can change
     /// anything: the tick's `wake` cycle, the next injected stall (stalled
     /// cycles are stepped one by one) or the watchdog's deadline, whichever
-    /// comes first. Under chaos the launch search can pass over acceptable
-    /// launches, so an earliest start is not a promise and every cycle is
-    /// stepped.
+    /// comes first.
     fn next_event(&self, now: Cycle, dev: &MemorySystem) -> Cycle {
         let next = now.saturating_add(1);
-        if dev.has_chaos() {
-            return next;
-        }
         let stall = dev.faults().next_stall(next).unwrap_or(Cycle::MAX);
         self.wake.min(stall).min(self.watchdog.deadline()).max(next)
     }

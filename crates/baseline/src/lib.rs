@@ -31,17 +31,17 @@
 //! the new state, so the next tick usually issues too. Every skipped cycle
 //! counts as idle, as the per-cycle loop counted it.
 //!
-//! This is exact, not an approximation. Without channel chaos,
-//! `MemorySystem::earliest(cmd, t)` is the first cycle at or after `t` at
-//! which the command is accepted: device timing, remote ROW penalties and
-//! injected busy windows all keep that form. The answer changes only when
-//! a command issues, and bank state, admission and the watchdog's progress
-//! key change only at a tick. So a skipped cycle would have found nothing
-//! to issue or admit, and the result, every arrival, the command stream and
-//! the telemetry events equal those of the per-cycle loop. Chaos breaks the
-//! first property — its launch search can pass over acceptable launches —
-//! so with a chaos plan attached every cycle is stepped.
-//! [`BaselineController::ticks`] counts the ticks taken.
+//! This is exact, not an approximation. `MemorySystem::earliest(cmd, t)`
+//! is the first cycle at or after `t` at which the command can launch and
+//! be accepted: device timing, remote ROW penalties, injected busy windows
+//! and channel chaos (brownouts, outages and failed devices, searched
+//! segment by segment) all keep that form. The answer changes only when a
+//! command issues, chaos accounting is charged at issue, and bank state,
+//! admission and the watchdog's progress key change only at a tick. So a
+//! skipped cycle would have found nothing to issue or admit, and the
+//! result, every arrival, the command stream and the telemetry events equal
+//! those of the per-cycle loop. [`BaselineController::ticks`] counts the
+//! ticks taken.
 //!
 //! # Example
 //!

@@ -278,6 +278,21 @@ mod tests {
     }
 
     #[test]
+    fn multi_byte_text_parses_and_a_cut_one_is_refused() {
+        // A field the reader ignores, with multi-byte characters mid-string
+        // and closing it; cut short after one, the text is no longer JSON.
+        let trace = sample();
+        let noted = trace.to_json().replacen(
+            '{',
+            "{\"note\": \"caf\u{e9} \u{2248} 4\u{b5}s \u{1f600}\",",
+            1,
+        );
+        assert_eq!(TraceFile::from_str(&noted).expect("parses"), trace);
+        let cut = &noted[..noted.find('\u{1f600}').unwrap() + '\u{1f600}'.len_utf8()];
+        assert!(TraceFile::from_str(cut).is_err());
+    }
+
+    #[test]
     fn unknown_command_tag_is_rejected() {
         let json =
             r#"{"device": DEVICE, "channels": 1, "commands": [{"cycle": 0, "cmd": {"Nap": {}}}]}"#

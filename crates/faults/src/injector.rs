@@ -220,6 +220,107 @@ impl FaultInjector {
             .unwrap_or(1)
     }
 
+    /// The first cycle after `t` at which a degraded-mode multiplier of
+    /// `device` on `channel` can change: a brownout on the channel starts
+    /// or ends, or a failure of the device begins. `None` when none is
+    /// left. Between two such cycles [`channel_cost_mult`] and
+    /// [`device_cost_mult`] are constant.
+    ///
+    /// [`channel_cost_mult`]: Self::channel_cost_mult
+    /// [`device_cost_mult`]: Self::device_cost_mult
+    pub fn next_cost_edge(&self, channel: usize, device: usize, t: Cycle) -> Option<Cycle> {
+        self.clauses
+            .iter()
+            .flat_map(|c| match *c {
+                FaultClause::ChannelBrownout {
+                    channel: ch,
+                    from,
+                    len,
+                    ..
+                } if ch == channel => [Some(from), Some(from.saturating_add(len))],
+                FaultClause::DeviceFail {
+                    channel: ch,
+                    device: dev,
+                    from,
+                    ..
+                } if ch == channel && dev == device => [Some(from), None],
+                FaultClause::BankBusy { .. }
+                | FaultClause::DataNack { .. }
+                | FaultClause::RefreshStorm { .. }
+                | FaultClause::Stall { .. }
+                | FaultClause::ChannelBrownout { .. }
+                | FaultClause::ChannelOutage { .. }
+                | FaultClause::DeviceFail { .. } => [None, None],
+            })
+            .flatten()
+            .filter(|&edge| edge > t)
+            .min()
+    }
+
+    /// The first cycle after `t` at which an outage window on `channel`
+    /// starts or ends, or `None` when none is left. Between two such
+    /// cycles [`outage_window`](Self::outage_window) gives one answer.
+    pub fn next_outage_edge(&self, channel: usize, t: Cycle) -> Option<Cycle> {
+        self.clauses
+            .iter()
+            .flat_map(|c| match *c {
+                FaultClause::ChannelOutage {
+                    channel: ch,
+                    from,
+                    len,
+                } if ch == channel => [Some(from), Some(from.saturating_add(len))],
+                FaultClause::BankBusy { .. }
+                | FaultClause::DataNack { .. }
+                | FaultClause::RefreshStorm { .. }
+                | FaultClause::Stall { .. }
+                | FaultClause::ChannelBrownout { .. }
+                | FaultClause::ChannelOutage { .. }
+                | FaultClause::DeviceFail { .. } => [None, None],
+            })
+            .flatten()
+            .filter(|&edge| edge > t)
+            .min()
+    }
+
+    /// The first cycle after `t` at which a busy or storm window covering
+    /// `bank` starts or ends, or `None` when no window ever changes (no
+    /// clause covers the bank, or it is permanently busy). Between `t` and
+    /// that cycle [`bank_busy`](Self::bank_busy) keeps its answer.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "every period is at least 1: the spec parser rejects zero and the seeded generators start at 64; len - phase and period - phase are positive in their branches"
+    )]
+    pub fn next_busy_edge(&self, bank: usize, t: Cycle) -> Option<Cycle> {
+        self.clauses
+            .iter()
+            .filter_map(|c| {
+                let (period, len) = match *c {
+                    FaultClause::BankBusy {
+                        bank: b,
+                        period,
+                        len,
+                    } if b.is_none_or(|b| b == bank) => (period, len),
+                    FaultClause::RefreshStorm { period, len } => (period, len),
+                    FaultClause::BankBusy { .. }
+                    | FaultClause::DataNack { .. }
+                    | FaultClause::Stall { .. }
+                    | FaultClause::ChannelBrownout { .. }
+                    | FaultClause::ChannelOutage { .. }
+                    | FaultClause::DeviceFail { .. } => return None,
+                };
+                if len >= period {
+                    return None;
+                }
+                let phase = t % period;
+                Some(t.saturating_add(if phase < len {
+                    len - phase
+                } else {
+                    period - phase
+                }))
+            })
+            .min()
+    }
+
     /// The first cycle `>= t` at which `bank` is free of every busy and
     /// storm window.
     ///
@@ -442,6 +543,37 @@ mod tests {
         assert_eq!(inj.outage_window(0, 25), Some((10, 50)));
         assert_eq!(inj.outage_window(0, 5), None);
         assert!(!injector("busy:0:10:2").has_channel_faults());
+    }
+
+    #[test]
+    fn answers_hold_until_the_next_edge() {
+        let inj = injector(
+            "brownout:0:100:50:3;brownout:0:120:100:5;outage:0:40:20;outage:0:50:30;\
+             devfail:0:1:80:4;devfail:1:1:10:2;busy:2:64:16;storm:100:7;busy:3:1:1",
+        );
+        for t in 0..400u64 {
+            let until = |edge: Option<Cycle>| {
+                assert!(edge.is_none_or(|e| e > t), "edge {edge:?} from {t}");
+                edge.unwrap_or(500)
+            };
+            let cost = |u| (inj.channel_cost_mult(0, u), inj.device_cost_mult(0, 1, u));
+            for u in t..until(inj.next_cost_edge(0, 1, t)) {
+                assert_eq!(cost(u), cost(t), "cost at {u}, from {t}");
+            }
+            for u in t..until(inj.next_outage_edge(0, t)) {
+                assert_eq!(inj.outage_window(0, u), inj.outage_window(0, t), "{u}");
+            }
+            for u in t..until(inj.next_busy_edge(2, t)) {
+                assert_eq!(inj.bank_busy(2, u), inj.bank_busy(2, t), "{u}");
+            }
+        }
+        assert_eq!(inj.next_cost_edge(0, 1, 80), Some(100));
+        assert_eq!(inj.next_cost_edge(0, 1, 220), None, "the failure stays");
+        assert_eq!(inj.next_outage_edge(0, 45), Some(50));
+        assert_eq!(inj.next_outage_edge(1, 0), None);
+        assert_eq!(inj.next_busy_edge(2, 0), Some(7), "the storm ends first");
+        assert_eq!(inj.next_busy_edge(3, 10), Some(100), "only the storm moves");
+        assert_eq!(injector("busy:3:1:1").next_busy_edge(3, 5), None);
     }
 
     #[test]

@@ -5,6 +5,7 @@
 #![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
+use std::cell::Cell;
 use std::collections::BTreeSet;
 
 use faults::FaultInjector;
@@ -15,14 +16,6 @@ use rdram::{
 use serde::{Deserialize, Serialize};
 
 use crate::Topology;
-
-/// Iteration bound for the chaos-aware launch search in
-/// [`MemorySystem::earliest`]. Each iteration advances the candidate
-/// launch by at least one cycle toward the device's acceptance point;
-/// exhausting the bound means the channel never accepts (reported as
-/// "never", which the controllers' watchdogs turn into a structured
-/// livelock error).
-const CHAOS_EARLIEST_BOUND: u32 = 10_000;
 
 /// Per-channel chaos accounting: DATA-delivery cycles lost to degraded
 /// mode, commands deferred by outages, and recovery timestamps.
@@ -104,6 +97,24 @@ struct ChaosDelivery {
     device_mult: u64,
     /// The outage window `[from, end)` the delivery was deferred past.
     outage: Option<(Cycle, Cycle)>,
+}
+
+/// The brownout and failed-device multipliers (1 = healthy) that a
+/// delivery launched at `launch` on channel `ch` pays, for a command whose
+/// DATA moves through channel-local `device`; ROW commands (`None`) pay
+/// neither.
+fn cost_mults(
+    chaos: &FaultInjector,
+    ch: usize,
+    device: Option<usize>,
+    launch: Cycle,
+) -> (u64, u64) {
+    device.map_or((1, 1), |d| {
+        (
+            chaos.channel_cost_mult(ch, launch),
+            chaos.device_cost_mult(ch, d, launch),
+        )
+    })
 }
 
 /// Re-target `cmd` at channel-local bank `bank`, preserving everything
@@ -211,6 +222,11 @@ pub struct MemorySystem {
     seen_outages: Vec<BTreeSet<Cycle>>,
     /// Commands accepted by [`issue_at`](MemorySystem::issue_at).
     commands: u64,
+    /// The latest delivery cycle of any accepted command.
+    last_delivery: Cycle,
+    /// Device acceptance probes [`earliest`](MemorySystem::earliest) has
+    /// made: host work, not a simulated result.
+    search_steps: Cell<u64>,
 }
 
 impl MemorySystem {
@@ -250,6 +266,8 @@ impl MemorySystem {
             faults: FaultInjector::inert(),
             chaos: None,
             commands: 0,
+            last_delivery: 0,
+            search_steps: Cell::new(0),
         }
     }
 
@@ -348,6 +366,22 @@ impl MemorySystem {
         self.commands
     }
 
+    /// The latest cycle at which a command accepted so far reaches its
+    /// device (0 before the first). A chaos outage can put it far past the
+    /// issue cycle: the controllers' watchdogs count it as progress still
+    /// to come.
+    pub fn last_delivery(&self) -> Cycle {
+        self.last_delivery
+    }
+
+    /// Device acceptance probes [`earliest`](MemorySystem::earliest) has
+    /// made so far: one per query without a chaos plan, one per launch
+    /// segment visited with one. This counts host work, not a simulated
+    /// result.
+    pub fn search_steps(&self) -> u64 {
+        self.search_steps.get()
+    }
+
     /// Channel `ch`'s own statistics.
     ///
     /// # Panics
@@ -442,25 +476,8 @@ impl MemorySystem {
                 outage: None,
             };
         };
-        #[expect(
-            clippy::arithmetic_side_effects,
-            reason = "both divisors are clamped to at least 1"
-        )]
-        let (channel_mult, device_mult) = match cmd {
-            Command::Col { .. } => {
-                let local = cmd.bank() % self.banks_per_channel.max(1);
-                let device = local / self.config().banks.max(1);
-                (
-                    chaos.channel_cost_mult(ch, launch),
-                    chaos.device_cost_mult(ch, device, launch),
-                )
-            }
-            Command::Row(RowOp::Activate { .. }) | Command::Row(RowOp::Precharge { .. }) => (1, 1),
-        };
-        let extra = channel_mult
-            .max(device_mult)
-            .saturating_sub(1)
-            .saturating_mul(self.timing().t_pack);
+        let (channel_mult, device_mult) = cost_mults(chaos, ch, self.col_device(cmd), launch);
+        let extra = self.degraded_extra(channel_mult, device_mult);
         let penalized = base.saturating_add(extra);
         let outage = chaos.outage_window(ch, penalized);
         ChaosDelivery {
@@ -470,6 +487,32 @@ impl MemorySystem {
             device_mult,
             outage,
         }
+    }
+
+    /// The channel-local device whose failure degrades `cmd`'s delivery:
+    /// a COL command's, whose DATA it moves. `None` for ROW commands,
+    /// which degraded mode never stretches.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "both divisors are clamped to at least 1"
+    )]
+    fn col_device(&self, cmd: &Command) -> Option<usize> {
+        match cmd {
+            Command::Col { .. } => {
+                let local = cmd.bank() % self.banks_per_channel.max(1);
+                Some(local / self.config().banks.max(1))
+            }
+            Command::Row(RowOp::Activate { .. }) | Command::Row(RowOp::Precharge { .. }) => None,
+        }
+    }
+
+    /// The extra delivery delay of degraded mode: `(mult - 1) * tPACK` for
+    /// the worse of the brownout and failed-device multipliers.
+    fn degraded_extra(&self, channel_mult: u64, device_mult: u64) -> Cycle {
+        channel_mult
+            .max(device_mult)
+            .saturating_sub(1)
+            .saturating_mul(self.timing().t_pack)
     }
 
     /// Extra delivery delay `cmd` pays to reach channel `ch`: the
@@ -515,9 +558,28 @@ impl MemorySystem {
     }
 
     /// Earliest cycle `>= now` at which `cmd` (global bank) may start,
-    /// from the controller's point of view: for a penalized ROW command
-    /// this is the launch cycle whose delayed delivery the channel
-    /// accepts.
+    /// from the controller's point of view: the first launch at or after
+    /// `now` whose delivery the channel accepts, exactly. Without a chaos
+    /// plan the delivery is the launch, pushed back by the topology's ROW
+    /// penalty. Until a command issues, the answer for any later `now` up
+    /// to it is the same cycle, so a controller may sleep on it.
+    ///
+    /// A chaos plan splits launch time into segments at its edges: where a
+    /// brownout on the channel starts or ends or the command's device
+    /// fails (in launch time), and where an outage on the channel starts
+    /// or ends (in penalized time: the launch plus the ROW penalty plus the
+    /// degraded-mode delay). Within a segment every delivery either lands
+    /// a constant `k` after its launch, or, inside an outage, at the
+    /// outage's end `E`. The search visits the segments in order: a
+    /// shifted one holds an acceptable launch if the first cycle the device
+    /// accepts at or after `launch + k` lies within it, and a flattened
+    /// one is acceptable from its first launch exactly when the device
+    /// accepts at `E`. Each visit is one device probe (see
+    /// [`search_steps`](MemorySystem::search_steps)), so the cost grows
+    /// with the plan's clauses, never with an outage's length.
+    ///
+    /// [`Cycle::MAX`] means what [`FaultInjector::free_at`] says it means:
+    /// busy windows that never let the bank go.
     pub fn earliest(&self, cmd: &Command, now: Cycle) -> Cycle {
         let bank = cmd.bank();
         let ch = self.channel_of_bank(bank);
@@ -529,42 +591,58 @@ impl MemorySystem {
             reason = "banks_per_channel is at least 1: every channel is a validated device with a bank"
         )]
         let local = rebase(cmd, bank % self.banks_per_channel);
-        let accept_at = |t: Cycle| self.faults.free_at(bank, dev.earliest(&local, t));
+        // The first delivery at or after `t` the channel accepts: the
+        // device's own earliest start is `max(t, c)` for a fixed `c`, and
+        // `free_at` is idempotent, so the answer is itself accepted.
+        let accept_at = |t: Cycle| {
+            self.search_steps
+                .set(self.search_steps.get().saturating_add(1));
+            self.faults.free_at(bank, dev.earliest(&local, t))
+        };
         let shift = self.shift_of(ch, cmd);
-        if self.chaos.is_none() {
-            if shift == 0 {
-                return accept_at(now);
-            }
-            // The device must accept the command at launch + shift; the
-            // launch cycle is its acceptance cycle pulled back by the shift
-            // (never before `now`, since device earliest never precedes its
-            // own `now` argument).
-            return accept_at(now.saturating_add(shift))
-                .saturating_sub(shift)
-                .max(now);
-        }
-        // Chaos path: the launch→arrival map is no longer a fixed shift
-        // (penalties depend on the launch cycle and outages flatten whole
-        // windows onto one arrival), so search forward for the first
-        // launch whose shaped delivery the device accepts. Each miss pulls
-        // the candidate toward the device's acceptance cycle and advances
-        // it by at least one, so the loop either converges or hits the
-        // bound (reported as "never"; the controllers' watchdogs turn that
-        // into a structured livelock).
+        let Some(chaos) = &self.chaos else {
+            // One segment: every delivery lands `shift` after its launch.
+            return accept_at(now.saturating_add(shift)).saturating_sub(shift);
+        };
+        let device = self.col_device(cmd);
         let mut launch = now;
-        for _ in 0..CHAOS_EARLIEST_BOUND {
-            let arrival = self.chaos_delivery(ch, cmd, launch).arrival;
-            let accept = accept_at(arrival);
-            if accept == arrival {
-                return launch;
+        loop {
+            let (channel_mult, device_mult) = cost_mults(chaos, ch, device, launch);
+            let k = shift.saturating_add(self.degraded_extra(channel_mult, device_mult));
+            let penalized = launch.saturating_add(k);
+            // The segment ends at the next edge, in launch time: an outage
+            // edge lies after `penalized`, so it maps to a launch after
+            // `launch`.
+            let end = device
+                .and_then(|d| chaos.next_cost_edge(ch, d, launch))
+                .unwrap_or(Cycle::MAX)
+                .min(
+                    chaos
+                        .next_outage_edge(ch, penalized)
+                        .map_or(Cycle::MAX, |edge| edge.saturating_sub(k)),
+                );
+            match chaos.outage_window(ch, penalized) {
+                Some((_, recovery)) => {
+                    if accept_at(recovery) == recovery {
+                        return launch;
+                    }
+                }
+                None => {
+                    let arrival = accept_at(penalized);
+                    if arrival == Cycle::MAX {
+                        return Cycle::MAX;
+                    }
+                    let first = arrival.saturating_sub(k);
+                    if first < end {
+                        return first;
+                    }
+                }
             }
-            if accept == Cycle::MAX {
+            if end == Cycle::MAX {
                 return Cycle::MAX;
             }
-            let lag = arrival.saturating_sub(launch);
-            launch = accept.saturating_sub(lag).max(launch.saturating_add(1));
+            launch = end;
         }
-        Cycle::MAX
     }
 
     /// Issue `cmd` (global bank) with its packet launched at `start`.
@@ -592,20 +670,18 @@ impl MemorySystem {
         let local = rebase(cmd, bank % self.banks_per_channel);
         let delivery = self.chaos_delivery(ch, cmd, start);
         let arrival = delivery.arrival;
-        if !self.faults.is_empty() {
-            let earliest = self
-                .faults
-                .free_at(bank, self.channels[ch].earliest(&local, 0));
-            if arrival < earliest {
-                return Err(ProtocolError::TooEarly {
-                    cmd: local,
-                    requested: arrival,
-                    earliest,
-                });
-            }
+        if !self.faults.is_empty() && self.faults.free_at(bank, arrival) != arrival {
+            return Err(ProtocolError::TooEarly {
+                cmd: local,
+                requested: arrival,
+                earliest: self
+                    .faults
+                    .free_at(bank, self.channels[ch].earliest(&local, arrival)),
+            });
         }
         let outcome = self.channels[ch].issue_at(&local, arrival)?;
         self.commands += 1;
+        self.last_delivery = self.last_delivery.max(arrival);
         if self.chaos.is_some() {
             let penalized = start
                 .saturating_add(self.shift_of(ch, cmd))
@@ -858,17 +934,20 @@ mod tests {
         assert_eq!(MemorySystem::earliest(&sys, &blocked, 0), 100);
         let clear = Command::activate(0, 0);
         assert_eq!(MemorySystem::earliest(&sys, &clear, 0), 0);
-        // A delivery inside the window is refused with the channel-local
-        // command and the window's end.
-        let err = MemorySystem::issue_at(&mut sys, &blocked, 50).unwrap_err();
-        assert_eq!(
-            err,
-            ProtocolError::TooEarly {
-                cmd: Command::activate(0, 0),
-                requested: 50,
-                earliest: 100
-            }
-        );
+        // A delivery inside any window, the first or a later one, is
+        // refused with the channel-local command and the window's end.
+        for (requested, earliest) in [(50, 100), (1050, 1100)] {
+            let err = MemorySystem::issue_at(&mut sys, &blocked, requested).unwrap_err();
+            assert_eq!(
+                err,
+                ProtocolError::TooEarly {
+                    cmd: Command::activate(0, 0),
+                    requested,
+                    earliest
+                }
+            );
+        }
+        assert_eq!(sys.commands_accepted(), 0);
         MemorySystem::issue_at(&mut sys, &blocked, 100).unwrap();
     }
 
@@ -1041,6 +1120,177 @@ mod tests {
             sys.chaos_stats()[0].lost_cycles() + sys.chaos_stats()[1].lost_cycles()
         );
         assert_eq!(total.outages_observed, 1);
+    }
+
+    /// The first launch in `now..=last` whose shaped delivery the channel
+    /// accepts, found by trying every launch in turn.
+    fn first_acceptable_by_scan(
+        sys: &MemorySystem,
+        cmd: &Command,
+        now: Cycle,
+        last: Cycle,
+    ) -> Option<Cycle> {
+        let bank = cmd.bank();
+        let ch = sys.channel_of_bank(bank);
+        let local = rebase(cmd, bank % sys.banks_per_channel);
+        (now..=last).find(|&launch| {
+            let arrival = sys.chaos_delivery(ch, cmd, launch).arrival;
+            sys.faults
+                .free_at(bank, sys.channels[ch].earliest(&local, arrival))
+                == arrival
+        })
+    }
+
+    /// Two channels of two devices each, under a random chaos plan over the
+    /// first few thousand cycles (outages that may overlap, brownouts,
+    /// device failures), a random remote ROW penalty on channel 1 and, half
+    /// the time, a busy window on one bank. Returns the system and a
+    /// description of its plans.
+    fn random_chaos_system(rng: &mut rand::rngs::StdRng) -> (MemorySystem, String) {
+        use rand::Rng;
+        let cfg = DeviceConfig {
+            devices: 2,
+            ..DeviceConfig::default()
+        };
+        let topo = Topology {
+            channels: 2,
+            devices_per_channel: 2,
+            remote_penalty: vec![0, rng.gen_range(0..40)],
+        };
+        let mut sys = MemorySystem::new(cfg, topo);
+        let clauses: Vec<String> = (0..rng.gen_range(1..7))
+            .map(|_| {
+                let ch = rng.gen_range(0..2usize);
+                let from = rng.gen_range(0..2500u64);
+                match rng.gen_range(0..3) {
+                    0 => format!("outage:{ch}:{from}:{}", rng.gen_range(1..600u64)),
+                    1 => format!(
+                        "brownout:{ch}:{from}:{}:{}",
+                        rng.gen_range(1..1600u64),
+                        rng.gen_range(2..6u64)
+                    ),
+                    _ => format!(
+                        "devfail:{ch}:{}:{from}:{}",
+                        rng.gen_range(0..2usize),
+                        rng.gen_range(2..5u64)
+                    ),
+                }
+            })
+            .collect();
+        let chaos = clauses.join(";");
+        sys.set_chaos(FaultInjector::new(
+            &faults::FaultPlan::parse(&chaos).unwrap(),
+            7,
+        ));
+        let mut spec = format!("{chaos}, penalty {:?}", sys.topo.remote_penalty);
+        if rng.gen_bool(0.5) {
+            let period = rng.gen_range(16..400u64);
+            let busy = format!(
+                "busy:{}:{period}:{}",
+                rng.gen_range(0..32usize),
+                rng.gen_range(1..period)
+            );
+            sys.set_faults(FaultInjector::new(
+                &faults::FaultPlan::parse(&busy).unwrap(),
+                7,
+            ));
+            spec = format!("{spec}, faults {busy}");
+        }
+        (sys, spec)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(300))]
+
+        /// Under chaos, `earliest` is exactly the first launch whose
+        /// delivery the channel accepts: a scan of every launch from `now`
+        /// finds none earlier, and the answer issues.
+        #[test]
+        fn chaos_earliest_is_the_first_acceptable_launch(seed in proptest::prelude::any::<u64>()) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let (mut sys, spec) = random_chaos_system(&mut rng);
+            let mut now = 0;
+            for _ in 0..60 {
+                // Even banks only, so no ACT meets an open neighbour.
+                let bank = 2 * rng.gen_range(0..16usize);
+                let cmd = match sys.open_row(bank) {
+                    None => Command::activate(bank, rng.gen_range(0..4u64)),
+                    Some(_) if rng.gen_bool(0.3) => Command::precharge(bank),
+                    Some(_) if rng.gen_bool(0.5) => Command::read(bank, 0),
+                    Some(_) => Command::write(bank, 0),
+                };
+                let got = MemorySystem::earliest(&sys, &cmd, now);
+                proptest::prop_assert_eq!(
+                    first_acceptable_by_scan(&sys, &cmd, now, got),
+                    Some(got),
+                    "{:?} from {} under {}", cmd, now, spec
+                );
+                MemorySystem::issue_at(&mut sys, &cmd, got)
+                    .unwrap_or_else(|e| panic!("{cmd:?} at {got} under {spec}: {e:?}"));
+                now = now.max(got.saturating_sub(rng.gen_range(0..300)));
+            }
+        }
+    }
+
+    #[test]
+    fn a_device_failure_mid_search_keeps_the_launch_it_makes_acceptable() {
+        // Channel 0 of a two-device system: bank 9 lives on device 1, which
+        // fails at 1519 and stretches each COL delivery by one tPACK.
+        let spec = "brownout:1:642:1537:5;devfail:0:1:1519:2";
+        let system = || {
+            MemorySystem::new(
+                DeviceConfig {
+                    devices: 2,
+                    ..DeviceConfig::default()
+                },
+                Topology {
+                    channels: 2,
+                    devices_per_channel: 2,
+                    remote_penalty: Vec::new(),
+                },
+            )
+        };
+        let act = Command::activate(9, 0);
+        let col = Command::read(9, 0);
+        // How long after its ACT the bank accepts a COL.
+        let mut probe = system();
+        MemorySystem::issue_at(&mut probe, &act, 0).unwrap();
+        let gap = MemorySystem::earliest(&probe, &col, 0);
+        // Open the bank so that it accepts a COL from 1522 on.
+        let mut sys = system();
+        sys.set_chaos(FaultInjector::new(
+            &faults::FaultPlan::parse(spec).unwrap(),
+            7,
+        ));
+        MemorySystem::issue_at(&mut sys, &act, 1522 - gap).unwrap();
+        assert_eq!(sys.timing().t_pack, 4);
+        // Launched at 1510 the COL arrives at 1510, too early; launched at
+        // 1519 it arrives at 1523, which the bank accepts.
+        assert_eq!(MemorySystem::earliest(&sys, &col, 1510), 1519);
+        MemorySystem::issue_at(&mut sys, &col, 1519).unwrap();
+        assert_eq!(sys.chaos_stats()[0].devfail_penalty_cycles, 4);
+    }
+
+    #[test]
+    fn the_search_costs_a_probe_per_segment_however_long_the_outage() {
+        for len in [3_000u64, 20_000, 160_000] {
+            let mut sys = chaos_system(&format!("outage:1:500:{len};brownout:1:100:1000:3"));
+            let act = Command::activate(8, 0);
+            MemorySystem::issue_at(&mut sys, &act, 600).unwrap();
+            assert_eq!(
+                sys.last_delivery(),
+                500 + len,
+                "deferred to the outage's end"
+            );
+            // The ROW bus is taken at the recovery cycle, so the next ACT
+            // on channel 1 waits for the outage to end.
+            let next = Command::activate(10, 0);
+            let before = sys.search_steps();
+            let t = MemorySystem::earliest(&sys, &next, 600);
+            assert_eq!(t, 500 + len + sys.timing().t_rr);
+            assert_eq!(sys.search_steps() - before, 2, "outage {len}");
+        }
     }
 
     #[test]

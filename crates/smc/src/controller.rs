@@ -124,7 +124,9 @@ impl SmcController {
     /// Propagates the MSU's [`SmcError`]s and adds
     /// [`SmcError::Livelock`] when the forward-progress watchdog sees no
     /// command issued and no FIFO element moved for the watchdog threshold
-    /// (see [`with_watchdog`](Self::with_watchdog)).
+    /// (see [`with_watchdog`](Self::with_watchdog)), counted from the
+    /// latest delivery of an accepted command
+    /// ([`MemorySystem::last_delivery`]).
     pub fn tick(
         &mut self,
         now: Cycle,
@@ -140,7 +142,7 @@ impl SmcController {
             return Ok(());
         }
         let key = (dev.commands_accepted(), self.sbu.moved());
-        if let Some(stalled_for) = self.watchdog.observe(now, key) {
+        if let Some(stalled_for) = self.watchdog.observe(now, key, dev.last_delivery()) {
             if let Some(events) = &mut self.events {
                 events.push(Event::WatchdogTrip {
                     cycle: now,

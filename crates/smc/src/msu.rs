@@ -315,15 +315,19 @@ impl Msu {
     ///
     /// A tick that issues nothing sleeps until a wake cycle: the least of
     /// the `earliest` answers for the commands it held, the refresh
-    /// timer's next due cycle and the cycle the first not-yet-valid
-    /// buffered write becomes valid. Until then, while `sbu`'s readiness
-    /// epoch stands still, a tick only
+    /// timer's next due cycle, the cycle the first not-yet-valid buffered
+    /// write becomes valid, and, under device faults, the next injected
+    /// stall and the next busy-window edge of an in-flight slot's bank.
+    /// Until then, while `sbu`'s readiness epoch stands still, a tick only
     /// counts its idle cycle. That is exact: the MSU is the only issuer on
     /// `dev`, and without a command issuing no bank, bus or slot changes,
-    /// so `earliest(cmd, t)` is `max(t, c)` for a fixed `c`; and the
-    /// processor reaches the MSU only by making a FIFO ready, which
-    /// advances the epoch. The MSU never sleeps with a fault timeline or
-    /// chaos plan attached, or with a speculative target pending.
+    /// so each held command's `earliest` answer, the exact first
+    /// acceptable launch under busy windows and chaos alike, stays where
+    /// it was; chaos accounting is charged at issue; and the processor
+    /// reaches the MSU only by making a FIFO ready, which advances the
+    /// epoch. A tick that held a command inside a busy window does not
+    /// sleep, so the bank's conflict streak grows once per held cycle, as
+    /// with full passes; nor does one with a speculative target pending.
     ///
     /// # Errors
     ///
@@ -368,21 +372,40 @@ impl Msu {
         if idle {
             self.stats.idle_cycles += 1;
         }
-        let may_sleep =
-            self.sleeps && self.spec.is_none() && dev.faults().is_empty() && !dev.has_chaos();
-        if may_sleep && dev.commands_accepted() == commands {
+        if self.sleeps && self.spec.is_none() && dev.commands_accepted() == commands {
             let refresh_due = self
                 .refresh
                 .as_ref()
                 .map_or(Cycle::MAX, rdram::refresh::RefreshTimer::next_due);
             let write_valid = sbu.next_write_valid_at(now).unwrap_or(Cycle::MAX);
             self.sleep = Some(Sleep {
-                until: self.wake.min(refresh_due).min(write_valid),
+                until: self
+                    .wake
+                    .min(refresh_due)
+                    .min(write_valid)
+                    .min(self.next_fault_edge(now, dev.faults())),
                 epoch: sbu.readiness_epoch(),
                 idle,
             });
         }
         Ok(())
+    }
+
+    /// The first cycle after `now` at which the fault timeline changes what
+    /// a tick does: the next injected stall, whose cycles are stepped one
+    /// by one, or the next busy-window edge of an in-flight slot's bank,
+    /// where a hold starts or stops extending the bank's conflict streak.
+    fn next_fault_edge(&self, now: Cycle, faults: &FaultInjector) -> Cycle {
+        if faults.is_empty() {
+            return Cycle::MAX;
+        }
+        let stall = faults
+            .next_stall(now.saturating_add(1))
+            .unwrap_or(Cycle::MAX);
+        self.slots
+            .iter()
+            .filter_map(|s| faults.next_busy_edge(s.loc.bank, now))
+            .fold(stall, Cycle::min)
     }
 
     /// Perform a due refresh when its target bank is free of in-flight
@@ -536,9 +559,11 @@ impl Msu {
     /// A ready command could not issue this cycle. When the hold is an
     /// injected busy window (rather than ordinary timing pressure), extend
     /// the bank's conflict streak; enough consecutive conflicts demote the
-    /// bank to closed-page service.
+    /// bank to closed-page service. The streak grows once per held cycle,
+    /// so such a tick wakes on the next cycle rather than sleeping.
     fn note_hold(&mut self, faults: &FaultInjector, bank: usize, now: Cycle) {
         if faults.bank_busy(bank, now) {
+            self.wake = self.wake.min(now.saturating_add(1));
             self.note_fault_conflict(bank);
         }
     }

@@ -14,15 +14,21 @@ pub const DEFAULT_WATCHDOG_CYCLES: Cycle = 50_000;
 /// The key is whatever the controller can compare cheaply that changes on
 /// every step of progress: commands the memory system accepted, elements
 /// moved, queue lengths. The first key observed always counts as progress.
+/// So does the delivery of work already accepted: a command an outage
+/// defers reaches its device only when the outage ends, and until then the
+/// controller waits on it rather than starving.
 ///
 /// ```
 /// use smc::Watchdog;
 ///
 /// let mut dog = Watchdog::new(10);
-/// assert_eq!(dog.observe(0, 1), None);
-/// assert_eq!(dog.observe(9, 1), None);
-/// assert_eq!(dog.observe(10, 1), Some(10), "no progress for 10 cycles");
-/// assert_eq!(dog.observe(11, 2), None, "a new key is progress");
+/// assert_eq!(dog.observe(0, 1, 0), None);
+/// assert_eq!(dog.observe(9, 1, 0), None);
+/// assert_eq!(dog.observe(10, 1, 0), Some(10), "no progress for 10 cycles");
+/// assert_eq!(dog.observe(11, 2, 0), None, "a new key is progress");
+/// assert_eq!(dog.observe(20, 2, 30), None, "a delivery due at 30");
+/// assert_eq!(dog.observe(39, 2, 30), None);
+/// assert_eq!(dog.observe(40, 2, 30), Some(10), "10 cycles past it");
 /// ```
 #[derive(Debug, Clone)]
 pub struct Watchdog<K> {
@@ -58,15 +64,17 @@ impl<K: PartialEq> Watchdog<K> {
         self.last_key = None;
     }
 
-    /// Observe the controller's progress key at `now`. Returns how long
-    /// the controller has stalled once the key has stayed unchanged for at
-    /// least the threshold, and `None` otherwise.
-    pub fn observe(&mut self, now: Cycle, key: K) -> Option<Cycle> {
+    /// Observe the controller's progress key at `now`, with `delivery` the
+    /// latest cycle at which work the memory system already accepted is
+    /// delivered. Returns how long the controller has stalled once the key
+    /// has stayed unchanged, and that delivery passed, for at least the
+    /// threshold, and `None` otherwise.
+    pub fn observe(&mut self, now: Cycle, key: K, delivery: Cycle) -> Option<Cycle> {
         if self.last_key.as_ref() != Some(&key) {
             self.last_key = Some(key);
             self.last_progress = now;
-            return None;
         }
+        self.last_progress = self.last_progress.max(delivery);
         let stalled_for = self.stalled_for(now);
         (stalled_for >= self.limit).then_some(stalled_for)
     }
@@ -84,9 +92,9 @@ impl<K: PartialEq> Watchdog<K> {
     /// use smc::Watchdog;
     ///
     /// let mut dog = Watchdog::new(10);
-    /// assert_eq!(dog.observe(3, 1), None);
+    /// assert_eq!(dog.observe(3, 1, 0), None);
     /// assert_eq!(dog.deadline(), 13);
-    /// assert_eq!(dog.observe(dog.deadline(), 1), Some(10));
+    /// assert_eq!(dog.observe(dog.deadline(), 1, 0), Some(10));
     /// ```
     pub fn deadline(&self) -> Cycle {
         self.last_progress.saturating_add(self.limit)
