@@ -22,6 +22,7 @@ use campaign::{Domain, Param, RunPoint, Val, PARAMS};
 use checker::TraceFile;
 use kernels::Kernel;
 
+use crate::counters::Sources;
 use crate::{metrics, run_kernel, sweep, AccessOrder, RunResult, SystemConfig};
 
 /// A fully parsed `smcsim` command line.
@@ -195,7 +196,7 @@ const EXTRAS: &[Extra] = &[
         job.explain = true;
         Ok(())
     }),
-    extra("--arb", "POLICY", Mode::Serve, "fcfs|rr|bank-aware|regulated [fcfs]", |job, v| {
+    extra("--arb", "POLICY", Mode::Serve, "fcfs|rr|regulated [fcfs]", |job, v| {
         if let Some(cfg) = &mut job.serve {
             cfg.policy = v.to_string();
         }
@@ -536,15 +537,16 @@ fn serve(job: &Job, cfg: &tenancy::ServeConfig) -> Result<String, String> {
     }
     if let Some(path) = &job.metrics_out {
         let mut registry = telemetry::Registry::new();
-        crate::counters::Sources::serve(&report, chaos_total).record(&mut registry);
+        Sources::serve(&report, chaos_total).record(&mut registry);
         crate::serve::record_serve_histograms(&report, trace.as_ref(), &mut registry);
         std::fs::write(path, registry.to_jsonl())
             .map_err(|e| format!("cannot write metrics to {path}: {e}"))?;
     }
+    let chaos = chaos_total.map(|total| Sources::serve(&report, Some(total)).chaos_block());
     if job.json {
-        return Ok(serve_report_json(&report, chaos_total.as_ref()));
+        return Ok(serve_report_json(&report, chaos.as_deref()));
     }
-    Ok(render_serve_report(&report, chaos_total.as_ref()))
+    Ok(render_serve_report(&report, chaos.as_deref()))
 }
 
 /// Replay a recorded trace file through the timing-conformance checker,
@@ -668,13 +670,16 @@ pub fn run_serve_cmd(args: &[String]) -> Result<String, String> {
     execute(&job)
 }
 
+/// A report's chaos block ([`Sources::chaos_block`]) as one summary line.
+fn chaos_line(block: &[(&str, u64)]) -> String {
+    let fields: Vec<String> = block.iter().map(|(k, v)| format!("{k} {v}")).collect();
+    format!("chaos: {}\n", fields.join(", "))
+}
+
 /// Render a serve report as the CLI's text summary. The chaos block only
 /// exists when the run injected channel faults or armed the closed loop,
 /// so fault-free output is byte-identical to pre-chaos builds.
-fn render_serve_report(
-    report: &tenancy::ServeReport,
-    chaos: Option<&memsys::ChannelFaultStats>,
-) -> String {
+fn render_serve_report(report: &tenancy::ServeReport, chaos: Option<&[(&str, u64)]>) -> String {
     let (submitted, completed, failed, shed, rejected, misses, words) = report.totals();
     let mut out = format!(
         "serve: {} tenants, {} cycles, {} dispatches ({} policy)\n\
@@ -694,22 +699,8 @@ fn render_serve_report(
             report.budget_violations
         ));
     }
-    if let Some(total) = chaos {
-        let retries: u64 = report.tenants.iter().map(|t| t.retries).sum();
-        let exhausted: u64 = report.tenants.iter().map(|t| t.retry_exhausted).sum();
-        out.push_str(&format!(
-            "chaos: {} degraded commands, {} deferred ({} cycles); \
-             penalties {} brownout + {} devfail cycles\n\
-             recovery: {} outages observed, MTTR {} cycles\n\
-             retries: {retries} scheduled, {exhausted} exhausted\n",
-            total.degraded_commands,
-            total.deferred_commands,
-            total.deferred_cycles,
-            total.brownout_penalty_cycles,
-            total.devfail_penalty_cycles,
-            total.outages_observed,
-            total.mttr_cycles,
-        ));
+    if let Some(block) = chaos {
+        out.push_str(&chaos_line(block));
     }
     for s in &report.starvation {
         out.push_str(&format!(
@@ -748,10 +739,7 @@ fn render_serve_report(
 /// Hand-rolled JSON for a serve report (stable field order). The `chaos`
 /// object only appears when channel faults or the closed loop were armed,
 /// keeping fault-free output byte-identical to pre-chaos builds.
-fn serve_report_json(
-    report: &tenancy::ServeReport,
-    chaos: Option<&memsys::ChannelFaultStats>,
-) -> String {
+fn serve_report_json(report: &tenancy::ServeReport, chaos: Option<&[(&str, u64)]>) -> String {
     let tenants: Vec<String> = report
         .tenants
         .iter()
@@ -774,23 +762,9 @@ fn serve_report_json(
             )
         })
         .collect();
-    let chaos_section = chaos.map_or_else(String::new, |total| {
-        let retries: u64 = report.tenants.iter().map(|t| t.retries).sum();
-        let exhausted: u64 = report.tenants.iter().map(|t| t.retry_exhausted).sum();
-        format!(
-            "\"chaos\":{{\"degraded_commands\":{},\"deferred_commands\":{},\
-             \"deferred_cycles\":{},\"brownout_penalty_cycles\":{},\
-             \"devfail_penalty_cycles\":{},\"outages_observed\":{},\
-             \"mttr_cycles\":{},\"retries\":{retries},\
-             \"retry_exhausted\":{exhausted}}},",
-            total.degraded_commands,
-            total.deferred_commands,
-            total.deferred_cycles,
-            total.brownout_penalty_cycles,
-            total.devfail_penalty_cycles,
-            total.outages_observed,
-            total.mttr_cycles,
-        )
+    let chaos_section = chaos.map_or_else(String::new, |block| {
+        let fields: Vec<String> = block.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
+        format!("\"chaos\":{{{}}},", fields.join(","))
     });
     format!(
         "{{\"kind\":\"serve-report\",\"cycles\":{},\"dispatches\":{},\"policy\":\"{}\",\
@@ -998,6 +972,10 @@ fn summarize(r: &RunResult) -> String {
             ));
         }
     }
+    if !r.chaos_stats.is_empty() {
+        out.push_str("  ");
+        out.push_str(&chaos_line(&Sources::run(r).chaos_block()));
+    }
     out
 }
 
@@ -1073,6 +1051,33 @@ mod tests {
         )))
         .unwrap_err();
         assert!(err.contains("`outage:2:0:500`"), "{err}");
+        // Vectors that do not fit the memory fail the run, naming the bytes.
+        let job = parse(&args("--kernel daxpy --n 524288 --memory pi --fifo 64")).unwrap();
+        let err = execute(&job).unwrap_err();
+        assert!(
+            err.contains("layout needs 8397824 bytes but only 8388608 are addressable"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_chaos_run_reports_its_chaos() {
+        let mut job = parse(&args(
+            "--kernel copy --n 4096 --memory cli --order smc --fifo 32 --channels 2 \
+             --chaos outage:1:500:3000",
+        ))
+        .unwrap();
+        let text = execute(&job).unwrap();
+        assert!(
+            text.contains("outages_observed 1, mttr_cycles 3000"),
+            "{text}"
+        );
+        job.json = true;
+        let json = execute(&job).unwrap();
+        let v: serde_json::Value = serde_json::from_str(&json).unwrap();
+        let channel = &v["chaos_stats"][1];
+        assert_eq!(channel["outages_observed"].as_u64(), Some(1), "{json}");
+        assert_eq!(channel["mttr_cycles"].as_u64(), Some(3000), "{json}");
     }
 
     #[test]
@@ -1312,9 +1317,10 @@ mod tests {
         assert!(run_serve_cmd(&args("--tenants ls:1:warp:64"))
             .unwrap_err()
             .contains("warp"));
-        assert!(run_serve_cmd(&args("--tenants ls:1:copy:64 --arb lifo"))
-            .unwrap_err()
-            .contains("lifo"));
+        for arb in ["lifo", "bank-aware"] {
+            let err = run_serve_cmd(&args(&format!("--tenants ls:1:copy:64 --arb {arb}")));
+            assert!(err.unwrap_err().contains(arb), "{arb}");
+        }
         assert!(run_serve_cmd(&args("--tenants ls:1:copy:64 --frob"))
             .unwrap_err()
             .contains("unknown option"));
@@ -1374,6 +1380,18 @@ mod tests {
             "{chaotic}"
         );
         assert_eq!(run_serve_cmd(&args(cmd)).unwrap(), chaotic);
+        // The block holds exactly the binding table's chaos-group rows, so
+        // a new chaos counter reaches it with no edit to the renderers.
+        let block = v["chaos"].as_object().unwrap();
+        let mut keys: Vec<&str> = block.iter().map(|(key, _)| key.as_str()).collect();
+        let mut rows: Vec<&str> = campaign::STATS
+            .iter()
+            .filter(|s| s.group == campaign::Group::Chaos)
+            .map(|s| s.name.split_once('_').map_or(s.name, |(_, key)| key))
+            .collect();
+        keys.sort_unstable();
+        rows.sort_unstable();
+        assert_eq!(keys, rows);
         // The chaos metrics land in the registry dump.
         let metrics = scratch("serve-chaos", "chaos.jsonl");
         run_serve_cmd(&args(&format!("{cmd} --metrics-out {metrics}"))).unwrap();
@@ -1391,7 +1409,10 @@ mod tests {
             "--tenants bh:1:copy:64 --fifo 16 --channels 2 --chaos outage:0:100:300",
         ))
         .unwrap();
-        assert!(text.contains("recovery:"), "{text}");
+        assert!(
+            text.contains("outages_observed 1, mttr_cycles 300, retries 0"),
+            "{text}"
+        );
     }
 
     #[test]

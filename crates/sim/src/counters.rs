@@ -21,7 +21,7 @@
 #![cfg_attr(not(test), deny(clippy::panic, clippy::todo, clippy::unimplemented))]
 
 use baseline::BaselineResult;
-use campaign::{RunPoint, RunStats, STATS};
+use campaign::{Group, RunPoint, RunStats, STATS};
 use memsys::ChannelFaultStats;
 use smc::MsuStats;
 use telemetry::{CategoryTotals, MetricId, MetricKind, Registry};
@@ -223,6 +223,27 @@ impl<'a> Sources<'a> {
             (stat.set)(&mut stats, 0);
         }
         stats
+    }
+
+    /// The chaos block of a report: the value of every bound
+    /// [`Group::Chaos`] counter whose source is present, in table order,
+    /// keyed by its `STATS` name without the `chaos_` or `serve_` prefix.
+    pub fn chaos_block(&self) -> Vec<(&'static str, u64)> {
+        let chaos = |name: &str| {
+            STATS
+                .iter()
+                .any(|s| s.name == name && s.group == Group::Chaos)
+        };
+        BINDINGS
+            .iter()
+            .filter_map(|binding| {
+                let name = binding.stat.filter(|&name| chaos(name))?;
+                let key = name
+                    .strip_prefix("chaos_")
+                    .or_else(|| name.strip_prefix("serve_"));
+                Some((key.unwrap_or(name), binding.value(self)?))
+            })
+            .collect()
     }
 
     /// Write every bound metric into `registry`.

@@ -21,9 +21,23 @@ use crate::{Alignment, MemorySystem, SystemConfig};
 /// # Panics
 ///
 /// Panics if `n` or `stride` is zero, or the layout exceeds the device's
-/// address space.
+/// address space. A run reports the latter as a configuration error.
 pub fn vector_bases(kernel: Kernel, n: u64, stride: u64, cfg: &SystemConfig) -> Vec<u64> {
-    assert!(n > 0 && stride > 0, "need a non-empty computation");
+    fit_vectors(kernel, n, stride, cfg).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// The bases of [`vector_bases`], or why they do not fit: `n` or `stride`
+/// is zero, or the layout needs more bytes than the system can address
+/// (the message names both counts).
+pub(crate) fn fit_vectors(
+    kernel: Kernel,
+    n: u64,
+    stride: u64,
+    cfg: &SystemConfig,
+) -> Result<Vec<u64>, String> {
+    if n == 0 || stride == 0 {
+        return Err("need a non-empty computation".to_string());
+    }
     let rotation = cfg.device.total_banks() as u64 * cfg.device.page_bytes;
     let span = (0..kernel.vectors())
         .map(|v| kernel.vector_len(v, n, stride) * ELEM_BYTES)
@@ -50,11 +64,12 @@ pub fn vector_bases(kernel: Kernel, n: u64, stride: u64, cfg: &SystemConfig) -> 
             cfg.device.capacity_bytes() * cfg.channels.max(1) as u64
         }
     };
-    assert!(
-        top <= addressable,
-        "layout needs {top} bytes but the device holds {addressable}"
-    );
-    bases
+    if top > addressable {
+        return Err(format!(
+            "layout needs {top} bytes but only {addressable} are addressable"
+        ));
+    }
+    Ok(bases)
 }
 
 #[cfg(test)]
@@ -107,7 +122,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "device holds")]
+    #[should_panic(expected = "are addressable")]
     fn oversized_layout_is_rejected() {
         let cfg = SystemConfig::natural_order(MemorySystem::PageInterleaved);
         let _ = vector_bases(Kernel::Vaxpy, 200_000, 4, &cfg);

@@ -12,8 +12,9 @@ use kernels::{Coefficients, Kernel, ReferenceMachine};
 use rdram::{CommandRecord, Cycle, DeviceConfig, DeviceStats, MemoryImage, WORDS_PER_PACKET};
 use smc::{MsuConfig, MsuStats, SmcController};
 
+use crate::layout::fit_vectors;
 use crate::metrics::RunTelemetry;
-use crate::{vector_bases, AccessOrder, SimError, StreamCpu, SystemConfig};
+use crate::{AccessOrder, SimError, StreamCpu, SystemConfig};
 
 /// Consecutive injected conflicts on one bank before the MSU demotes it to
 /// closed-page during fault-injection runs.
@@ -57,7 +58,6 @@ pub struct RunResult {
     /// Per-channel degraded-mode accounting (penalty cycles, deferred
     /// deliveries, outages observed, MTTR) when a chaos plan was active;
     /// empty on healthy runs.
-    #[serde(skip)]
     pub chaos_stats: Vec<memsys::ChannelFaultStats>,
     t_pack: Cycle,
 }
@@ -224,7 +224,7 @@ impl Session {
         cfg: &SystemConfig,
     ) -> Result<Self, SimError> {
         let (map, mut dev) = cfg.build_memory()?;
-        let bases = vector_bases(kernel, n, stride, cfg);
+        let bases = fit_vectors(kernel, n, stride, cfg).map_err(SimError::Config)?;
         let faulty = !dev.faults().is_empty();
         // The conformance checker replays the command record after the run,
         // and the telemetry layer replays it into bank/bus timelines.

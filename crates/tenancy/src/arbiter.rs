@@ -7,9 +7,11 @@
 //! can be swapped by name from the CLI and the campaign axes.
 //!
 //! Every policy sees only [`ArbiterView`]: the eligible queue heads plus
-//! regulator token levels and the previously served tenant/bank. Policies
-//! must pick from the eligible set (the server re-checks), are pure
-//! integer code, and never panic.
+//! regulator token levels and the previously served tenant. Policies must
+//! pick from the eligible set (the server re-checks), are pure integer
+//! code, and never panic. No policy arbitrates by bank: the server runs
+//! each request alone to completion, so there is no live bank state to
+//! choose by.
 
 use crate::tenant::Cycle;
 
@@ -27,8 +29,6 @@ pub struct QueueView {
     pub head_deadline_at: Cycle,
     /// Tenant token-bucket level (may be negative while in debt).
     pub tokens: i64,
-    /// Bank the head request is expected to touch first, if known.
-    pub first_bank: Option<usize>,
 }
 
 /// Everything a policy may consult when selecting the next tenant.
@@ -38,8 +38,6 @@ pub struct ArbiterView<'a> {
     pub now: Cycle,
     /// Tenant served by the previous dispatch, if any.
     pub last_served: Option<usize>,
-    /// First bank touched by the previous dispatch, if known.
-    pub last_bank: Option<usize>,
     /// One entry per tenant, indexed by tenant id.
     pub queues: &'a [QueueView],
 }
@@ -97,30 +95,6 @@ impl ArbitrationPolicy for RoundRobin {
     }
 }
 
-/// Bank-aware FCFS: among eligible heads, prefer one whose first bank
-/// differs from the previously served bank (avoids back-to-back pressure
-/// on one bank), falling back to plain FCFS.
-#[derive(Debug, Default, Clone)]
-pub struct BankAware;
-
-impl ArbitrationPolicy for BankAware {
-    fn name(&self) -> &'static str {
-        "bank-aware"
-    }
-
-    fn select(&mut self, view: &ArbiterView<'_>) -> Option<usize> {
-        let other_bank = view
-            .eligible()
-            .filter(|q| match (q.first_bank, view.last_bank) {
-                (Some(b), Some(last)) => b != last,
-                _ => true,
-            })
-            .min_by_key(|q| (q.head_submitted_at, q.tenant))
-            .map(|q| q.tenant);
-        other_bank.or_else(|| Fcfs.select(view))
-    }
-}
-
 /// Budget-weighted: the eligible tenant with the most unspent tokens goes
 /// first (keeps everyone near their configured share); ties break on the
 /// earlier deadline, then the lower tenant id.
@@ -144,10 +118,9 @@ pub fn policy_by_name(name: &str) -> Result<Box<dyn ArbitrationPolicy>, String> 
     match name {
         "fcfs" => Ok(Box::new(Fcfs)),
         "rr" | "round-robin" => Ok(Box::new(RoundRobin)),
-        "bank-aware" => Ok(Box::new(BankAware)),
         "regulated" => Ok(Box::new(Regulated)),
         other => Err(format!(
-            "unknown arbitration policy `{other}` (expected fcfs, rr, bank-aware, or regulated)"
+            "unknown arbitration policy `{other}` (expected fcfs, rr, or regulated)"
         )),
     }
 }
@@ -156,85 +129,60 @@ pub fn policy_by_name(name: &str) -> Result<Box<dyn ArbitrationPolicy>, String> 
 mod tests {
     use super::*;
 
-    fn q(tenant: usize, eligible: bool, at: Cycle, tokens: i64, bank: Option<usize>) -> QueueView {
+    fn q(tenant: usize, eligible: bool, at: Cycle, tokens: i64) -> QueueView {
         QueueView {
             tenant,
             eligible,
             head_submitted_at: at,
             head_deadline_at: at + 50,
             tokens,
-            first_bank: bank,
         }
     }
 
-    fn view<'a>(
-        queues: &'a [QueueView],
-        last: Option<usize>,
-        bank: Option<usize>,
-    ) -> ArbiterView<'a> {
+    fn view(queues: &[QueueView], last: Option<usize>) -> ArbiterView<'_> {
         ArbiterView {
             now: 100,
             last_served: last,
-            last_bank: bank,
             queues,
         }
     }
 
     #[test]
     fn fcfs_picks_earliest_arrival_ties_on_id() {
-        let qs = [
-            q(0, true, 30, 10, None),
-            q(1, true, 20, 10, None),
-            q(2, true, 20, 99, None),
-        ];
-        assert_eq!(Fcfs.select(&view(&qs, None, None)), Some(1));
-        let none = [q(0, false, 1, 1, None)];
-        assert_eq!(Fcfs.select(&view(&none, None, None)), None);
+        let qs = [q(0, true, 30, 10), q(1, true, 20, 10), q(2, true, 20, 99)];
+        assert_eq!(Fcfs.select(&view(&qs, None)), Some(1));
+        let none = [q(0, false, 1, 1)];
+        assert_eq!(Fcfs.select(&view(&none, None)), None);
     }
 
     #[test]
     fn round_robin_rotates_past_the_last_served() {
-        let qs = [
-            q(0, true, 1, 0, None),
-            q(1, true, 1, 0, None),
-            q(2, true, 1, 0, None),
-        ];
-        assert_eq!(RoundRobin.select(&view(&qs, None, None)), Some(0));
-        assert_eq!(RoundRobin.select(&view(&qs, Some(0), None)), Some(1));
-        assert_eq!(RoundRobin.select(&view(&qs, Some(2), None)), Some(0));
-        let qs = [
-            q(0, true, 1, 0, None),
-            q(1, false, 1, 0, None),
-            q(2, true, 1, 0, None),
-        ];
-        assert_eq!(RoundRobin.select(&view(&qs, Some(0), None)), Some(2));
-        assert_eq!(RoundRobin.select(&view(&[], None, None)), None);
-    }
-
-    #[test]
-    fn bank_aware_avoids_the_last_bank_when_it_can() {
-        let qs = [q(0, true, 10, 0, Some(3)), q(1, true, 20, 0, Some(5))];
-        // Plain FCFS would pick 0; bank 3 was just served, so prefer 1.
-        assert_eq!(BankAware.select(&view(&qs, None, Some(3))), Some(1));
-        // When every head hits the last bank, fall back to FCFS.
-        let qs = [q(0, true, 10, 0, Some(3)), q(1, true, 20, 0, Some(3))];
-        assert_eq!(BankAware.select(&view(&qs, None, Some(3))), Some(0));
+        let qs = [q(0, true, 1, 0), q(1, true, 1, 0), q(2, true, 1, 0)];
+        assert_eq!(RoundRobin.select(&view(&qs, None)), Some(0));
+        assert_eq!(RoundRobin.select(&view(&qs, Some(0))), Some(1));
+        assert_eq!(RoundRobin.select(&view(&qs, Some(2))), Some(0));
+        let qs = [q(0, true, 1, 0), q(1, false, 1, 0), q(2, true, 1, 0)];
+        assert_eq!(RoundRobin.select(&view(&qs, Some(0))), Some(2));
+        assert_eq!(RoundRobin.select(&view(&[], None)), None);
     }
 
     #[test]
     fn regulated_prefers_tokens_then_deadline() {
-        let qs = [q(0, true, 10, 5, None), q(1, true, 20, 50, None)];
-        assert_eq!(Regulated.select(&view(&qs, None, None)), Some(1));
+        let qs = [q(0, true, 10, 5), q(1, true, 20, 50)];
+        assert_eq!(Regulated.select(&view(&qs, None)), Some(1));
         // Equal tokens: earlier deadline (earlier arrival here) wins.
-        let qs = [q(0, true, 30, 7, None), q(1, true, 10, 7, None)];
-        assert_eq!(Regulated.select(&view(&qs, None, None)), Some(1));
+        let qs = [q(0, true, 30, 7), q(1, true, 10, 7)];
+        assert_eq!(Regulated.select(&view(&qs, None)), Some(1));
     }
 
     #[test]
     fn policies_resolve_by_name() {
-        for name in ["fcfs", "rr", "round-robin", "bank-aware", "regulated"] {
+        for name in ["fcfs", "rr", "round-robin", "regulated"] {
             assert!(policy_by_name(name).is_ok(), "{name}");
         }
-        assert!(policy_by_name("lifo").is_err());
+        // No policy can see a bank, so none is offered under that name.
+        for name in ["lifo", "bank-aware"] {
+            assert!(policy_by_name(name).is_err(), "{name}");
+        }
     }
 }

@@ -17,8 +17,8 @@
 //!   storms throttle, then shed, bandwidth-hungry tenants strictly before
 //!   latency-sensitive ones;
 //! - [`arbiter`] — pluggable arbitration policies (FCFS, round-robin,
-//!   bank-aware, regulated) behind one trait, orthogonal to the MSU's
-//!   intra-request access ordering;
+//!   regulated) behind one trait, orthogonal to the MSU's intra-request
+//!   access ordering;
 //! - [`retry`] — closed-loop clients: a seeded, integer-only exponential
 //!   backoff-with-jitter policy that resubmits rejected requests (never
 //!   earlier than the server's `retry_after` hint), with per-request retry

@@ -100,16 +100,6 @@ impl TenantQueue {
     pub fn is_empty(&self) -> bool {
         self.queue.is_empty()
     }
-
-    /// Configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Fill level in permille of capacity.
-    pub fn fill_permille(&self) -> u64 {
-        (self.queue.len() as u64).saturating_mul(1000) / (self.capacity as u64)
-    }
 }
 
 #[cfg(test)]
@@ -142,7 +132,6 @@ mod tests {
         );
         // The queue did not grow past capacity.
         assert_eq!(q.len(), 2);
-        assert_eq!(q.fill_permille(), 1000);
     }
 
     #[test]
@@ -165,13 +154,11 @@ mod tests {
         let dropped = q.drain();
         assert_eq!(dropped.len(), 2);
         assert!(q.is_empty());
-        assert_eq!(q.fill_permille(), 0);
     }
 
     #[test]
     fn zero_capacity_is_clamped_and_backoff_is_never_zero() {
         let mut q = TenantQueue::new(0);
-        assert_eq!(q.capacity(), 1);
         assert_eq!(
             q.offer(req(0, 0, 1), 0),
             Admission::Admitted { position: 0 }

@@ -6,7 +6,10 @@
 //! policy and the bandwidth regulator to grant a dispatch, and are then
 //! executed one at a time by an [`Executor`] — the serving layer never
 //! touches the memory system directly, so it can be driven by the real
-//! simulator (`sim::serve`) or by a synthetic model in tests.
+//! simulator (`sim::serve`) or by a synthetic model in tests. Fresh
+//! arrivals and closed-loop resubmissions share one admission path, and
+//! every request leaves through one place that books its outcome and
+//! records its span.
 //!
 //! Robustness contract, enforced by the overload property suite:
 //!
@@ -72,7 +75,7 @@ pub struct ServeConfig {
     pub regulator: RegulatorConfig,
     /// Degradation-ladder thresholds.
     pub ladder: LadderConfig,
-    /// Arbitration policy name (`fcfs`, `rr`, `bank-aware`, `regulated`).
+    /// Arbitration policy name (`fcfs`, `rr`, `regulated`).
     pub policy: String,
     /// Per-tenant forward-progress deadline: a tenant whose queue head has
     /// waited longer than this since the tenant last progressed produces a
@@ -286,90 +289,151 @@ fn jain_milli(xs: &[u128]) -> u64 {
     u64::try_from(sum * sum * 1000 / (n * sum_sq)).unwrap_or(0)
 }
 
-/// Internal per-tenant arrival/progress state.
-struct TenantState {
-    next_seq: u64,
-    last_progress: Cycle,
+/// The books of one serve run: the per-tenant stats and queues, the closed
+/// loop's pending resubmissions and their audit log, the first shed of
+/// each class, and the optional trace. A request enters through
+/// [`arrive`](Ledger::arrive) and leaves through
+/// [`resolve`](Ledger::resolve), the one place its span is built.
+struct Ledger<'t> {
+    stats: Vec<TenantServeStats>,
+    queues: Vec<TenantQueue>,
+    /// Resubmissions pending by maturity cycle, each paired with the
+    /// resubmissions it has already consumed.
+    retries: BTreeMap<Cycle, Vec<(Request, u32)>>,
+    retry_log: Vec<RetryAudit>,
+    first_bh_shed: Option<Cycle>,
+    first_ls_shed: Option<Cycle>,
+    trace: Option<&'t mut ServeTrace>,
 }
 
-/// Closed-loop retry state for one serve run: resubmissions pending by
-/// maturity cycle, plus the audit trail.
-struct RetryState {
-    queue: BTreeMap<Cycle, Vec<(Request, u32)>>,
-    log: Vec<RetryAudit>,
-}
-
-/// Account one rejection and, when the closed loop is on, either schedule
-/// the resubmission (never earlier than `now + retry_after`) or abandon
-/// the request as retry-exhausted. `rejected` pairs the request with the
-/// resubmissions already consumed (0 = the original submission was
-/// rejected) — the same shape the retry queue stores.
-fn on_rejection(
-    policy: &RetryPolicy,
-    now: Cycle,
-    rejected: (Request, u32),
-    retry_after: Cycle,
-    stat: &mut TenantServeStats,
-    retry: &mut RetryState,
-    mut trace: Option<&mut ServeTrace>,
-) {
-    let (req, attempt) = rejected;
-    stat.rejected += 1;
-    if let Some(tr) = trace.as_deref_mut() {
-        tr.record_span(RequestSpan {
+impl Ledger<'_> {
+    /// Offer `req` — a fresh arrival (`attempt` 0) or a matured
+    /// resubmission (`attempt` resubmissions consumed) — to admission at
+    /// ladder level `level`. The ladder sheds first (bandwidth-hungry
+    /// strictly before latency-sensitive, so a retry storm cannot amplify
+    /// overload past the shed point), then the bounded queue answers. A
+    /// rejection enters the closed loop, when it is on: the request is
+    /// rescheduled no earlier than the queue's `retry_after` hint, or
+    /// abandoned as retry-exhausted once its budget is spent or the
+    /// resubmission could not beat its deadline (deadlines bound retry
+    /// amplification even under long outages).
+    fn arrive(
+        &mut self,
+        spec: &TenantSpec,
+        retry: &RetryPolicy,
+        level: DegradeLevel,
+        now: Cycle,
+        req: Request,
+        attempt: u32,
+    ) {
+        self.stats[req.tenant].submitted += 1;
+        if level.sheds(spec.class) {
+            self.shed(spec.class, now, req, RequestOutcome::ShedAtArrival);
+            return;
+        }
+        let Admission::Rejected { retry_after } =
+            self.queues[req.tenant].offer(req, spec.period.max(1))
+        else {
+            self.stats[req.tenant].admitted += 1;
+            return;
+        };
+        self.resolve(now, req, None, RequestOutcome::Rejected);
+        if !retry.is_enabled() {
+            return;
+        }
+        let hint = retry_after.max(1);
+        let backoff = retry.backoff(req.tenant, req.seq, attempt);
+        let resubmit_at = now.saturating_add(hint.max(backoff));
+        let stat = &mut self.stats[req.tenant];
+        if attempt >= retry.max_retries || resubmit_at > req.deadline_at {
+            stat.retry_exhausted += 1;
+            return;
+        }
+        stat.retries += 1;
+        self.retry_log.push(RetryAudit {
             tenant: req.tenant,
             seq: req.seq,
-            submitted_at: req.submitted_at,
-            dispatched_at: None,
-            resolved_at: now.max(req.submitted_at),
-            deadline_at: req.deadline_at,
-            outcome: RequestOutcome::Rejected,
-            deadline_missed: false,
+            attempt,
+            rejected_at: now,
+            hint,
+            backoff,
+            resubmit_at,
         });
-    }
-    if !policy.is_enabled() {
-        return;
-    }
-    if attempt >= policy.max_retries {
-        stat.retry_exhausted += 1;
-        return;
-    }
-    let hint = retry_after.max(1);
-    let backoff = policy.backoff(req.tenant, req.seq, attempt);
-    let resubmit_at = now.saturating_add(hint.max(backoff));
-    if resubmit_at > req.deadline_at {
-        // A resubmission that cannot beat its own deadline is abandoned:
-        // deadlines bound retry amplification even under long outages.
-        stat.retry_exhausted += 1;
-        return;
-    }
-    stat.retries += 1;
-    retry.log.push(RetryAudit {
-        tenant: req.tenant,
-        seq: req.seq,
-        attempt,
-        rejected_at: now,
-        hint,
-        backoff,
-        resubmit_at,
-    });
-    if let Some(tr) = trace {
-        tr.record_incident(TraceIncident {
-            cycle: now,
-            tenant: req.tenant,
-            kind: IncidentKind::Retry,
-            detail: format!(
+        self.incident(now, req.tenant, IncidentKind::Retry, || {
+            format!(
                 "seq {} attempt {attempt}: resubmit at {resubmit_at} \
                  (hint {hint}, backoff {backoff})",
                 req.seq
-            ),
+            )
         });
+        self.retries
+            .entry(resubmit_at)
+            .or_default()
+            .push((req, attempt + 1));
     }
-    retry
-        .queue
-        .entry(resubmit_at)
-        .or_default()
-        .push((req, attempt + 1));
+
+    /// Shed `req` at arrival or, at critical level, from its queue.
+    fn shed(&mut self, class: TenantClass, now: Cycle, req: Request, outcome: RequestOutcome) {
+        let first = match class {
+            TenantClass::BandwidthHungry => &mut self.first_bh_shed,
+            TenantClass::LatencySensitive => &mut self.first_ls_shed,
+        };
+        first.get_or_insert(now);
+        self.resolve(now, req, None, outcome);
+    }
+
+    /// Book how `req` left the system at `now` and record its span. A span
+    /// misses its deadline exactly when the request was dispatched and
+    /// resolved late.
+    fn resolve(
+        &mut self,
+        now: Cycle,
+        req: Request,
+        dispatched_at: Option<Cycle>,
+        outcome: RequestOutcome,
+    ) {
+        let late = dispatched_at.is_some() && now > req.deadline_at;
+        let stat = &mut self.stats[req.tenant];
+        match outcome {
+            RequestOutcome::Completed => {
+                stat.completed += 1;
+                stat.deadline_misses += u64::from(late);
+            }
+            RequestOutcome::Failed => stat.failed += 1,
+            RequestOutcome::ShedAtArrival | RequestOutcome::ShedQueued => stat.shed += 1,
+            RequestOutcome::Rejected => stat.rejected += 1,
+        }
+        if let Some(tr) = self.trace.as_deref_mut() {
+            tr.record_span(RequestSpan {
+                tenant: req.tenant,
+                seq: req.seq,
+                submitted_at: req.submitted_at,
+                dispatched_at,
+                resolved_at: now,
+                deadline_at: req.deadline_at,
+                outcome,
+                deadline_missed: late,
+            });
+        }
+    }
+
+    /// Record an incident when tracing; `detail` is rendered only then.
+    fn incident(
+        &mut self,
+        cycle: Cycle,
+        tenant: usize,
+        kind: IncidentKind,
+        detail: impl FnOnce() -> String,
+    ) {
+        if let Some(tr) = self.trace.as_deref_mut() {
+            tr.record_incident(TraceIncident {
+                cycle,
+                tenant,
+                kind,
+                detail: detail(),
+            });
+        }
+    }
 }
 
 /// Run the serving loop for `mix` under `cfg`, executing requests with
@@ -381,7 +445,7 @@ pub fn serve_traced(
     mix: &TenantMix,
     cfg: &ServeConfig,
     exec: &dyn Executor,
-    mut trace: Option<&mut ServeTrace>,
+    trace: Option<&mut ServeTrace>,
 ) -> Result<ServeReport, ServeError> {
     cfg.regulator.validate().map_err(ServeError::Config)?;
     if mix.is_empty() {
@@ -389,150 +453,73 @@ pub fn serve_traced(
     }
     let mut policy = policy_by_name(&cfg.policy).map_err(ServeError::Config)?;
 
-    let classes: Vec<bool> = mix
-        .tenants
+    let tenants = &mix.tenants;
+    let classes: Vec<bool> = tenants
         .iter()
         .map(|t| t.class == TenantClass::BandwidthHungry)
         .collect();
     let mut regulator = Regulator::new(cfg.regulator.clone(), &classes);
     let mut ladder = Ladder::new(cfg.ladder);
-    let mut queues: Vec<TenantQueue> = mix
-        .tenants
-        .iter()
-        .map(|_| TenantQueue::new(cfg.queue_capacity))
-        .collect();
-    let mut states: Vec<TenantState> = mix
-        .tenants
-        .iter()
-        .map(|_| TenantState {
-            next_seq: 0,
-            last_progress: 0,
-        })
-        .collect();
-    let mut stats: Vec<TenantServeStats> = mix
-        .tenants
-        .iter()
-        .map(|t| TenantServeStats {
-            name: t.name.clone(),
-            class: t.class.label().to_string(),
-            ..TenantServeStats::default()
-        })
-        .collect();
+    let mut ledger = Ledger {
+        stats: tenants
+            .iter()
+            .map(|t| TenantServeStats {
+                name: t.name.clone(),
+                class: t.class.label().to_string(),
+                ..TenantServeStats::default()
+            })
+            .collect(),
+        queues: tenants
+            .iter()
+            .map(|_| TenantQueue::new(cfg.queue_capacity))
+            .collect(),
+        retries: BTreeMap::new(),
+        retry_log: Vec::new(),
+        first_bh_shed: None,
+        first_ls_shed: None,
+        trace,
+    };
+    // Per tenant: the sequence number of its next arrival, and the cycle it
+    // last made forward progress.
+    let mut next_seq = vec![0_u64; tenants.len()];
+    let mut last_progress: Vec<Cycle> = vec![0; tenants.len()];
 
     let mut now: Cycle = 0;
     let mut dispatches: u64 = 0;
     let mut miss_streak: u64 = 0;
     let mut fault_active = false;
     let mut last_served: Option<usize> = None;
-    let mut last_bank: Option<usize> = None;
     let mut peak_level = DegradeLevel::Normal;
     let mut starvation: Vec<StarvationReport> = Vec::new();
-    let mut first_bh_shed: Option<Cycle> = None;
-    let mut first_ls_shed: Option<Cycle> = None;
-    let mut retry = RetryState {
-        queue: BTreeMap::new(),
-        log: Vec::new(),
-    };
 
     // Arrival cycle of tenant t's request k: a small per-tenant offset
     // breaks ties deterministically without floats or randomness.
     let arrival =
-        |t: usize, k: u64| -> Cycle { (t as u64) + k.saturating_mul(mix.tenants[t].period.max(1)) };
+        |t: usize, k: u64| -> Cycle { (t as u64) + k.saturating_mul(tenants[t].period.max(1)) };
 
-    let total_capacity: u64 = (queues.len() as u64) * (cfg.queue_capacity.max(1) as u64);
+    let total_capacity: u64 = (tenants.len() as u64) * (cfg.queue_capacity.max(1) as u64);
 
     loop {
-        // 1. Admit everything that has arrived by `now`.
+        // 1. Admit everything that has arrived by `now`, then every matured
+        // resubmission, through the same admission path.
         let level_now = ladder.level();
-        for t in 0..mix.tenants.len() {
-            let spec = &mix.tenants[t];
-            while states[t].next_seq < spec.requests && arrival(t, states[t].next_seq) <= now {
-                let seq = states[t].next_seq;
-                states[t].next_seq += 1;
-                stats[t].submitted += 1;
-                let at = arrival(t, seq);
-                let deadline_at = at.saturating_add(spec.deadline);
-                if level_now.sheds(spec.class) {
-                    stats[t].shed += 1;
-                    note_shed(spec.class, now, &mut first_bh_shed, &mut first_ls_shed);
-                    if let Some(tr) = trace.as_deref_mut() {
-                        tr.record_span(RequestSpan {
-                            tenant: t,
-                            seq,
-                            submitted_at: at,
-                            dispatched_at: None,
-                            resolved_at: now.max(at),
-                            deadline_at,
-                            outcome: RequestOutcome::ShedAtArrival,
-                            deadline_missed: false,
-                        });
-                    }
-                    continue;
-                }
+        for (t, spec) in tenants.iter().enumerate() {
+            while next_seq[t] < spec.requests && arrival(t, next_seq[t]) <= now {
+                let submitted_at = arrival(t, next_seq[t]);
                 let req = Request {
                     tenant: t,
-                    seq,
-                    submitted_at: at,
-                    deadline_at,
+                    seq: next_seq[t],
+                    submitted_at,
+                    deadline_at: submitted_at.saturating_add(spec.deadline),
                 };
-                match queues[t].offer(req, spec.period.max(1)) {
-                    Admission::Admitted { .. } => stats[t].admitted += 1,
-                    Admission::Rejected { retry_after } => on_rejection(
-                        &cfg.retry,
-                        now,
-                        (req, 0),
-                        retry_after,
-                        &mut stats[t],
-                        &mut retry,
-                        trace.as_deref_mut(),
-                    ),
-                }
+                next_seq[t] += 1;
+                ledger.arrive(spec, &cfg.retry, level_now, now, req, 0);
             }
         }
-
-        // 1b. Closed-loop clients resubmit matured retries. Resubmissions
-        // ride the same admission path as fresh arrivals — the ladder
-        // sheds first (BH strictly before LS, so a retry storm cannot
-        // amplify overload past the shed point), then the bounded queue
-        // answers, and a renewed rejection re-enters the backoff loop
-        // until the request's retry budget or deadline runs out.
-        while let Some((&due, _)) = retry.queue.range(..=now).next() {
-            let Some(batch) = retry.queue.remove(&due) else {
-                break;
-            };
-            for (req, attempt) in batch {
-                let t = req.tenant;
-                let spec = &mix.tenants[t];
-                stats[t].submitted += 1;
-                if level_now.sheds(spec.class) {
-                    stats[t].shed += 1;
-                    note_shed(spec.class, now, &mut first_bh_shed, &mut first_ls_shed);
-                    if let Some(tr) = trace.as_deref_mut() {
-                        tr.record_span(RequestSpan {
-                            tenant: t,
-                            seq: req.seq,
-                            submitted_at: req.submitted_at,
-                            dispatched_at: None,
-                            resolved_at: now.max(req.submitted_at),
-                            deadline_at: req.deadline_at,
-                            outcome: RequestOutcome::ShedAtArrival,
-                            deadline_missed: false,
-                        });
-                    }
-                    continue;
-                }
-                match queues[t].offer(req, spec.period.max(1)) {
-                    Admission::Admitted { .. } => stats[t].admitted += 1,
-                    Admission::Rejected { retry_after } => on_rejection(
-                        &cfg.retry,
-                        now,
-                        (req, attempt),
-                        retry_after,
-                        &mut stats[t],
-                        &mut retry,
-                        trace.as_deref_mut(),
-                    ),
-                }
+        while let Some(due) = ledger.retries.first_entry().filter(|e| *e.key() <= now) {
+            for (req, attempt) in due.remove() {
+                let spec = &tenants[req.tenant];
+                ledger.arrive(spec, &cfg.retry, level_now, now, req, attempt);
             }
         }
 
@@ -540,7 +527,7 @@ pub fn serve_traced(
         regulator.advance(now);
 
         // 3. Feed the ladder and act on its level.
-        let queued: u64 = queues.iter().map(|q| q.len() as u64).sum();
+        let queued: u64 = ledger.queues.iter().map(|q| q.len() as u64).sum();
         let signal = OverloadSignal {
             queue_fill_permille: queued.saturating_mul(1000) / total_capacity.max(1),
             miss_streak,
@@ -551,38 +538,18 @@ pub fn serve_traced(
         regulator.set_bh_throttle(level.bh_throttle_permille());
         if level == DegradeLevel::Critical {
             // Shed queued bandwidth-hungry work outright.
-            for t in 0..mix.tenants.len() {
-                if mix.tenants[t].class == TenantClass::BandwidthHungry {
-                    let dropped = queues[t].drain();
-                    if !dropped.is_empty() {
-                        stats[t].shed += dropped.len() as u64;
-                        note_shed(
-                            TenantClass::BandwidthHungry,
-                            now,
-                            &mut first_bh_shed,
-                            &mut first_ls_shed,
-                        );
-                        if let Some(tr) = trace.as_deref_mut() {
-                            for req in &dropped {
-                                tr.record_span(RequestSpan {
-                                    tenant: t,
-                                    seq: req.seq,
-                                    submitted_at: req.submitted_at,
-                                    dispatched_at: None,
-                                    resolved_at: now,
-                                    deadline_at: req.deadline_at,
-                                    outcome: RequestOutcome::ShedQueued,
-                                    deadline_missed: false,
-                                });
-                            }
-                        }
+            for (t, spec) in tenants.iter().enumerate() {
+                if spec.class == TenantClass::BandwidthHungry {
+                    for req in ledger.queues[t].drain() {
+                        ledger.shed(spec.class, now, req, RequestOutcome::ShedQueued);
                     }
                 }
             }
         }
 
         // 4. Arbitrate among eligible queue heads.
-        let views: Vec<QueueView> = queues
+        let views: Vec<QueueView> = ledger
+            .queues
             .iter()
             .enumerate()
             .map(|(t, q)| {
@@ -593,14 +560,12 @@ pub fn serve_traced(
                     head_submitted_at: head.map_or(0, |r| r.submitted_at),
                     head_deadline_at: head.map_or(0, |r| r.deadline_at),
                     tokens: regulator.tenant_level(t),
-                    first_bank: None,
                 }
             })
             .collect();
         let view = ArbiterView {
             now,
             last_served,
-            last_bank,
             queues: &views,
         };
         let choice = policy
@@ -609,7 +574,7 @@ pub fn serve_traced(
 
         if let Some(t) = choice {
             // 5. Dispatch the head request and run it to completion.
-            let Some(req) = queues[t].pop() else {
+            let Some(req) = ledger.queues[t].pop() else {
                 // Eligible implies a head; absent one (unreachable), keep
                 // the clock moving so the loop still terminates.
                 now = now.saturating_add(1);
@@ -617,120 +582,77 @@ pub fn serve_traced(
             };
             regulator.note_dispatch(now, t);
             let dispatched_at = now;
-            let wait = now.saturating_sub(req.submitted_at);
-            stats[t].max_wait = stats[t].max_wait.max(wait);
+            let stat = &mut ledger.stats[t];
+            stat.max_wait = stat.max_wait.max(now.saturating_sub(req.submitted_at));
             dispatches += 1;
-            match exec.execute(&mix.tenants[t], &req) {
+            match exec.execute(&tenants[t], &req) {
                 Ok(report) => {
                     now = now.saturating_add(report.cycles.max(1));
-                    stats[t].completed += 1;
-                    stats[t].service_cycles += report.cycles;
-                    stats[t].useful_words += report.useful_words;
-                    stats[t].latency_sum += now.saturating_sub(req.submitted_at);
-                    if now > req.deadline_at {
-                        stats[t].deadline_misses += 1;
-                        miss_streak += 1;
+                    stat.service_cycles += report.cycles;
+                    stat.useful_words += report.useful_words;
+                    stat.latency_sum += now.saturating_sub(req.submitted_at);
+                    miss_streak = if now > req.deadline_at {
+                        miss_streak + 1
                     } else {
-                        miss_streak = 0;
-                    }
+                        0
+                    };
                     fault_active = report.fault_events > 0;
-                    last_bank = report.bank_data_cycles.first().map(|&(b, _)| b);
                     regulator.charge(t, report.cycles, &report.bank_data_cycles);
-                    if let Some(tr) = trace.as_deref_mut() {
-                        tr.record_span(RequestSpan {
-                            tenant: t,
-                            seq: req.seq,
-                            submitted_at: req.submitted_at,
-                            dispatched_at: Some(dispatched_at),
-                            resolved_at: now,
-                            deadline_at: req.deadline_at,
-                            outcome: RequestOutcome::Completed,
-                            deadline_missed: now > req.deadline_at,
-                        });
-                    }
+                    ledger.resolve(now, req, Some(dispatched_at), RequestOutcome::Completed);
                 }
                 Err(reason) => {
                     now = now.saturating_add(cfg.failure_penalty.max(1));
-                    stats[t].failed += 1;
                     miss_streak += 1;
                     fault_active = true;
                     regulator.charge(t, cfg.failure_penalty, &[]);
-                    if let Some(tr) = trace.as_deref_mut() {
-                        tr.record_span(RequestSpan {
-                            tenant: t,
-                            seq: req.seq,
-                            submitted_at: req.submitted_at,
-                            dispatched_at: Some(dispatched_at),
-                            resolved_at: now,
-                            deadline_at: req.deadline_at,
-                            outcome: RequestOutcome::Failed,
-                            deadline_missed: now > req.deadline_at,
-                        });
-                        tr.record_incident(TraceIncident {
-                            cycle: dispatched_at,
-                            tenant: t,
-                            kind: IncidentKind::ExecutorFailure,
-                            detail: reason,
-                        });
-                    }
+                    ledger.resolve(now, req, Some(dispatched_at), RequestOutcome::Failed);
+                    ledger.incident(dispatched_at, t, IncidentKind::ExecutorFailure, || reason);
                 }
             }
             last_served = Some(t);
-            states[t].last_progress = now;
+            last_progress[t] = now;
         } else {
-            // 6. Nothing dispatchable: jump to the next event (arrival or
-            // matured retry; the loop only ends once both are exhausted
-            // and every queue is drained, so scheduled resubmissions are
-            // never dropped).
-            let fresh = (0..mix.tenants.len())
-                .filter(|&t| states[t].next_seq < mix.tenants[t].requests)
-                .map(|t| arrival(t, states[t].next_seq))
+            // 6. Nothing dispatchable: jump to the next event, the earliest
+            // arrival, matured retry or (with work queued) refill. The loop
+            // ends only once none is left, so scheduled resubmissions are
+            // never dropped.
+            let queued = ledger.queues.iter().any(|q| !q.is_empty());
+            let next = (0..tenants.len())
+                .filter(|&t| next_seq[t] < tenants[t].requests)
+                .map(|t| arrival(t, next_seq[t]))
+                .chain(ledger.retries.keys().next().copied())
+                .chain(queued.then(|| regulator.next_refill()))
                 .min();
-            let matured = retry.queue.keys().next().copied();
-            let next_arrival = match (fresh, matured) {
-                (Some(a), Some(r)) => Some(a.min(r)),
-                (a, r) => a.or(r),
-            };
-            let any_queued = queues.iter().any(|q| !q.is_empty());
-            let next = match (next_arrival, any_queued) {
-                (None, false) => break, // all work accounted for
-                (Some(a), false) => a,
-                (None, true) => regulator.next_refill(),
-                (Some(a), true) => a.min(regulator.next_refill()),
+            let Some(next) = next else {
+                break; // all work accounted for
             };
             now = next.max(now.saturating_add(1));
         }
 
         // 7. Forward-progress watchdog.
-        for t in 0..mix.tenants.len() {
-            if let Some(head) = queues[t].head() {
-                let baseline = states[t].last_progress.max(head.submitted_at);
-                let waited = now.saturating_sub(baseline);
-                if waited > cfg.progress_deadline {
-                    let queue_len = queues[t].len();
-                    if let Some(tr) = trace.as_deref_mut() {
-                        tr.record_incident(TraceIncident {
-                            cycle: now,
-                            tenant: t,
-                            kind: IncidentKind::Starvation,
-                            detail: format!(
-                                "{} waited {waited} cycles (queue {queue_len}, level {:?})",
-                                mix.tenants[t].name,
-                                ladder.level()
-                            ),
-                        });
-                    }
-                    starvation.push(StarvationReport {
-                        tenant: t,
-                        name: mix.tenants[t].name.clone(),
-                        class: mix.tenants[t].class,
-                        now,
-                        waited,
-                        queue_len,
-                        level: ladder.level(),
-                    });
-                    states[t].last_progress = now; // one report per incident
-                }
+        for (t, spec) in tenants.iter().enumerate() {
+            let Some(head) = ledger.queues[t].head() else {
+                continue;
+            };
+            let waited = now.saturating_sub(last_progress[t].max(head.submitted_at));
+            if waited > cfg.progress_deadline {
+                let report = StarvationReport {
+                    tenant: t,
+                    name: spec.name.clone(),
+                    class: spec.class,
+                    now,
+                    waited,
+                    queue_len: ledger.queues[t].len(),
+                    level: ladder.level(),
+                };
+                ledger.incident(now, t, IncidentKind::Starvation, || {
+                    format!(
+                        "{} waited {waited} cycles (queue {}, level {:?})",
+                        spec.name, report.queue_len, report.level
+                    )
+                });
+                starvation.push(report);
+                last_progress[t] = now; // one report per incident
             }
         }
 
@@ -743,36 +665,16 @@ pub fn serve_traced(
         cycles: now,
         dispatches,
         policy: cfg.policy.clone(),
-        tenants: stats,
+        tenants: ledger.stats,
         transitions: ladder.transitions().to_vec(),
         peak_level,
         starvation,
         budget_violations: regulator.violations(),
         audits: regulator.audits().to_vec(),
-        first_bh_shed,
-        first_ls_shed,
-        retry_log: retry.log,
+        first_bh_shed: ledger.first_bh_shed,
+        first_ls_shed: ledger.first_ls_shed,
+        retry_log: ledger.retry_log,
     })
-}
-
-fn note_shed(
-    class: TenantClass,
-    now: Cycle,
-    first_bh: &mut Option<Cycle>,
-    first_ls: &mut Option<Cycle>,
-) {
-    match class {
-        TenantClass::BandwidthHungry => {
-            if first_bh.is_none() {
-                *first_bh = Some(now);
-            }
-        }
-        TenantClass::LatencySensitive => {
-            if first_ls.is_none() {
-                *first_ls = Some(now);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -942,7 +844,7 @@ mod tests {
             cycles: 250,
             words: 32,
         };
-        for policy in ["fcfs", "rr", "bank-aware", "regulated"] {
+        for policy in ["fcfs", "rr", "regulated"] {
             let mut c = cfg();
             c.policy = policy.to_string();
             let report = serve_traced(&m, &c, &exec, None).unwrap();

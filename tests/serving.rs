@@ -198,7 +198,7 @@ fn serving_runs_are_deterministic() {
 /// any single policy's behaviour.
 #[test]
 fn all_policies_hold_the_invariants_under_storm() {
-    for policy in ["fcfs", "rr", "bank-aware", "regulated"] {
+    for policy in ["fcfs", "rr", "regulated"] {
         for seed in 0..16u64 {
             let mix = mix_for(seed);
             let exec = SynthExecutor {
