@@ -121,9 +121,11 @@ fn check_point(kernel: Kernel, n: u64, stride: u64, cfg: &SystemConfig) -> (u64,
 /// Every point of one kernel: CLI and PI, strides 1 and 4, FIFOs of 8 and
 /// 32, one channel or two interleaved channels with a remote penalty, the
 /// plain MSU or one with refresh, speculation or bank-aware selection,
-/// each under every plan. Refresh runs a device with eight times the rows,
-/// so its timer falls due every few hundred cycles. Under each plan,
-/// device faults and chaos included, sleeping must save full ticks.
+/// each under every plan; and the plain MSU on four interleaved channels,
+/// whose per-bank state spans 32 banks. Refresh runs a device with eight
+/// times the rows, so its timer falls due every few hundred cycles. Under
+/// each plan, device faults and chaos included, sleeping must save full
+/// ticks.
 fn check_kernel(kernel: Kernel) {
     let n = 96;
     let mut every = [0; 4];
@@ -134,8 +136,9 @@ fn check_kernel(kernel: Kernel) {
     ] {
         for stride in [1, 4] {
             for fifo in [8, 32] {
-                for channels in [1, 2] {
-                    for variant in 0..4 {
+                for channels in [1, 2, 4] {
+                    let variants = if channels == 4 { 1 } else { 4 };
+                    for variant in 0..variants {
                         for (plan, (faults, chaos)) in plans(channels).into_iter().enumerate() {
                             let mut cfg = SystemConfig::smc(memory, fifo);
                             if channels > 1 {
@@ -192,15 +195,18 @@ fn vaxpy_sleeps_match_full_passes() {
 }
 
 /// Host work at n = 4096: each point's cycles (checked against
-/// `run_kernel`) and accepted commands, and a ceiling on the ticks that
-/// ran the MSU's passes, set to the count when sleeping landed (under
-/// device faults and chaos, when it first slept there). A return to full
-/// passes on every tick would need one per cycle.
+/// `run_kernel`) and accepted commands; a ceiling on the ticks that ran
+/// the MSU's passes, set to the count when sleeping landed (under device
+/// faults and chaos, when it first slept there), since a return to full
+/// passes on every tick would need one per cycle; and a ceiling on the
+/// launch search's device probes, set to the count when held commands
+/// first reused their `earliest` answers, which probing afresh on every
+/// pass exceeds by 56–102%.
 #[test]
 fn sleeping_pins_its_host_work() {
     let n = 4096;
     let plan = |spec: &str| FaultPlan::parse(spec).expect("valid plan");
-    let points: [(&str, Kernel, SystemConfig, Cycle, u64, u64); 5] = [
+    let points: [(&str, Kernel, SystemConfig, Cycle, u64, u64, u64); 5] = [
         (
             "copy, CLI",
             Kernel::Copy,
@@ -208,6 +214,7 @@ fn sleeping_pins_its_host_work() {
             17_041,
             10_641,
             6_244,
+            17_014,
         ),
         (
             "daxpy, PI",
@@ -216,6 +223,7 @@ fn sleeping_pins_its_host_work() {
             27_232,
             13_006,
             6_388,
+            8_367,
         ),
         (
             "vaxpy, 2 interleaved CLI channels",
@@ -224,6 +232,7 @@ fn sleeping_pins_its_host_work() {
             35_498,
             21_104,
             12_658,
+            29_223,
         ),
         (
             "daxpy, PI, busy and stall faults",
@@ -233,6 +242,7 @@ fn sleeping_pins_its_host_work() {
             28_142,
             14_091,
             6_372,
+            8_209,
         ),
         (
             "copy, 2 CLI channels, brownout, outage and device failure",
@@ -246,9 +256,10 @@ fn sleeping_pins_its_host_work() {
             17_730,
             10_344,
             6_354,
+            17_503,
         ),
     ];
-    for (name, kernel, cfg, cycles, max_full, commands) in points {
+    for (name, kernel, cfg, cycles, max_full, commands, max_steps) in points {
         let mut rig = Rig::new(kernel, n, 1, &cfg);
         let result = rig.run().expect("fault-free or survivable run");
         let run = sim::run_kernel(kernel, n, 1, &cfg).expect("run_kernel");
@@ -259,11 +270,16 @@ fn sleeping_pins_its_host_work() {
             "{name}: not run_kernel's point"
         );
         let full = rig.ctl.full_ticks();
+        let steps = rig.dev.search_steps();
         assert_eq!(result, cycles, "{name}: cycles");
         assert_eq!(rig.dev.commands_accepted(), commands, "{name}: commands");
         assert!(
             full <= max_full,
             "{name}: {full} full ticks exceed the ceiling of {max_full}"
+        );
+        assert!(
+            steps <= max_steps,
+            "{name}: {steps} launch-search probes exceed the ceiling of {max_steps}"
         );
     }
 }

@@ -222,8 +222,12 @@ impl StreamFifo {
 
     /// Number of buffered elements of a write-stream whose data is valid
     /// at `now`. The CPU pushes write slots in cycle order, so the valid
-    /// ones form a prefix and a binary search finds its end.
+    /// ones form a prefix: all of them when the newest is valid, else a
+    /// binary search finds its end.
     fn available(&self, now: Cycle) -> usize {
+        if self.slots.back().is_none_or(|s| s.ready_at <= now) {
+            return self.slots.len();
+        }
         self.slots.partition_point(|s| s.ready_at <= now)
     }
 

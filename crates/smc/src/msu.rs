@@ -1,11 +1,11 @@
 //! The Memory Scheduling Unit: dynamic access ordering.
 //!
 //! The MSU owns the memory side of every stream FIFO. It keeps a small
-//! window of *in-flight* packet accesses (the Direct RDRAM supports four
-//! outstanding requests), so the ROW work of one access overlaps the COL
-//! and DATA packets of earlier ones — this is what lets a closed-page CLI
-//! system stream at full bandwidth even though every cacheline needs its
-//! own ACT.
+//! window of *in-flight* packet accesses on each channel (the Direct RDRAM
+//! supports four outstanding requests), so the ROW work of one access
+//! overlaps the COL and DATA packets of earlier ones — this is what lets a
+//! closed-page CLI system stream at full bandwidth even though every
+//! cacheline needs its own ACT.
 //!
 //! One modeled limitation is faithful to the paper: under an **open-page**
 //! policy, an access that needs ROW work (a page crossing or a bank
@@ -20,8 +20,6 @@
 // integer-cycle hot path. Each exception says why it cannot wrap.
 #![cfg_attr(not(test), deny(clippy::arithmetic_side_effects))]
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
-
-use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
 
@@ -62,9 +60,11 @@ pub struct MsuConfig {
     /// How many packet accesses of lookahead the speculative activation
     /// scans for an upcoming page crossing.
     pub spec_window: u64,
-    /// Maximum in-flight packet accesses. The RDRAM pipelines up to four
-    /// outstanding transactions; a 32-byte cacheline transaction is two
-    /// packet accesses, so the default window is eight.
+    /// Maximum in-flight packet accesses on each memory channel. The
+    /// RDRAM pipelines up to four outstanding transactions; a 32-byte
+    /// cacheline transaction is two packet accesses, so the default window
+    /// is eight. Channels pipeline independently: an N-channel system keeps
+    /// up to N times this many accesses in flight.
     pub window: usize,
     /// Graceful degradation under faults: after this many consecutive
     /// injected conflicts (fault-busy encounters or DATA NACKs) on a bank,
@@ -134,6 +134,37 @@ struct Slot {
     is_write: bool,
     /// DATA NACKs absorbed by this access so far.
     retries: u32,
+    /// The last `earliest` answer for the pending command of `stage`. Every
+    /// stage change follows the issue of the slot's own command (a NACKed
+    /// slot re-derives its ROW needs after its COL issued), which moves the
+    /// accepted-command count past the answer's, so an answer is never
+    /// reused for another command.
+    launch: Option<Launch>,
+}
+
+/// An `earliest` answer and the accepted-command count it was probed at
+/// (see [`Msu::launch_at`]).
+#[derive(Debug, Clone, Copy)]
+struct Launch {
+    at: Cycle,
+    commands: u64,
+}
+
+/// What the MSU tracks for one global bank. The in-flight count and the
+/// youngest row change at admission and retirement; a bank's slots retire
+/// in admission order (only its oldest slot resolves and issues, and a
+/// NACK keeps the slot in place), so the youngest slot stays youngest
+/// until the count falls to zero.
+#[derive(Debug, Clone, Copy, Default)]
+struct BankState {
+    /// In-flight slots on this bank.
+    in_flight: usize,
+    /// The row of the youngest of them; meaningless while none is.
+    youngest_row: u64,
+    /// Consecutive injected conflicts (the degradation trigger).
+    fault_streak: u32,
+    /// Demoted to closed-page service for the rest of the run.
+    degraded: bool,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -168,11 +199,9 @@ pub struct Msu {
     last_spec: Option<(usize, u64)>,
     refresh: Option<rdram::refresh::RefreshTimer>,
     stats: MsuStats,
-    /// Consecutive injected conflicts per bank (degradation trigger).
-    /// Ordered so any iteration is deterministic.
-    fault_streaks: BTreeMap<usize, u32>,
-    /// Banks demoted to closed-page service for the rest of the run.
-    degraded: BTreeSet<usize>,
+    /// Per global bank: in-flight slots, the youngest one's row, and fault
+    /// degradation state.
+    banks: Vec<BankState>,
     /// The most recent command issued, for livelock diagnostics.
     last_issued: Option<(Command, Cycle)>,
     /// Set after a tick that issued nothing, while the MSU may sleep.
@@ -183,15 +212,18 @@ pub struct Msu {
     full_ticks: u64,
     /// In-flight slots per channel, indexed by channel.
     in_channel: Vec<usize>,
+    /// The scheduler's view of every FIFO. Each FIFO's `next_loc` is
+    /// decoded once per admitted packet: `decoded_at[i]` is FIFO `i`'s
+    /// memory-side element index when its location was decoded.
+    candidates: Vec<FifoCandidate>,
+    decoded_at: Vec<Option<u64>>,
     /// Per-pass scratch, reset at the start of each pass over the slots:
-    /// channels whose bus already carried a packet this cycle, banks and
-    /// FIFOs with an older slot than the one under inspection, and the
-    /// scheduler's view of every FIFO; and the least `earliest` answer of
-    /// the commands held so far this tick.
+    /// channels whose bus already carried a packet this cycle, and banks
+    /// and FIFOs with an older slot than the one under inspection; and the
+    /// least `earliest` answer of the commands held so far this tick.
     bus_used: Vec<bool>,
     bank_seen: Vec<bool>,
     fifo_seen: Vec<bool>,
-    candidates: Vec<FifoCandidate>,
     wake: Cycle,
 }
 
@@ -208,8 +240,10 @@ impl Msu {
             in_channel: vec![0; map.channels()],
             bus_used: vec![false; map.channels()],
             bank_seen: vec![false; map.banks()],
+            banks: vec![BankState::default(); map.banks()],
             fifo_seen: Vec::new(),
             candidates: Vec::new(),
+            decoded_at: Vec::new(),
             wake: Cycle::MAX,
             map,
             cfg,
@@ -219,8 +253,6 @@ impl Msu {
             last_spec: None,
             refresh: None,
             stats: MsuStats::default(),
-            fault_streaks: BTreeMap::new(),
-            degraded: BTreeSet::new(),
             last_issued: None,
             sleep: None,
             sleeps: true,
@@ -231,11 +263,6 @@ impl Msu {
     /// The most recent command this MSU issued, with its cycle.
     pub fn last_issued(&self) -> Option<(Command, Cycle)> {
         self.last_issued
-    }
-
-    /// Banks currently demoted to closed-page service by fault degradation.
-    pub fn degraded_banks(&self) -> impl Iterator<Item = usize> + '_ {
-        self.degraded.iter().copied()
     }
 
     /// Honour DRAM refresh obligations: the MSU interleaves one ACT/PRER
@@ -290,8 +317,9 @@ impl Msu {
     }
 
     /// Clear per-computation service state (current FIFO, speculation
-    /// memory) ahead of a new set of streams. Statistics and the refresh
-    /// timer carry over — they describe the hardware, not one computation.
+    /// memory, decoded FIFO locations) ahead of a new set of streams.
+    /// Statistics, fault degradation and the refresh timer carry over —
+    /// they describe the hardware, not one computation.
     ///
     /// # Panics
     ///
@@ -304,6 +332,7 @@ impl Msu {
         self.current = None;
         self.last_spec = None;
         self.sleep = None;
+        self.candidates.clear();
     }
 
     /// Advance one cycle: admit ready accesses into the window and issue at
@@ -412,20 +441,22 @@ impl Msu {
     /// accesses, speculation, and injected busy windows; otherwise defer to
     /// a later cycle.
     fn service_refresh(&mut self, now: Cycle, dev: &mut MemorySystem) -> Result<(), SmcError> {
-        let Some(timer) = &mut self.refresh else {
+        let Some(timer) = &self.refresh else {
             return Ok(());
         };
         if !timer.due(now) {
             return Ok(());
         }
         let (bank, _) = timer.peek();
-        let bank_busy = self.slots.iter().any(|s| s.loc.bank == bank)
+        let bank_busy = self.youngest_row(bank).is_some()
             || self.spec.is_some_and(|sp| sp.bank == bank)
             || dev.faults().bank_busy(bank, now);
         if bank_busy {
             return Ok(());
         }
-        timer.refresh_now(dev, now)?;
+        if let Some(timer) = &mut self.refresh {
+            timer.refresh_now(dev, now)?;
+        }
         Ok(())
     }
 
@@ -448,6 +479,26 @@ impl Msu {
                 Stage::Col
             };
         }
+    }
+
+    /// The earliest launch at or after `now` of `cmd`, slot `k`'s pending
+    /// command. The slot keeps its last answer and reuses it while the
+    /// memory system has accepted no command since and `now` has not
+    /// passed it: `earliest(cmd, t)` is fixed until a command issues, under
+    /// busy windows and chaos alike, so an answer `at` probed at `t0` is
+    /// the answer for every `t` in `t0..=at`. An MSU that never sleeps
+    /// never reuses one, so it stays the reference that holds reuse to
+    /// fresh probes.
+    fn launch_at(&mut self, k: usize, cmd: &Command, now: Cycle, dev: &MemorySystem) -> Cycle {
+        let commands = dev.commands_accepted();
+        if let Some(last) = self.slots[k].launch {
+            if self.sleeps && last.commands == commands && now <= last.at {
+                return last.at;
+            }
+        }
+        let at = dev.earliest(cmd, now);
+        self.slots[k].launch = Some(Launch { at, commands });
+        at
     }
 
     /// Issue the oldest ready COL command on each channel's COL bus, if
@@ -487,7 +538,7 @@ impl Msu {
             // `earliest` does not read the auto-precharge flag, so the plain
             // COL answers for both; the flag is decided only on issue.
             let col = self.col_command(k);
-            let at = dev.earliest(&col, now);
+            let at = self.launch_at(k, &col, now, dev);
             if at > now {
                 self.wake = self.wake.min(at);
                 self.note_hold(dev.faults(), col.bank(), now);
@@ -537,7 +588,7 @@ impl Msu {
                 Stage::Activate => Command::activate(bank, self.slots[k].loc.row),
                 Stage::Unresolved | Stage::Col => unreachable!("filtered above"),
             };
-            let at = dev.earliest(&cmd, now);
+            let at = self.launch_at(k, &cmd, now, dev);
             if at > now {
                 self.wake = self.wake.min(at);
                 self.note_hold(dev.faults(), bank, now);
@@ -578,12 +629,13 @@ impl Msu {
         if self.cfg.degrade_after == 0 {
             return;
         }
-        let streak = self.fault_streaks.entry(bank).or_insert(0);
-        *streak += 1;
-        if *streak >= self.cfg.degrade_after
+        let b = &mut self.banks[bank];
+        b.fault_streak += 1;
+        if b.fault_streak >= self.cfg.degrade_after
             && self.cfg.page_policy == PagePolicy::OpenPage
-            && self.degraded.insert(bank)
+            && !b.degraded
         {
+            b.degraded = true;
             self.stats.degraded_banks += 1;
         }
     }
@@ -591,7 +643,7 @@ impl Msu {
     /// A command issued cleanly: the bank's conflict streak resets.
     fn note_issued(&mut self, cmd: Command, now: Cycle) {
         if self.cfg.degrade_after > 0 {
-            self.fault_streaks.insert(cmd.bank(), 0);
+            self.banks[cmd.bank()].fault_streak = 0;
         }
         self.last_issued = Some((cmd, now));
     }
@@ -599,18 +651,39 @@ impl Msu {
     /// The page policy in force for `bank`: the configured policy unless
     /// fault degradation has demoted the bank to closed-page.
     fn page_policy_for(&self, bank: usize) -> PagePolicy {
-        if self.degraded.contains(&bank) {
+        if self.banks[bank].degraded {
             PagePolicy::ClosedPage
         } else {
             self.cfg.page_policy
         }
     }
 
+    /// The row of `bank`'s youngest in-flight slot, or `None` when the bank
+    /// has none in flight. Debug builds check it against a scan of the
+    /// window.
+    fn youngest_row(&self, bank: usize) -> Option<u64> {
+        let b = &self.banks[bank];
+        let row = (b.in_flight > 0).then_some(b.youngest_row);
+        debug_assert_eq!(
+            (b.in_flight, row),
+            (
+                self.slots.iter().filter(|s| s.loc.bank == bank).count(),
+                self.slots
+                    .iter()
+                    .rev()
+                    .find(|s| s.loc.bank == bank)
+                    .map(|s| s.loc.row)
+            ),
+            "bank {bank}'s in-flight state"
+        );
+        row
+    }
+
     /// Bank/row state a new access will see once everything already in
     /// flight has executed.
     fn effective_plan(&self, loc: Location, dev: &MemorySystem) -> rdram::AccessPlan {
-        if let Some(s) = self.slots.iter().rev().find(|s| s.loc.bank == loc.bank) {
-            let same_row = s.loc.row == loc.row;
+        if let Some(row) = self.youngest_row(loc.bank) {
+            let same_row = row == loc.row;
             return match self.page_policy_for(loc.bank) {
                 PagePolicy::OpenPage => rdram::AccessPlan {
                     needs_precharge: !same_row,
@@ -629,36 +702,18 @@ impl Msu {
 
     #[expect(
         clippy::arithmetic_side_effects,
-        reason = "the window is a small per-channel slot count times the channel count; the FIFO-switch and per-channel slot counts are bounded by the run length and the window"
+        reason = "the window is a small per-channel slot count times the channel count; the FIFO-switch count is bounded by the run length, and the per-channel and per-bank slot counts by the window"
     )]
     fn admit(&mut self, now: Cycle, dev: &MemorySystem, sbu: &mut Sbu) {
         // The in-flight window is per channel: each channel pipelines up
         // to `cfg.window` accesses of its own.
         while self.slots.len() < self.cfg.window * self.map.channels() {
-            let mut candidates = std::mem::take(&mut self.candidates);
-            candidates.clear();
-            candidates.extend(sbu.iter().enumerate().map(|(i, f)| {
-                let loc = f.next_packet().map(|p| self.map.decode(p.packet_addr));
-                // Service eagerly: at matched CPU/memory bandwidth the
-                // MSU has no slack to wait for fuller bursts — any idle
-                // cycle is lost bandwidth (waiting-for-burst hysteresis
-                // was measured and loses more than it saves on
-                // turnarounds).
-                FifoCandidate {
-                    index: i,
-                    ready: f.ready_for_access(now),
-                    next_loc: loc,
-                    plan: loc.map(|l| self.effective_plan(l, dev)),
-                }
-            }));
+            self.update_candidates(now, dev, sbu);
             let view = ServiceView {
-                now,
                 current: self.current,
-                fifos: &candidates,
+                fifos: &self.candidates,
             };
-            let chosen = self.policy.select(&view).map(|i| candidates[i]);
-            self.candidates = candidates;
-            let Some(chosen) = chosen else {
+            let Some(chosen) = self.policy.select(&view).map(|i| self.candidates[i]) else {
                 return;
             };
             debug_assert!(chosen.ready, "policy selected an unready FIFO");
@@ -706,9 +761,57 @@ impl Msu {
                 write_values,
                 is_write,
                 retries: 0,
+                launch: None,
             });
             self.in_channel[ch] += 1;
+            let b = &mut self.banks[loc.bank];
+            b.in_flight += 1;
+            b.youngest_row = loc.row;
             self.maybe_schedule_spec(dev, sbu);
+        }
+    }
+
+    /// Bring the scheduler's view of every FIFO up to date at `now`. A
+    /// FIFO's next location is decoded again only after it admits a
+    /// packet, and only a ready FIFO gets a plan: no policy reads the plan
+    /// of a FIFO that is not ready.
+    ///
+    /// Service is eager: at matched CPU/memory bandwidth the MSU has no
+    /// slack to wait for fuller bursts — any idle cycle is lost bandwidth
+    /// (waiting-for-burst hysteresis was measured and loses more than it
+    /// saves on turnarounds).
+    fn update_candidates(&mut self, now: Cycle, dev: &MemorySystem, sbu: &Sbu) {
+        if self.candidates.len() != sbu.len() {
+            self.candidates = (0..sbu.len())
+                .map(|index| FifoCandidate {
+                    index,
+                    ready: false,
+                    next_loc: None,
+                    plan: None,
+                })
+                .collect();
+            self.decoded_at = vec![None; sbu.len()];
+        }
+        for (i, f) in sbu.iter().enumerate() {
+            let decode = || f.next_packet().map(|p| self.map.decode(p.packet_addr));
+            let elem = f.state().mem_next_elem;
+            if self.decoded_at[i] != Some(elem) {
+                self.decoded_at[i] = Some(elem);
+                self.candidates[i].next_loc = decode();
+            }
+            debug_assert_eq!(
+                self.candidates[i].next_loc,
+                decode(),
+                "FIFO {i}'s decoded location"
+            );
+            let ready = f.ready_for_access(now);
+            let plan = self.candidates[i]
+                .next_loc
+                .filter(|_| ready)
+                .map(|l| self.effective_plan(l, dev));
+            let c = &mut self.candidates[i];
+            c.ready = ready;
+            c.plan = plan;
         }
     }
 
@@ -756,7 +859,7 @@ impl Msu {
     /// DATA NACK keeps the slot, to retry once its ROW needs are re-derived.
     #[expect(
         clippy::arithmetic_side_effects,
-        reason = "MsuStats counters, one increment per cycle or event, bounded by the run length; a retired slot was counted in its channel at admission, and a packet holds at most PACKET_ELEMS elements"
+        reason = "MsuStats counters, one increment per cycle or event, bounded by the run length; a retired slot was counted in its channel and its bank at admission, and a packet holds at most PACKET_ELEMS elements"
     )]
     fn execute_col(
         &mut self,
@@ -798,6 +901,7 @@ impl Msu {
         }
         let slot = self.slots.remove(k);
         self.in_channel[slot.ch] -= 1;
+        self.banks[slot.loc.bank].in_flight -= 1;
         let desc = sbu.fifo(slot.fifo).descriptor();
         if slot.is_write {
             for (v, e) in slot.write_values.iter().zip(slot.access.element_range()) {
@@ -846,7 +950,7 @@ impl Msu {
             if (loc.bank, loc.row) != (anchor.loc.bank, anchor.loc.row) {
                 if Some((loc.bank, loc.row)) == self.last_spec
                     || loc.bank == anchor.loc.bank
-                    || self.slots.iter().any(|s| s.loc.bank == loc.bank)
+                    || self.youngest_row(loc.bank).is_some()
                 {
                     return;
                 }
@@ -870,7 +974,7 @@ impl Msu {
     fn try_issue_spec(&mut self, now: Cycle, dev: &mut MemorySystem) -> Result<(), SmcError> {
         let Some(t) = self.spec else { return Ok(()) };
         // Never touch a bank with in-flight accesses.
-        if self.slots.iter().any(|s| s.loc.bank == t.bank) {
+        if self.youngest_row(t.bank).is_some() {
             self.spec = None;
             return Ok(());
         }

@@ -8,7 +8,7 @@
 //! implements the refinement studied in Hong's thesis: prefer a ready FIFO
 //! whose next access hits an open page over one that needs a row cycle.
 
-use rdram::{AccessPlan, Cycle, Location};
+use rdram::{AccessPlan, Location};
 
 use serde::{Deserialize, Serialize};
 
@@ -22,14 +22,13 @@ pub struct FifoCandidate {
     /// Where the FIFO's next access lands, if it has one.
     pub next_loc: Option<Location>,
     /// The ROW work that access would require, given current bank state.
+    /// Set only for a ready FIFO: no policy weighs one it cannot select.
     pub plan: Option<AccessPlan>,
 }
 
 /// Scheduler input: the state of every FIFO plus the current service point.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceView<'a> {
-    /// Current simulation cycle.
-    pub now: Cycle,
     /// FIFO currently being serviced, if any.
     pub current: Option<usize>,
     /// One candidate per FIFO, in stream order.
@@ -41,7 +40,7 @@ pub struct ServiceView<'a> {
 /// Implementations must only return the index of a `ready` candidate, or
 /// `None` when no FIFO is ready (the MSU idles for a cycle).
 pub trait SchedulingPolicy: std::fmt::Debug + Send {
-    /// Choose the FIFO to service at `view.now`.
+    /// Choose the FIFO to service next.
     fn select(&mut self, view: &ServiceView<'_>) -> Option<usize>;
 }
 
@@ -177,7 +176,6 @@ mod tests {
         let fifos = [cand(0, true, Some(HIT)), cand(1, true, Some(HIT))];
         let mut p = RoundRobin;
         let view = ServiceView {
-            now: 0,
             current: Some(1),
             fifos: &fifos,
         };
@@ -193,7 +191,6 @@ mod tests {
         ];
         let mut p = RoundRobin;
         let view = ServiceView {
-            now: 0,
             current: Some(1),
             fifos: &fifos,
         };
@@ -205,7 +202,6 @@ mod tests {
         let fifos = [cand(0, false, None), cand(1, true, Some(MISS))];
         let mut p = RoundRobin;
         let view = ServiceView {
-            now: 0,
             current: None,
             fifos: &fifos,
         };
@@ -217,7 +213,6 @@ mod tests {
         let fifos = [cand(0, false, None), cand(1, false, None)];
         let mut p = RoundRobin;
         let view = ServiceView {
-            now: 0,
             current: Some(0),
             fifos: &fifos,
         };
@@ -236,7 +231,6 @@ mod tests {
         ];
         let mut p = BankAware;
         let view = ServiceView {
-            now: 0,
             current: Some(0),
             fifos: &fifos,
         };
@@ -251,7 +245,6 @@ mod tests {
         let fifos = [cand(0, true, Some(CONFLICT)), cand(1, true, Some(HIT))];
         let mut p = BankAware;
         let view = ServiceView {
-            now: 0,
             current: Some(0),
             fifos: &fifos,
         };
@@ -267,7 +260,6 @@ mod tests {
         ];
         let mut p = BankAware;
         let view = ServiceView {
-            now: 0,
             current: Some(1),
             fifos: &fifos,
         };
@@ -279,7 +271,6 @@ mod tests {
         let fifos = [cand(0, false, None), cand(1, false, None)];
         let mut p = BankAware;
         let view = ServiceView {
-            now: 0,
             current: Some(0),
             fifos: &fifos,
         };

@@ -34,8 +34,6 @@ pub struct QueueView {
 /// Everything a policy may consult when selecting the next tenant.
 #[derive(Debug, Clone)]
 pub struct ArbiterView<'a> {
-    /// Current cycle.
-    pub now: Cycle,
     /// Tenant served by the previous dispatch, if any.
     pub last_served: Option<usize>,
     /// One entry per tenant, indexed by tenant id.
@@ -141,7 +139,6 @@ mod tests {
 
     fn view(queues: &[QueueView], last: Option<usize>) -> ArbiterView<'_> {
         ArbiterView {
-            now: 100,
             last_served: last,
             queues,
         }

@@ -564,7 +564,6 @@ pub fn serve_traced(
             })
             .collect();
         let view = ArbiterView {
-            now,
             last_served,
             queues: &views,
         };

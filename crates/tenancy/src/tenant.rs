@@ -211,16 +211,6 @@ impl TenantMix {
     pub fn total_requests(&self) -> u64 {
         self.tenants.iter().map(|t| t.requests).sum()
     }
-
-    /// Tenant ids (mix indices) belonging to `class`.
-    pub fn of_class(&self, class: TenantClass) -> Vec<usize> {
-        self.tenants
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.class == class)
-            .map(|(i, _)| i)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -275,10 +265,8 @@ mod tests {
     }
 
     #[test]
-    fn class_queries_partition_the_mix() {
+    fn total_requests_sums_every_group() {
         let mix = TenantMix::parse("ls:2:daxpy:64+bh:3:copy:64").unwrap();
-        assert_eq!(mix.of_class(TenantClass::LatencySensitive), vec![0, 1]);
-        assert_eq!(mix.of_class(TenantClass::BandwidthHungry), vec![2, 3, 4]);
         assert_eq!(mix.total_requests(), 2 * 6 + 3 * 4);
     }
 }
